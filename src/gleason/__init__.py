@@ -24,7 +24,6 @@ from .domains import (
     LogBoundary,
     SplitLine,
     log_image,
-    log_image_csv,
     poly_bounded,
     sample,
     sample_log,
@@ -53,7 +52,7 @@ from .exprio import (
     parse_scalar,
 )
 from .laurent import LaurentPolynomial, divide_univariate, shift_divide_z1
-from .scalars import QComplex, root_of_unity
+from .scalars import QComplex
 from .solver import GleasonProblem, GleasonSolution, solve
 from .symmetry import SymmetricSystem, correction_polynomial, symmetric_decompose
 from .verify import (
@@ -99,13 +98,11 @@ __all__ = [
     "format_scalar",
     "from_ratio_cut",
     "log_image",
-    "log_image_csv",
     "parse_poly",
     "parse_report",
     "parse_scalar",
     "poly_bounded",
     "project_to_fiber",
-    "root_of_unity",
     "sample",
     "sample_log",
     "sampled_sup",

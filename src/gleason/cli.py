@@ -23,7 +23,6 @@ from .domains import CuspDomain, LogBoundary, STRIP_OMEGA2, split_line
 from .errors import GleasonError, InputError, NonvanishingError
 from .exprio import emit_report, format_float, format_poly, parse_poly, parse_scalar
 from .laurent import LaurentPolynomial
-from .scalars import EXACT_ROOT_ORDERS, is_zero_coeff
 from .solver import MODE_AXIS, MODE_INTERIOR, MODE_STRIP, solve
 from .symmetry import symmetric_decompose
 from .verify import verify
@@ -145,28 +144,6 @@ def _read_poly(args, name: str, exact: bool) -> LaurentPolynomial:
         return parse_poly(handle.read(), exact)
 
 
-def _check_exact_order(args, domain: CuspDomain, p1) -> None:
-    """Exact arithmetic needs exact roots of unity on the interior branches."""
-    if not args.exact:
-        return
-    branch = _FORCE_BRANCH[args.mode]
-    if branch is None:
-        if domain.kind == STRIP_OMEGA2:
-            branch = MODE_STRIP
-        elif is_zero_coeff(p1):
-            branch = MODE_AXIS
-        else:
-            branch = MODE_INTERIOR
-    if branch == MODE_AXIS:
-        return
-    order = domain.k * domain.cut_n + domain.l * domain.cut_m
-    if order not in EXACT_ROOT_ORDERS:
-        raise InputError(
-            f"--exact needs a symmetrization order in {{1, 2, 4}}, got {order}:"
-            " this branch uses roots of unity"
-        )
-
-
 def _passed(report, tol: float | None) -> bool:
     bounded = report.bounded_f1 and report.bounded_f2
     if tol is not None:
@@ -181,7 +158,6 @@ def _cmd_solve(args) -> int:
     p1 = parse_scalar(args.p1, args.exact)
     p2 = parse_scalar(args.p2, args.exact)
     f = _read_poly(args, "f", args.exact)
-    _check_exact_order(args, domain, p1)
     if args.subtract_value:
         f = f - LaurentPolynomial.constant(f.eval(p1, p2))
     try:

@@ -297,17 +297,6 @@ class LogBoundary:
         )
 
 
-def log_image_csv(points) -> str:
-    """CSV lines 'x,y' of the log images of the given domain points."""
-    from .exprio import format_float
-
-    lines = []
-    for q1, q2 in points:
-        x, y = log_image(q1, q2)
-        lines.append(f"{format_float(x)},{format_float(y)}")
-    return "\n".join(lines)
-
-
 @dataclass(frozen=True)
 class SplitLine:
     """Separating line y = (-m/n) x + r with safety margin delta."""

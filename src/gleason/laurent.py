@@ -13,7 +13,7 @@ from __future__ import annotations
 from types import MappingProxyType
 
 from .errors import EvaluationDomainError, NotDivisibleError
-from .scalars import QComplex, coeff_abs, is_zero_coeff, powi, root_table
+from .scalars import QComplex, coeff_abs, is_zero_coeff, powi
 from .scalars import is_exact as scalar_is_exact
 
 PRUNE_REL = 1e-14
@@ -212,20 +212,6 @@ class LaurentPolynomial:
                 c = c * powers[a]
             acc[(0, b)] = acc.get((0, b), 0) + c
         return LaurentPolynomial(acc, prune_scale=self.max_norm())
-
-    def rotate(self, s: int, t: int, order: int) -> "LaurentPolynomial":
-        """Substitution z1 -> zeta^s z1, z2 -> zeta^t z2 for zeta = exp(2*pi*i/order).
-
-        Exact whenever the root of unity is a Gaussian rational (order 1, 2, 4).
-        """
-        table = root_table(order)
-        return LaurentPolynomial(
-            {
-                (a, b): c * table[(a * s + b * t) % order]
-                for (a, b), c in self._terms.items()
-            },
-            prune_scale=self.max_norm(),
-        )
 
 
 def max_coeff_distance(f: LaurentPolynomial, g: LaurentPolynomial) -> float:

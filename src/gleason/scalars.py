@@ -9,7 +9,6 @@ convention ``Fraction`` uses with ``float``.
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 
@@ -170,31 +169,3 @@ def coeff_abs(c) -> float:
 
 def is_exact(c) -> bool:
     return isinstance(c, (QComplex,) + _EXACT_PARTS)
-
-
-# Orders whose primitive root of unity is a Gaussian rational.
-EXACT_ROOT_ORDERS = (1, 2, 4)
-
-
-def root_of_unity(order: int):
-    """Primitive root exp(2*pi*i/order); exact for orders 1, 2, 4."""
-    if order < 1:
-        raise ValueError("order must be a positive integer")
-    if order == 1:
-        return QComplex(1)
-    if order == 2:
-        return QComplex(-1)
-    if order == 4:
-        return QComplex(0, 1)
-    return cmath.exp(2j * cmath.pi / order)
-
-
-def root_table(order: int):
-    """All powers zeta^0 .. zeta^(order-1) of the primitive root."""
-    if order in EXACT_ROOT_ORDERS:
-        zeta = root_of_unity(order)
-        powers = [QComplex(1)]
-        for _ in range(order - 1):
-            powers.append(powers[-1] * zeta)
-        return powers
-    return [cmath.exp(2j * cmath.pi * m / order) for m in range(order)]

@@ -1,10 +1,11 @@
 """Top-level solver: write f vanishing at p as f1*(z1-p1) + f2*(z2-p2).
 
-For an interior base point: subtract a low-degree interpolating correction so
-every symmetric component vanishes at the base point, split each component
-against the ratio and cut monomials, then recombine through the closed-form
-ratio split.  On the z2-axis explicit slice formulas avoid roots of unity
-entirely, so that branch is exact for every (k, l).
+For an interior base point: subtract the correction polynomial built from the
+symmetric components' values at the base point, so every component of the
+difference vanishes there, split each component against the ratio and cut
+monomials, then recombine through the closed-form ratio split.  On the
+z2-axis explicit slice formulas take the place of that pipeline.  Every branch
+stays in Gaussian-rational arithmetic on exact input, for every (k, l).
 """
 
 from __future__ import annotations

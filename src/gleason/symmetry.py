@@ -1,4 +1,4 @@
-"""Roots-of-unity symmetrization of Laurent polynomials.
+"""Symmetrization of Laurent polynomials by exponent routing.
 
 For a fixed order N, a Laurent polynomial splits uniquely as
 
@@ -17,15 +17,14 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .laurent import LaurentPolynomial
-from .scalars import is_zero_coeff, root_of_unity
+from .scalars import is_zero_coeff
 
 
 @dataclass(frozen=True)
 class SymmetricSystem:
-    """All N^2 symmetric components of a polynomial, with the root of unity used."""
+    """All N^2 symmetric components of a polynomial."""
 
     order: int
-    zeta: object
     components: dict
 
     def component(self, i: int, j: int) -> LaurentPolynomial:
@@ -52,62 +51,25 @@ def symmetric_decompose(f: LaurentPolynomial, order: int) -> SymmetricSystem:
         key: LaurentPolynomial(terms, prune_scale=scale)
         for key, terms in buckets.items()
     }
-    return SymmetricSystem(
-        order=order, zeta=root_of_unity(order), components=components
-    )
-
-
-def _lagrange_basis(nodes):
-    """Coefficient lists of the Lagrange basis over pairwise distinct nodes."""
-    basis = []
-    for s, node in enumerate(nodes):
-        # numerator prod_{s' != s} (z - nodes[s']) expanded low-to-high
-        coeffs = [1]
-        denom = 1
-        for t, other in enumerate(nodes):
-            if t == s:
-                continue
-            coeffs = [0] + coeffs
-            for d in range(len(coeffs) - 1):
-                coeffs[d] = coeffs[d] - other * coeffs[d + 1]
-            denom = denom * (node - other)
-        basis.append([c / denom for c in coeffs])
-    return basis
+    return SymmetricSystem(order=order, components=components)
 
 
 def correction_polynomial(
     f: LaurentPolynomial, p: tuple, order: int
 ) -> LaurentPolynomial:
-    """Tensor interpolant of f on the root-of-unity grid through p.
+    """Correction P = sum_{i,j<N} f_ij(p) z1^i z2^j from the routed components.
 
-    Returns the unique polynomial of degree at most order-1 in each variable
-    agreeing with f on { zeta^s p1 } x { zeta^t p2 }.  Subtracting it makes
-    every symmetric component of the difference vanish at p.  Requires
-    nonzero p1, p2 so the grid nodes are pairwise distinct.
+    With f = sum z1^i z2^j f_ij routed at order N, each component of f - P is
+    f_ij - f_ij(p), so every symmetric component of the difference vanishes
+    at p.  Every f_ij is constant on the grid { zeta^s p1 } x { zeta^t p2 } of
+    N-th roots of unity zeta, so P is also the tensor interpolant of f on that
+    grid, of degree at most N-1 in each variable.  Requires nonzero p1, p2.
     """
     p1, p2 = p
     if is_zero_coeff(p1) or is_zero_coeff(p2):
-        raise InputError("grid interpolation requires a base point off the axes")
-    zeta = root_of_unity(order)
-    nodes1 = [p1]
-    nodes2 = [p2]
-    for _ in range(order - 1):
-        nodes1.append(nodes1[-1] * zeta)
-        nodes2.append(nodes2[-1] * zeta)
-    values = [[f.eval(u, v) for v in nodes2] for u in nodes1]
-    basis1 = _lagrange_basis(nodes1)
-    basis2 = _lagrange_basis(nodes2)
-
-    acc: dict = {}
-    for s in range(order):
-        for t in range(order):
-            val = values[s][t]
-            if is_zero_coeff(val):
-                continue
-            for d1, c1 in enumerate(basis1[s]):
-                vc1 = val * c1
-                if is_zero_coeff(vc1):
-                    continue
-                for d2, c2 in enumerate(basis2[t]):
-                    acc[(d1, d2)] = acc.get((d1, d2), 0) + vc1 * c2
-    return LaurentPolynomial(acc, prune_scale=f.max_norm() or 1.0)
+        raise InputError("correction polynomial requires a base point off the axes")
+    system = symmetric_decompose(f, order)
+    return LaurentPolynomial(
+        {key: comp.eval(p1, p2) for key, comp in system.components.items()},
+        prune_scale=f.max_norm() or 1.0,
+    )

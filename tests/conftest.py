@@ -6,11 +6,54 @@ reproducible from its own seed.
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from fractions import Fraction
 
 from gleason import CuspDomain, LaurentPolynomial, QComplex
+
+# Orders whose primitive root of unity is a Gaussian rational.
+EXACT_ROOT_ORDERS = (1, 2, 4)
+
+
+def root_of_unity(order: int):
+    """Primitive root exp(2*pi*i/order); exact for orders 1, 2, 4."""
+    if order < 1:
+        raise ValueError("order must be a positive integer")
+    if order == 1:
+        return QComplex(1)
+    if order == 2:
+        return QComplex(-1)
+    if order == 4:
+        return QComplex(0, 1)
+    return cmath.exp(2j * cmath.pi / order)
+
+
+def root_table(order: int):
+    """All powers zeta^0 .. zeta^(order-1) of the primitive root."""
+    if order in EXACT_ROOT_ORDERS:
+        zeta = root_of_unity(order)
+        powers = [QComplex(1)]
+        for _ in range(order - 1):
+            powers.append(powers[-1] * zeta)
+        return powers
+    return [cmath.exp(2j * cmath.pi * m / order) for m in range(order)]
+
+
+def rotate(f: LaurentPolynomial, s: int, t: int, order: int) -> LaurentPolynomial:
+    """Substitution z1 -> zeta^s z1, z2 -> zeta^t z2 for zeta = exp(2*pi*i/order).
+
+    Exact whenever the root of unity is a Gaussian rational (order 1, 2, 4).
+    """
+    table = root_table(order)
+    return LaurentPolynomial(
+        {
+            (a, b): c * table[(a * s + b * t) % order]
+            for (a, b), c in f.terms.items()
+        },
+        prune_scale=f.max_norm(),
+    )
 
 
 def rand_fraction(rng: random.Random, span: int = 8) -> Fraction:

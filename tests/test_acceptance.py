@@ -19,6 +19,7 @@ import pytest
 from gleason import (
     CuspDomain,
     FiberData,
+    GleasonError,
     LaurentPolynomial,
     LogBoundary,
     MonomialPair,
@@ -51,6 +52,7 @@ from conftest import (
     rand_laurent,
     rand_qcomplex,
     rand_symmetric_component,
+    strip_cone_poly,
     subtract_value_at,
 )
 
@@ -396,3 +398,82 @@ def test_10_cli_end_to_end():
         assert again.stdout == run.stdout
         assert again.stderr == run.stderr
         assert again.returncode == run.returncode
+
+
+DEEP_PAIRS = [(3, 2), (5, 1), (5, 2), (6, 1)]
+DEEP_RADII = [Fraction(1, 2), Fraction(1, 10), Fraction(1, 100)]
+
+
+def _gaussian_on_circle(rng, radius: Fraction) -> QComplex:
+    """Gaussian rational of modulus exactly radius, at a Pythagorean angle."""
+    u, v = rng.randint(1, 3), rng.randint(0, 3)
+    unit = QComplex(Fraction(u * u - v * v, u * u + v * v), Fraction(2 * u * v, u * u + v * v))
+    return unit * powi(QComplex(0, 1), rng.randrange(4)) * radius
+
+
+def _exact_residual_terms(f, f1, f2, p) -> dict:
+    """Coefficients of f - f1*(z1-p1) - f2*(z2-p2), summed term by term."""
+    acc = dict(f.terms)
+    for (a, b), c in f1.terms.items():
+        acc[(a + 1, b)] = acc.get((a + 1, b), 0) - c
+        acc[(a, b)] = acc.get((a, b), 0) + c * p[0]
+    for (a, b), c in f2.terms.items():
+        acc[(a, b + 1)] = acc.get((a, b + 1), 0) - c
+        acc[(a, b)] = acc.get((a, b), 0) + c * p[1]
+    return acc
+
+
+def _assert_exact_solution(domain, f, p):
+    sol = solve(domain, f, p, samples=0)
+    for out in (sol.f1, sol.f2):
+        assert all(isinstance(c, QComplex) for c in out.terms.values())
+        assert all(domain.monomial_bounded(a, b) for a, b in out.exponents())
+    residual = _exact_residual_terms(f, sol.f1, sol.f2, p)
+    assert all(isinstance(c, (QComplex, int)) and c == 0 for c in residual.values())
+
+
+def test_11_deep_cusp():
+    # symmetrization orders 3, 5 and 6 with base points deep in the cusp
+    t0 = time.perf_counter()
+    rng = random.Random(1100)
+    for k, l in DEEP_PAIRS:
+        domain = CuspDomain.hartogs(k, l)
+        for r2 in DEEP_RADII:
+            r1 = Fraction(0.5 * float(r2) ** (l / k)).limit_denominator(1000)
+            for _ in range(5):
+                p = (_gaussian_on_circle(rng, r1), _gaussian_on_circle(rng, r2))
+                assert domain.contains(*p)
+                f = subtract_value_at(rand_bounded_poly(rng, domain, 15, exact=True), p)
+                _assert_exact_solution(domain, f, p)
+
+    # strip cell of order 3: D(2, 1) cut by z1*z2, |p1| near |p2|^(1/2)
+    strip = CuspDomain.strip(2, 1, 0.5, 2.0, 1, 1, 0.0)
+    for r2 in DEEP_RADII:
+        r1 = Fraction(float(r2) ** 0.5).limit_denominator(1000)
+        for _ in range(10):
+            p = (_gaussian_on_circle(rng, r1), _gaussian_on_circle(rng, r2))
+            assert strip.contains(*p)
+            f = subtract_value_at(strip_cone_poly(rng, 2, 1, 1, 1, 15, exact=True), p)
+            _assert_exact_solution(strip, f, p)
+
+    rng = random.Random(1101)
+    raised = {}
+    for k, l in DEEP_PAIRS:
+        domain = CuspDomain.hartogs(k, l)
+        for r2 in (0.5, 0.1, 0.01):
+            r1 = 0.5 * r2 ** (l / k)
+            count = 0
+            for _ in range(10):
+                p = (
+                    r1 * cmath.exp(1j * rng.uniform(0, 2 * math.pi)),
+                    r2 * cmath.exp(1j * rng.uniform(0, 2 * math.pi)),
+                )
+                f = subtract_value_at(rand_bounded_poly(rng, domain, 15), p)
+                try:
+                    solve(domain, f, p, samples=0)
+                except GleasonError:
+                    count += 1
+            raised[(k, l, r2)] = count
+    print("float solves raising per (k, l, |p2|) of 10:", raised)
+    assert sum(raised.values()) <= 12  # at most 10% of 120
+    assert time.perf_counter() - t0 <= 20.0

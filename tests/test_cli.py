@@ -139,14 +139,15 @@ def test_decompose_routing(capsys):
     ]
 
 
-def test_exact_flag_gates_symmetrization_order(capsys):
-    code, _, err = run_cli(
+def test_exact_flag_solves_every_symmetrization_order(capsys):
+    code, out, err = run_cli(
         capsys,
         "solve", "--k", "3", "--l", "1", "--p1", "0.5", "--p2", "0.9",
-        "--f", "z2 - 0.9", "--exact",
+        "--f", "z1^3 - 0.125", "--exact",
     )
-    assert code == 2
-    assert "exact" in err
+    assert code == 0
+    assert err == ""
+    assert "residual_max=0" in out.splitlines()
     # k = 2 is fine
     code, out, _ = run_cli(
         capsys,

@@ -6,12 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from gleason import LaurentPolynomial, QComplex, root_of_unity
+from gleason import LaurentPolynomial, QComplex
 from gleason.errors import EvaluationDomainError, NotDivisibleError
 from gleason.laurent import divide_univariate, max_coeff_distance, shift_divide_z1
 from gleason.scalars import powi
 
-from conftest import rand_laurent, rand_qcomplex
+from conftest import rand_laurent, rand_qcomplex, root_of_unity, rotate
 
 fracs = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 coeffs = st.builds(QComplex, fracs, fracs)
@@ -89,7 +89,7 @@ def test_rotate_matches_rotated_evaluation(order, exact):
     q1, q2 = rand_qcomplex(rng, nonzero=True), rand_qcomplex(rng, nonzero=True)
     for s in range(order):
         for t in range(order):
-            lhs = f.rotate(s, t, order).eval(q1, q2)
+            lhs = rotate(f, s, t, order).eval(q1, q2)
             rhs = f.eval(powi(zeta, s) * q1, powi(zeta, t) * q2)
             if exact:
                 assert lhs == rhs
@@ -100,7 +100,7 @@ def test_rotate_matches_rotated_evaluation(order, exact):
 def test_rotate_full_turn_is_identity():
     rng = random.Random(7)
     f = rand_laurent(rng, terms=5, exact=True)
-    assert f.rotate(3, 3, 3) == f
+    assert rotate(f, 3, 3, 3) == f
 
 
 # -- univariate division ------------------------------------------------------

@@ -7,15 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from gleason import QComplex, root_of_unity
-from gleason.scalars import (
-    EXACT_ROOT_ORDERS,
-    coeff_abs,
-    is_exact,
-    is_zero_coeff,
-    powi,
-    root_table,
-)
+from gleason import QComplex
+from gleason.scalars import coeff_abs, is_exact, is_zero_coeff, powi
+
+from conftest import EXACT_ROOT_ORDERS, root_of_unity, root_table
 
 fractions = st.fractions(
     min_value=-8, max_value=8, max_denominator=8

@@ -14,10 +14,17 @@ from gleason import (
 )
 from gleason.errors import InputError
 from gleason.laurent import max_coeff_distance
-from gleason.scalars import coeff_abs, is_zero_coeff, powi, root_of_unity
+from gleason.scalars import coeff_abs, is_zero_coeff, powi
 from gleason.verify import averaged_component
 
-from conftest import rand_bounded_poly, rand_complex, rand_laurent, rand_qcomplex
+from conftest import (
+    rand_bounded_poly,
+    rand_complex,
+    rand_laurent,
+    rand_qcomplex,
+    root_of_unity,
+    rotate,
+)
 
 
 def test_decompose_routing_examples():
@@ -62,8 +69,8 @@ def test_components_are_rotation_invariant(order):
     f = rand_laurent(rng, terms=8, exact=False)
     system = symmetric_decompose(f, order)
     for comp in system.components.values():
-        assert comp.rotate(1, 0, order) == comp
-        assert comp.rotate(0, 1, order) == comp
+        assert rotate(comp, 1, 0, order) == comp
+        assert rotate(comp, 0, 1, order) == comp
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
