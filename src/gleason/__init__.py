@@ -10,9 +10,7 @@ symbolically and on cusp-biased samples.
 from .division import (
     FiberData,
     MonomialPair,
-    RatioCutForm,
     from_ratio_cut,
-    project_to_fiber,
     split_component,
     split_polynomial,
     split_ratio,
@@ -57,7 +55,6 @@ from .solver import GleasonProblem, GleasonSolution, solve
 from .symmetry import SymmetricSystem, correction_polynomial, symmetric_decompose
 from .verify import (
     VerificationReport,
-    averaged_component,
     sampled_sup,
     symbolic_residual,
     verify,
@@ -85,12 +82,10 @@ __all__ = [
     "NotDivisibleError",
     "PolySyntaxError",
     "QComplex",
-    "RatioCutForm",
     "SplitLine",
     "SymmetricSystem",
     "UnboundedError",
     "VerificationReport",
-    "averaged_component",
     "correction_polynomial",
     "divide_univariate",
     "emit_report",
@@ -102,7 +97,6 @@ __all__ = [
     "parse_report",
     "parse_scalar",
     "poly_bounded",
-    "project_to_fiber",
     "sample",
     "sample_log",
     "sampled_sup",

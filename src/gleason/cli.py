@@ -145,12 +145,9 @@ def _read_poly(args, name: str, exact: bool) -> LaurentPolynomial:
 
 
 def _passed(report, tol: float | None) -> bool:
-    bounded = report.bounded_f1 and report.bounded_f2
-    if tol is not None:
-        return bounded and report.residual_max <= tol
-    return bounded and report.symbolic_residual_zero and (
-        report.residual_max <= report.identity_tol
-    )
+    if tol is None:
+        return report.passed
+    return report.bounded_f1 and report.bounded_f2 and report.residual_max <= tol
 
 
 def _cmd_solve(args) -> int:
@@ -180,8 +177,7 @@ def _cmd_solve(args) -> int:
 def _cmd_decompose(args) -> int:
     domain = _domain_from(args)
     f = _read_poly(args, "f", args.exact)
-    order = domain.k * domain.cut_n + domain.l * domain.cut_m
-    system = symmetric_decompose(f, order)
+    system = symmetric_decompose(f, domain.pair.order)
     for i, j in sorted(system.components):
         print(f"f[{i},{j}] = {format_poly(system.components[(i, j)])}")
     return 0

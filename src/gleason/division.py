@@ -3,25 +3,25 @@
 The cusp geometry is governed by two monomials: the ratio u = z1^k z2^(-l),
 constant on the curves that foliate the cusp, and the cut v = z1^m z2^n.
 Symmetric components (exponents divisible by N = k*n + l*m) rewrite exactly
-in the variables (u, v); dividing by (u - u(p)) and (v - v(p)) there gives the
-bounded building blocks that the solver recombines.
+in the variables (u, v); a (u, v) form is an ordinary LaurentPolynomial whose
+exponent pairs are (ratio, cut) exponents.  Dividing by (u - u(p)) and
+(v - v(p)) there gives the bounded building blocks that the solver
+recombines; split_ratio and split_cut write u - u(p) and v - v(p) themselves
+in terms of (z1 - p1) and (z2 - p2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import MappingProxyType
 
 from .errors import ConeError, InternalContractError, NonvanishingError
 from .laurent import (
-    DIVIDE_TOL_REL,
     LaurentPolynomial,
-    _canonical,
     _linear_quotient,
     divide_univariate,
     shift_divide_z1,
 )
-from .scalars import QComplex, coeff_abs, is_zero_coeff, powi
+from .scalars import is_zero_coeff, negligible, powi
 
 
 @dataclass(frozen=True)
@@ -62,47 +62,13 @@ class FiberData:
         )
 
 
-class RatioCutForm:
-    """Polynomial in the ratio and cut monomials; ratio exponents are >= 0."""
-
-    __slots__ = ("pair", "_terms")
-
-    def __init__(self, pair: MonomialPair, terms: dict, *, prune_scale=None):
-        self.pair = pair
-        self._terms = _canonical(dict(terms), prune_scale)
-        for alpha, _beta in self._terms:
-            if alpha < 0:
-                raise ConeError(
-                    f"ratio exponent {alpha} is negative: outside the ratio cone"
-                )
-
-    @property
-    def terms(self):
-        return MappingProxyType(self._terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def one_norm(self) -> float:
-        return sum(coeff_abs(c) for c in self._terms.values())
-
-    def max_norm(self) -> float:
-        return max((coeff_abs(c) for c in self._terms.values()), default=0.0)
-
-    def is_exact(self) -> bool:
-        return all(isinstance(c, QComplex) for c in self._terms.values())
-
-    def __repr__(self):
-        return f"RatioCutForm({self.pair!r}, {dict(sorted(self._terms.items()))!r})"
-
-
-def to_ratio_cut(f: LaurentPolynomial, pair: MonomialPair) -> RatioCutForm:
+def to_ratio_cut(f: LaurentPolynomial, pair: MonomialPair) -> LaurentPolynomial:
     """Rewrite a symmetric polynomial in the ratio and cut monomials.
 
-    Every exponent pair of f must be divisible by pair.order in both
-    variables; a negative resulting ratio exponent means f is outside the
-    ratio-polynomial cone and raises ConeError.
+    Returns the (u, v) form as a LaurentPolynomial whose exponent pairs are
+    (ratio, cut) exponents.  Every exponent pair of f must be divisible by
+    pair.order in both variables; a negative resulting ratio exponent means
+    f is outside the ratio-polynomial cone and raises ConeError.
     """
     order = pair.order
     acc: dict = {}
@@ -111,45 +77,25 @@ def to_ratio_cut(f: LaurentPolynomial, pair: MonomialPair) -> RatioCutForm:
             raise InternalContractError(
                 f"exponent ({a}, {b}) is not divisible by the symmetry order {order}"
             )
-        alpha_num = a * pair.n - b * pair.m
-        beta_num = a * pair.l + b * pair.k
-        if alpha_num % order or beta_num % order:
-            raise InternalContractError(
-                f"exponent ({a}, {b}) does not invert through the change of variables"
+        acc[((a * pair.n - b * pair.m) // order, (a * pair.l + b * pair.k) // order)] = c
+    g = LaurentPolynomial(acc, prune_scale=f.max_norm())
+    for alpha, _beta in g.exponents():
+        if alpha < 0:
+            raise ConeError(
+                f"ratio exponent {alpha} is negative: outside the ratio cone"
             )
-        acc[(alpha_num // order, beta_num // order)] = c
-    return RatioCutForm(pair, acc, prune_scale=f.max_norm())
+    return g
 
 
-def from_ratio_cut(form: RatioCutForm) -> LaurentPolynomial:
-    """Expand back to z-exponents: u^alpha v^beta = z1^(ak+bm) z2^(-al+bn)."""
-    pair = form.pair
+def from_ratio_cut(g: LaurentPolynomial, pair: MonomialPair) -> LaurentPolynomial:
+    """Expand a (u, v) form back to z-exponents: u^alpha v^beta = z1^(ak+bm) z2^(-al+bn)."""
     return LaurentPolynomial(
         {
             (alpha * pair.k + beta * pair.m, -alpha * pair.l + beta * pair.n): c
-            for (alpha, beta), c in form.terms.items()
+            for (alpha, beta), c in g.terms.items()
         },
-        prune_scale=form.max_norm(),
+        prune_scale=g.max_norm(),
     )
-
-
-def project_to_fiber(form: RatioCutForm, fiber: FiberData) -> RatioCutForm:
-    """Substitute the ratio monomial by its base-point value.
-
-    The result depends on the cut monomial alone and equals the composition
-    with the projection onto the fiber through the base point; that geometric
-    description is branch-independent, which the test suite checks
-    numerically against explicit root choices.
-    """
-    powers: dict = {}
-    acc: dict = {}
-    for (alpha, beta), c in form.terms.items():
-        if alpha:
-            if alpha not in powers:
-                powers[alpha] = powi(fiber.ratio_value, alpha)
-            c = c * powers[alpha]
-        acc[(0, beta)] = acc.get((0, beta), 0) + c
-    return RatioCutForm(form.pair, acc, prune_scale=form.max_norm())
 
 
 def split_ratio(k: int, l: int, p: tuple) -> tuple[LaurentPolynomial, LaurentPolynomial]:
@@ -167,20 +113,38 @@ def split_ratio(k: int, l: int, p: tuple) -> tuple[LaurentPolynomial, LaurentPol
     return LaurentPolynomial(r1_terms), LaurentPolynomial(r2_terms)
 
 
+def split_cut(m: int, n: int, p: tuple) -> tuple[LaurentPolynomial, LaurentPolynomial]:
+    """Closed-form pair (V1, V2) with v - v(p) = V1*(z1-p1) + V2*(z2-p2).
+
+    Here v = z1^m z2^n, V1 = z2^n sum_{j<m} p1^(m-1-j) z1^j and
+    V2 = p1^m sum_{j<n} p2^(n-1-j) z2^j; the powers are built top down as
+    running products, the order a Horner division would produce them in.
+    """
+    p1, p2 = p
+    v1_terms: dict = {}
+    c = 1
+    for j in range(m - 1, -1, -1):
+        v1_terms[(j, n)] = c
+        c = c * p1
+    v2_terms: dict = {}
+    c = powi(p1, m)
+    for j in range(n - 1, -1, -1):
+        v2_terms[(0, j)] = c
+        c = c * p2
+    return LaurentPolynomial(v1_terms), LaurentPolynomial(v2_terms)
+
+
 def split_polynomial(
     P: LaurentPolynomial, p: tuple
 ) -> tuple[LaurentPolynomial, LaurentPolynomial]:
     """Split a polynomial vanishing at p by peeling the z1 dependence first.
 
     P1 = (P - P|_{z1=p1}) / (z1 - p1) and P2 = (P|_{z1=p1} - P(p)) / (z2 - p2).
-    Requires P(p) = 0 (exactly, or within 1e-9 of the coefficient sum).
+    Requires P(p) to pass the vanishing test scaled by the coefficient sum.
     """
     p1, p2 = p
     value = P.eval(p1, p2)
-    if P.is_exact() and not isinstance(value, (complex, float)):
-        if not is_zero_coeff(value):
-            raise NonvanishingError("polynomial does not vanish at the base point", value)
-    elif coeff_abs(value) > DIVIDE_TOL_REL * P.one_norm():
+    if not negligible(value, P.one_norm()):
         raise NonvanishingError("polynomial does not vanish at the base point", value)
     part1 = shift_divide_z1(P, p1)
     sliced = P.substitute_z1(p1)
@@ -212,43 +176,30 @@ def split_component(
     """
     fiber = FiberData.from_point(pair, p)
     g = to_ratio_cut(comp, pair)
-    g_proj = project_to_fiber(g, fiber)
+    g_proj = g.substitute_z1(fiber.ratio_value)  # fiber projection: u := u(p)
 
-    # Ratio direction: divide (g - g(fiber)) by (u - u(p)) slice by slice in
+    # Ratio direction: divide (g - g_proj) by (u - u(p)) slice by slice in
     # the cut exponent.  Each slice is an honest polynomial in u.
     slices: dict = {}
     for (alpha, beta), c in g.terms.items():
         slices.setdefault(beta, {})[alpha] = c
     ratio_terms: dict = {}
     for beta, sl in slices.items():
-        adjusted = dict(sl)
-        adjusted[0] = adjusted.get(0, 0) - g_proj.terms.get((0, beta), 0)
-        quotient, _rem = _linear_quotient(adjusted, fiber.ratio_value)
+        sl[0] = sl.get(0, 0) - g_proj.coefficient(0, beta)
+        quotient, _rem = _linear_quotient(sl, fiber.ratio_value)
         for alpha, c in quotient.items():
             ratio_terms[(alpha, beta)] = c
-    part_ratio = RatioCutForm(pair, ratio_terms, prune_scale=g.max_norm())
+    part_ratio = LaurentPolynomial(ratio_terms, prune_scale=g.max_norm())
 
-    # Cut direction: divide the fiber projection by (v - v(p)), clearing any
-    # pole in the cut exponent first.
-    cut_slice = {beta: c for (_, beta), c in g_proj.terms.items()}
-    cut_terms: dict = {}
-    if cut_slice:
-        shift = min(min(cut_slice), 0)
-        adjusted = {beta - shift: c for beta, c in cut_slice.items()}
-        quotient, rem = _linear_quotient(adjusted, fiber.cut_value)
-        exact = g_proj.is_exact() and not isinstance(rem, (complex, float))
-        if exact:
-            if not is_zero_coeff(rem):
-                raise InternalContractError(
-                    "fiber projection does not vanish at the base point"
-                )
-        elif coeff_abs(rem) > DIVIDE_TOL_REL * max(g_proj.one_norm(), comp.one_norm()):
-            raise InternalContractError(
-                "fiber projection does not vanish at the base point"
-            )
-        for beta, c in quotient.items():
-            cut_terms[(0, beta + shift)] = c
-    part_cut = RatioCutForm(pair, cut_terms, prune_scale=g_proj.max_norm())
+    # Cut direction: divide the fiber projection by (v - v(p)).
+    quotient, rem = _linear_quotient(
+        {beta: c for (_, beta), c in g_proj.terms.items()}, fiber.cut_value
+    )
+    if not negligible(rem, max(g_proj.one_norm(), comp.one_norm())):
+        raise InternalContractError("fiber projection does not vanish at the base point")
+    part_cut = LaurentPolynomial(
+        {(0, beta): c for beta, c in quotient.items()}, prune_scale=g_proj.max_norm()
+    )
 
     shifter = LaurentPolynomial.monomial(i, j)
-    return shifter * from_ratio_cut(part_ratio), shifter * from_ratio_cut(part_cut)
+    return shifter * from_ratio_cut(part_ratio, pair), shifter * from_ratio_cut(part_cut, pair)

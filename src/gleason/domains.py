@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from .division import MonomialPair
 from .errors import EvaluationDomainError, InfeasibleSplitError, InputError
 from .laurent import LaurentPolynomial
 from .scalars import QComplex
@@ -76,6 +77,13 @@ class CuspDomain:
             k=k, l=l, kind=STRIP_OMEGA2, lower=lower, upper=upper,
             cut_m=m, cut_n=n, cut_r=r,
         )
+
+    @property
+    def pair(self) -> MonomialPair:
+        """Ratio and cut monomials; hartogs_full is cut by z2 whatever its cut fields hold."""
+        if self.kind == STRIP_OMEGA2:
+            return MonomialPair(self.k, self.l, self.cut_m, self.cut_n)
+        return MonomialPair(self.k, self.l)
 
     @property
     def recession_generators(self) -> tuple[tuple[int, int], ...]:

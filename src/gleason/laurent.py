@@ -13,11 +13,10 @@ from __future__ import annotations
 from types import MappingProxyType
 
 from .errors import EvaluationDomainError, NotDivisibleError
-from .scalars import QComplex, coeff_abs, is_zero_coeff, powi
+from .scalars import QComplex, coeff_abs, is_zero_coeff, negligible, powi
 from .scalars import is_exact as scalar_is_exact
 
 PRUNE_REL = 1e-14
-DIVIDE_TOL_REL = 1e-9
 
 
 def _canonical(terms: dict, prune_scale: float | None) -> dict:
@@ -214,38 +213,24 @@ class LaurentPolynomial:
         return LaurentPolynomial(acc, prune_scale=self.max_norm())
 
 
-def max_coeff_distance(f: LaurentPolynomial, g: LaurentPolynomial) -> float:
-    """Largest modulus among coefficients of f - g; float-friendly comparison."""
-    exps = set(f.exponents()) | set(g.exponents())
-    best = 0.0
-    for e in exps:
-        best = max(best, coeff_abs(f.coefficient(*e) - g.coefficient(*e)))
-    return best
-
-
 def _linear_quotient(coeffs: dict, root):
-    """Divide sum c_d t^d (d >= 0) by (t - root) via Horner.
+    """Divide sum c_d t^d by (t - root) via Horner, clearing any pole first.
 
-    Returns (quotient map, remainder value).  The walk is dense from the top
-    exponent down because the quotient generally is.
+    With s = min(0, lowest exponent), t^(-s) * sum c_d t^d is a polynomial;
+    the walk divides it from the top exponent down to s + 1 and keys each
+    quotient coefficient at d - 1, which is the quotient multiplied back by
+    t^s.  Returns (quotient map, remainder of the cleared division).  The
+    walk is dense because the quotient generally is.
     """
     if not coeffs:
         return {}, 0
-    top = max(coeffs)
+    low = min(0, min(coeffs))
     carry = 0
     quotient: dict = {}
-    for d in range(top, 0, -1):
+    for d in range(max(coeffs), low, -1):
         carry = coeffs.get(d, 0) + root * carry
         quotient[d - 1] = carry
-    remainder = coeffs.get(0, 0) + root * carry
-    return quotient, remainder
-
-
-def _univariate_map(f: LaurentPolynomial, var: int) -> dict:
-    out = {}
-    for (a, b), c in f.terms.items():
-        out[a if var == 1 else b] = c
-    return out
+    return quotient, coeffs.get(low, 0) + root * carry
 
 
 def divide_univariate(
@@ -254,9 +239,8 @@ def divide_univariate(
     """Quotient f / (z_var - root) for univariate f vanishing at root.
 
     root must be nonzero; negative exponents are handled by clearing the pole
-    first.  In floating mode the remainder may be up to 1e-9 times the
-    coefficient sum; anything larger raises NotDivisibleError carrying the
-    residual value f(root).
+    first.  The remainder must pass the vanishing test scaled by the
+    coefficient sum; otherwise NotDivisibleError carries the residual f(root).
     """
     if is_zero_coeff(root):
         raise EvaluationDomainError("division root must be nonzero")
@@ -271,29 +255,17 @@ def divide_univariate(
     elif (var == 1 and uses_z2) or (var == 2 and uses_z1):
         raise ValueError("polynomial is not univariate in the requested variable")
 
-    coeffs = _univariate_map(f, var)
-    shift = min(coeffs)
-    if shift < 0:
-        coeffs = {d - shift: c for d, c in coeffs.items()}
-    else:
-        shift = 0
+    coeffs = {(a if var == 1 else b): c for (a, b), c in f.terms.items()}
     quotient, remainder = _linear_quotient(coeffs, root)
-
-    exact = f.is_exact() and scalar_is_exact(remainder)
-    if exact:
-        if not is_zero_coeff(remainder):
-            residual = remainder * powi(root, shift)
+    if not negligible(remainder, f.one_norm()):
+        residual = remainder * powi(root, min(0, min(coeffs)))
+        if scalar_is_exact(remainder):
             raise NotDivisibleError("nonzero remainder in exact division", residual)
-    elif coeff_abs(remainder) > DIVIDE_TOL_REL * f.one_norm():
-        residual = remainder * powi(root, shift)
         raise NotDivisibleError(
             f"remainder {coeff_abs(remainder):.3e} beyond tolerance", residual
         )
 
-    terms = {
-        ((d + shift, 0) if var == 1 else (0, d + shift)): c
-        for d, c in quotient.items()
-    }
+    terms = {((d, 0) if var == 1 else (0, d)): c for d, c in quotient.items()}
     return LaurentPolynomial(terms, prune_scale=f.max_norm() * (1 + coeff_abs(root)))
 
 
@@ -321,19 +293,11 @@ def shift_divide_z1(f: LaurentPolynomial, p1) -> LaurentPolynomial:
 
     for b, sl in slices.items():
         value = 0
-        powers: dict = {}
         for a, c in sl.items():
-            if a not in powers:
-                powers[a] = powi(p1, a)
-            value = value + c * powers[a]
-        # Clear the pole: divide t^(-shift) * (slice - slice(p1)) by (t - p1),
-        # then shift the quotient back down.
-        shift = min(min(sl), 0)
-        adjusted = {a - shift: c for a, c in sl.items()}
-        adjusted[-shift] = adjusted.get(-shift, 0) - value
-        quotient, _remainder = _linear_quotient(adjusted, p1)
+            value = value + c * powi(p1, a)
+        sl[0] = sl.get(0, 0) - value
         # The remainder is (slice - slice(p1))(p1) = 0 up to roundoff; discard.
+        quotient, _remainder = _linear_quotient(sl, p1)
         for d, c in quotient.items():
-            exp = (d + shift, b)
-            out[exp] = out.get(exp, 0) + c
+            out[(d, b)] = c
     return LaurentPolynomial(out, prune_scale=f.max_norm() * (1 + coeff_abs(p1)))

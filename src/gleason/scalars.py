@@ -14,6 +14,9 @@ from fractions import Fraction
 
 _EXACT_PARTS = (int, Fraction)
 
+# Relative tolerance of the vanishing test for floating values.
+VANISH_TOL_REL = 1e-9
+
 
 class QComplex:
     """Complex number with exact rational real and imaginary parts."""
@@ -35,9 +38,6 @@ class QComplex:
     def abs2(self) -> Fraction:
         """|self|^2 as an exact Fraction."""
         return self.re * self.re + self.im * self.im
-
-    def conjugate(self) -> "QComplex":
-        return QComplex(self.re, -self.im)
 
     @property
     def is_zero(self) -> bool:
@@ -137,10 +137,6 @@ class QComplex:
         return f"QComplex({self.re!r}, {self.im!r})"
 
 
-ONE = QComplex(1)
-I_UNIT = QComplex(0, 1)
-
-
 def powi(base, exponent: int):
     """Integer power by binary squaring, exact for QComplex bases."""
     if exponent < 0:
@@ -169,3 +165,11 @@ def coeff_abs(c) -> float:
 
 def is_exact(c) -> bool:
     return isinstance(c, (QComplex,) + _EXACT_PARTS)
+
+
+def negligible(value, scale: float) -> bool:
+    """Vanishing test: an exact value must be zero; a floating one may reach
+    VANISH_TOL_REL * scale.  The value's type decides which rule applies."""
+    if isinstance(value, (float, complex)):
+        return abs(value) <= VANISH_TOL_REL * scale
+    return is_zero_coeff(value)

@@ -3,8 +3,10 @@
 For an interior base point: subtract the correction polynomial built from the
 symmetric components' values at the base point, so every component of the
 difference vanishes there, split each component against the ratio and cut
-monomials, then recombine through the closed-form ratio split.  On the
-z2-axis explicit slice formulas take the place of that pipeline.  Every branch
+monomials, then recombine through the closed-form ratio and cut splits.  A
+strip runs the same pipeline with its own cut monomial (the full cusp domain
+cuts by z2).  On the z2-axis explicit slice formulas take the place of that
+pipeline.  Every branch
 stays in Gaussian-rational arithmetic on exact input, for every (k, l).
 """
 
@@ -13,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .division import (
-    FiberData,
     MonomialPair,
     split_component,
+    split_cut,
     split_polynomial,
     split_ratio,
 )
@@ -23,11 +25,9 @@ from .domains import STRIP_OMEGA2, CuspDomain, poly_bounded
 from .errors import InputError, NonvanishingError, UnboundedError
 from .exprio import format_scalar
 from .laurent import LaurentPolynomial, divide_univariate
-from .scalars import coeff_abs, is_zero_coeff, powi
+from .scalars import coeff_abs, is_zero_coeff, negligible, powi
 from .symmetry import correction_polynomial, symmetric_decompose
 from .verify import VerificationReport, verify
-
-VANISH_TOL_REL = 1e-9
 
 MODE_INTERIOR = "p1_nonzero"
 MODE_AXIS = "p1_zero"
@@ -53,11 +53,7 @@ class GleasonProblem:
                 "f has monomials outside the bounded cone", cert
             )
         value = self.f.eval(p1, p2)
-        if isinstance(value, (complex, float)):
-            vanishes = abs(value) <= VANISH_TOL_REL * self.f.one_norm()
-        else:
-            vanishes = is_zero_coeff(value)
-        if not vanishes:
+        if not negligible(value, self.f.one_norm()):
             raise NonvanishingError(
                 f"f(p) = {format_scalar(value)} != 0", value
             )
@@ -105,21 +101,12 @@ def _axis_parts(f: LaurentPolynomial, l: int, p2):
 
 
 def _pipeline_parts(f: LaurentPolynomial, p: tuple, pair: MonomialPair):
-    """Shared interior pipeline over the ratio/cut monomial pair."""
+    """Interior and strip pipeline over the ratio/cut monomial pair."""
     order = pair.order
     P = correction_polynomial(f, p, order)
     P1, P2 = split_polynomial(P, p)
     R1, R2 = split_ratio(pair.k, pair.l, p)
-    if pair.m == 0 and pair.n == 1:
-        # The cut monomial is z2 itself, so x - x_p feeds f2 directly.
-        V1 = LaurentPolynomial.zero()
-        V2 = LaurentPolynomial.constant(1)
-    else:
-        fiber = FiberData.from_point(pair, p)
-        cut_poly = LaurentPolynomial.monomial(pair.m, pair.n) - (
-            LaurentPolynomial.constant(fiber.cut_value)
-        )
-        V1, V2 = split_polynomial(cut_poly, p)
+    V1, V2 = split_cut(pair.m, pair.n, p)
 
     system = symmetric_decompose(f - P, order)
     f1 = P1
@@ -146,9 +133,10 @@ def solve(
 ) -> GleasonSolution:
     """Solve the division problem and attach a verification report.
 
-    Dispatch: strip domains use the local strip pipeline; on the full cusp
-    domain a base point on the z2-axis takes the explicit axis branch and any
-    other base point the interior pipeline.  force_branch overrides the
+    Dispatch: strip domains take the strip branch; on the full cusp domain a
+    base point on the z2-axis takes the explicit axis branch and any other
+    base point the interior branch.  Strip and interior run one pipeline over
+    domain.pair.  force_branch overrides the
     dispatch (raising InputError when the branch's own preconditions fail).
     """
     if force_branch is not None and force_branch not in _MODES:
@@ -177,11 +165,8 @@ def solve(
     bound_rhs = None
     if mode == MODE_AXIS:
         f1, f2, bound_rhs = _axis_parts(f, domain.l, p2)
-    elif mode == MODE_INTERIOR:
-        f1, f2 = _pipeline_parts(f, p, MonomialPair(domain.k, domain.l, 0, 1))
     else:
-        pair = MonomialPair(domain.k, domain.l, domain.cut_m, domain.cut_n)
-        f1, f2 = _pipeline_parts(f, p, pair)
+        f1, f2 = _pipeline_parts(f, p, domain.pair)
 
     report = verify(
         domain,

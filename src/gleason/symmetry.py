@@ -7,8 +7,8 @@ For a fixed order N, a Laurent polynomial splits uniquely as
 where every exponent of f_ij is divisible by N in both variables.  For
 polynomials this is plain exponent routing: the term (a, b) belongs to the
 component (a mod N, b mod N).  The discrete-averaging description of the same
-components over the N-th roots of unity lives in gleason.verify as an
-independent numeric oracle.
+components over the N-th roots of unity lives in the test suite
+(tests/conftest.py) as an independent numeric oracle.
 """
 
 from __future__ import annotations

@@ -8,8 +8,6 @@ cusp-biased sample set give the numeric residual.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,38 +147,3 @@ def verify(
         identity_tol=IDENTITY_TOL_REL * scale,
         bound_rhs=bound_rhs,
     )
-
-
-def averaged_component(f: LaurentPolynomial, order: int, i: int, j: int, q1, q2):
-    """Numeric oracle for one symmetric component, by root-of-unity averaging.
-
-    Averages f over the rotation group of the given order with the character
-    for residue class (i, j), then strips the z1^i z2^j prefactor.  Agrees
-    with the exact exponent-routing decomposition wherever both are defined.
-    """
-    q1 = complex(q1)
-    q2 = complex(q2)
-    total = 0j
-    for s in range(order):
-        for t in range(order):
-            character = cmath.exp(-2j * math.pi * (i * s + j * t) / order)
-            r1 = cmath.exp(2j * math.pi * s / order)
-            r2 = cmath.exp(2j * math.pi * t / order)
-            total += character * complex(f.eval(r1 * q1, r2 * q2))
-    return total / (order**2 * q1**i * q2**j)
-
-
-def averaged_component_on_arrays(
-    f: LaurentPolynomial, order: int, i: int, j: int, q1, q2
-) -> np.ndarray:
-    """Batched form of averaged_component over arrays of sample points."""
-    q1 = np.asarray(q1, dtype=complex)
-    q2 = np.asarray(q2, dtype=complex)
-    total = np.zeros(np.broadcast(q1, q2).shape, dtype=complex)
-    for s in range(order):
-        for t in range(order):
-            character = cmath.exp(-2j * math.pi * (i * s + j * t) / order)
-            r1 = cmath.exp(2j * math.pi * s / order)
-            r2 = cmath.exp(2j * math.pi * t / order)
-            total = total + character * eval_on_arrays(f, r1 * q1, r2 * q2)
-    return total / (order**2 * q1**i * q2**j)

@@ -1,7 +1,9 @@
-"""Shared corpus generators for the test suite.
+"""Shared corpus generators and reference oracles for the test suite.
 
 Random draws always take an explicit random.Random so every test is
-reproducible from its own seed.
+reproducible from its own seed.  The oracles (roots of unity, rotation,
+root-of-unity averaging of symmetric components, coefficient distance) are
+independent numeric checks that the library itself does not need.
 """
 
 from __future__ import annotations
@@ -11,7 +13,11 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from gleason import CuspDomain, LaurentPolynomial, QComplex
+from gleason.scalars import coeff_abs
+from gleason.verify import eval_on_arrays
 
 # Orders whose primitive root of unity is a Gaussian rational.
 EXACT_ROOT_ORDERS = (1, 2, 4)
@@ -54,6 +60,50 @@ def rotate(f: LaurentPolynomial, s: int, t: int, order: int) -> LaurentPolynomia
         },
         prune_scale=f.max_norm(),
     )
+
+
+def max_coeff_distance(f: LaurentPolynomial, g: LaurentPolynomial) -> float:
+    """Largest modulus among coefficients of f - g; float-friendly comparison."""
+    exps = set(f.exponents()) | set(g.exponents())
+    best = 0.0
+    for e in exps:
+        best = max(best, coeff_abs(f.coefficient(*e) - g.coefficient(*e)))
+    return best
+
+
+def averaged_component(f: LaurentPolynomial, order: int, i: int, j: int, q1, q2):
+    """Numeric oracle for one symmetric component, by root-of-unity averaging.
+
+    Averages f over the rotation group of the given order with the character
+    for residue class (i, j), then strips the z1^i z2^j prefactor.  Agrees
+    with the exact exponent-routing decomposition wherever both are defined.
+    """
+    q1 = complex(q1)
+    q2 = complex(q2)
+    total = 0j
+    for s in range(order):
+        for t in range(order):
+            character = cmath.exp(-2j * math.pi * (i * s + j * t) / order)
+            r1 = cmath.exp(2j * math.pi * s / order)
+            r2 = cmath.exp(2j * math.pi * t / order)
+            total += character * complex(f.eval(r1 * q1, r2 * q2))
+    return total / (order**2 * q1**i * q2**j)
+
+
+def averaged_component_on_arrays(
+    f: LaurentPolynomial, order: int, i: int, j: int, q1, q2
+) -> np.ndarray:
+    """Batched form of averaged_component over arrays of sample points."""
+    q1 = np.asarray(q1, dtype=complex)
+    q2 = np.asarray(q2, dtype=complex)
+    total = np.zeros(np.broadcast(q1, q2).shape, dtype=complex)
+    for s in range(order):
+        for t in range(order):
+            character = cmath.exp(-2j * math.pi * (i * s + j * t) / order)
+            r1 = cmath.exp(2j * math.pi * s / order)
+            r2 = cmath.exp(2j * math.pi * t / order)
+            total = total + character * eval_on_arrays(f, r1 * q1, r2 * q2)
+    return total / (order**2 * q1**i * q2**j)
 
 
 def rand_fraction(rng: random.Random, span: int = 8) -> Fraction:

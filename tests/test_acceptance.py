@@ -27,7 +27,6 @@ from gleason import (
     QComplex,
     format_poly,
     parse_poly,
-    project_to_fiber,
     sample,
     sample_log,
     solve,
@@ -40,13 +39,10 @@ from gleason import (
 )
 from gleason.domains import poly_bounded
 from gleason.scalars import powi
-from gleason.verify import (
-    averaged_component_on_arrays,
-    eval_on_arrays,
-    symbolic_residual,
-)
+from gleason.verify import eval_on_arrays, symbolic_residual
 
 from conftest import (
+    averaged_component_on_arrays,
     rand_bounded_poly,
     rand_interior_point,
     rand_laurent,
@@ -258,7 +254,7 @@ def test_06_branch_independence():
             fiber = FiberData.from_point(pair, p)
             h = rand_symmetric_component(rng, k, l, m, n, terms=5, max_unit=2)
             g = to_ratio_cut(h, pair)
-            proj = project_to_fiber(g, fiber)
+            proj = g.substitute_z1(fiber.ratio_value)
             scale = 1 + h.one_norm()
             log_u = cmath.log(fiber.ratio_value)
             for _ in range(100):

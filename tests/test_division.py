@@ -15,19 +15,18 @@ from gleason import (
 from gleason.division import (
     FiberData,
     MonomialPair,
-    RatioCutForm,
     from_ratio_cut,
-    project_to_fiber,
     split_component,
+    split_cut,
     split_polynomial,
     split_ratio,
     to_ratio_cut,
 )
 from gleason.errors import ConeError, InternalContractError, NonvanishingError
-from gleason.laurent import max_coeff_distance
 from gleason.scalars import powi
 
 from conftest import (
+    max_coeff_distance,
     rand_laurent,
     rand_qcomplex,
     rand_symmetric_component,
@@ -88,7 +87,7 @@ def test_round_trip_through_ratio_cut(k, l, m, n):
         f = rand_symmetric_component(rng, k, l, m, n, terms=6, exact=True)
         form = to_ratio_cut(f, pair)
         assert all(alpha >= 0 for alpha, _ in form.terms)
-        assert from_ratio_cut(form) == f
+        assert from_ratio_cut(form, pair) == f
     # note: arbitrary (alpha, beta) maps land in a lattice of index order,
     # not order^2, so the reverse round trip only holds for images like the
     # ones above; starting from random forms would hit the divisibility check
@@ -98,10 +97,10 @@ def test_project_to_fiber_examples():
     pair = MonomialPair(1, 1, 0, 1)
     p = (QComplex(1, 1), QComplex(2))
     fiber = FiberData.from_point(pair, p)
-    g = RatioCutForm(pair, {(1, 0): QComplex(1)})
-    assert dict(project_to_fiber(g, fiber).terms) == {(0, 0): fiber.ratio_value}
-    g = RatioCutForm(pair, {(1, 1): QComplex(1)})
-    assert dict(project_to_fiber(g, fiber).terms) == {(0, 1): fiber.ratio_value}
+    g = LaurentPolynomial({(1, 0): QComplex(1)})
+    assert dict(g.substitute_z1(fiber.ratio_value).terms) == {(0, 0): fiber.ratio_value}
+    g = LaurentPolynomial({(1, 1): QComplex(1)})
+    assert dict(g.substitute_z1(fiber.ratio_value).terms) == {(0, 1): fiber.ratio_value}
 
 
 def test_project_to_fiber_collapses_ratio_direction():
@@ -110,11 +109,11 @@ def test_project_to_fiber_collapses_ratio_direction():
     p = _exact_point(rng)
     fiber = FiberData.from_point(pair, p)
     g = to_ratio_cut(rand_symmetric_component(rng, 2, 1, 0, 1, terms=8, exact=True), pair)
-    proj = project_to_fiber(g, fiber)
+    proj = g.substitute_z1(fiber.ratio_value)
     assert all(alpha == 0 for alpha, _ in proj.terms)
     # substituting the ratio value is evaluation along the fiber
     value = sum(c * powi(fiber.cut_value, beta) for (_, beta), c in proj.terms.items())
-    f = from_ratio_cut(g)
+    f = from_ratio_cut(g, pair)
     assert f.eval(*p) == value
 
 
@@ -148,6 +147,24 @@ def test_split_ratio_identity_and_cone(k, l):
         assert poly_bounded(domain, r2).bounded
     with pytest.raises(NonvanishingError):
         split_ratio(k, l, (QComplex(1), QComplex(0)))
+
+
+# -- split_cut ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("m,n", [(0, 1), (1, 1), (2, 3), (3, 1)])
+def test_split_cut_identity_and_exponents(m, n):
+    rng = random.Random(m * 11 + n)
+    for _ in range(10):
+        p = _exact_point(rng)
+        v1, v2 = split_cut(m, n, p)
+        lin1 = LaurentPolynomial({(1, 0): QComplex(1), (0, 0): -p[0]})
+        lin2 = LaurentPolynomial({(0, 1): QComplex(1), (0, 0): -p[1]})
+        cut = LaurentPolynomial({(m, n): QComplex(1), (0, 0): -powi(p[0], m) * powi(p[1], n)})
+        assert v1 * lin1 + v2 * lin2 == cut
+        assert all(a >= 0 and b >= 0 for a, b in [*v1.exponents(), *v2.exponents()])
+        # the closed form is the split that peels the z1 dependence first
+        assert (v1, v2) == split_polynomial(cut, p)
 
 
 # -- split_polynomial ---------------------------------------------------------
@@ -283,7 +300,7 @@ def test_branch_evaluations_agree_with_fiber_projection():
         fiber = FiberData.from_point(pair, p)
         h = rand_symmetric_component(rng, k, l, m, n, terms=5, exact=False)
         g = to_ratio_cut(h, pair)
-        proj = project_to_fiber(g, fiber)
+        proj = g.substitute_z1(fiber.ratio_value)
         scale = 1 + h.one_norm()
         for _ in range(20):
             x_val = cmath.exp(complex(rng.uniform(-2, -0.1), rng.uniform(0, 6.28)))

@@ -17,6 +17,7 @@ from gleason import (
     sample_log,
     split_line,
 )
+from gleason.division import MonomialPair
 from gleason.domains import SplitLine, slope_candidates
 from gleason.errors import EvaluationDomainError, InfeasibleSplitError, InputError
 
@@ -43,6 +44,13 @@ def test_recession_generators():
     assert CuspDomain.hartogs(2, 3).recession_generators == ((-1, 0), (-3, -2))
     s = CuspDomain.strip(2, 3, 0.5, 2.0, 1, 1, 0.0)
     assert s.recession_generators == ((-3, -2),)
+
+
+def test_monomial_pair_of_domain():
+    assert CuspDomain.strip(2, 3, 0.5, 2.0, 1, 1, 0.0).pair == MonomialPair(2, 3, 1, 1)
+    assert CuspDomain.hartogs(2, 3).pair == MonomialPair(2, 3, 0, 1)
+    # the full cusp domain is cut by z2 whatever its unused cut fields hold
+    assert CuspDomain(2, 3, cut_m=1, cut_n=2).pair == MonomialPair(2, 3, 0, 1)
 
 
 def test_monomial_bounded_examples():

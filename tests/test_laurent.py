@@ -8,10 +8,10 @@ from hypothesis import given, strategies as st
 
 from gleason import LaurentPolynomial, QComplex
 from gleason.errors import EvaluationDomainError, NotDivisibleError
-from gleason.laurent import divide_univariate, max_coeff_distance, shift_divide_z1
+from gleason.laurent import divide_univariate, shift_divide_z1
 from gleason.scalars import powi
 
-from conftest import rand_laurent, rand_qcomplex, root_of_unity, rotate
+from conftest import max_coeff_distance, rand_laurent, rand_qcomplex, root_of_unity, rotate
 
 fracs = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 coeffs = st.builds(QComplex, fracs, fracs)

@@ -15,12 +15,13 @@ from gleason import (
     solve,
 )
 from gleason.errors import InputError, NonvanishingError, UnboundedError
-from gleason.laurent import divide_univariate, max_coeff_distance
+from gleason.laurent import divide_univariate
 from gleason.scalars import powi
 from gleason.solver import MODE_AXIS, MODE_INTERIOR, MODE_STRIP
 from gleason.verify import symbolic_residual
 
 from conftest import (
+    max_coeff_distance,
     rand_bounded_poly,
     rand_interior_point,
     strip_cone_poly,

@@ -13,11 +13,11 @@ from gleason import (
     symmetric_decompose,
 )
 from gleason.errors import InputError
-from gleason.laurent import max_coeff_distance
 from gleason.scalars import coeff_abs, is_zero_coeff, powi
-from gleason.verify import averaged_component
 
 from conftest import (
+    averaged_component,
+    max_coeff_distance,
     rand_bounded_poly,
     rand_complex,
     rand_laurent,

@@ -13,14 +13,9 @@ from gleason import (
     sampled_sup,
     verify,
 )
-from gleason.verify import (
-    averaged_component,
-    averaged_component_on_arrays,
-    eval_on_arrays,
-    symbolic_residual,
-)
+from gleason.verify import eval_on_arrays, symbolic_residual
 
-from conftest import rand_laurent
+from conftest import averaged_component, averaged_component_on_arrays, rand_laurent
 
 
 def _exact_pair_for_linear(p):
