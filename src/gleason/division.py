@@ -78,7 +78,7 @@ def to_ratio_cut(f: LaurentPolynomial, pair: MonomialPair) -> LaurentPolynomial:
                 f"exponent ({a}, {b}) is not divisible by the symmetry order {order}"
             )
         acc[((a * pair.n - b * pair.m) // order, (a * pair.l + b * pair.k) // order)] = c
-    g = LaurentPolynomial(acc, prune_scale=f.max_norm())
+    g = LaurentPolynomial(acc, prune_scale=f.max_norm)
     for alpha, _beta in g.exponents():
         if alpha < 0:
             raise ConeError(
@@ -94,7 +94,7 @@ def from_ratio_cut(g: LaurentPolynomial, pair: MonomialPair) -> LaurentPolynomia
             (alpha * pair.k + beta * pair.m, -alpha * pair.l + beta * pair.n): c
             for (alpha, beta), c in g.terms.items()
         },
-        prune_scale=g.max_norm(),
+        prune_scale=g.max_norm,
     )
 
 
@@ -144,7 +144,7 @@ def split_polynomial(
     """
     p1, p2 = p
     value = P.eval(p1, p2)
-    if not negligible(value, P.one_norm()):
+    if not negligible(value, P.one_norm):
         raise NonvanishingError("polynomial does not vanish at the base point", value)
     part1 = shift_divide_z1(P, p1)
     sliced = P.substitute_z1(p1)
@@ -189,16 +189,16 @@ def split_component(
         quotient, _rem = _linear_quotient(sl, fiber.ratio_value)
         for alpha, c in quotient.items():
             ratio_terms[(alpha, beta)] = c
-    part_ratio = LaurentPolynomial(ratio_terms, prune_scale=g.max_norm())
+    part_ratio = LaurentPolynomial(ratio_terms, prune_scale=g.max_norm)
 
     # Cut direction: divide the fiber projection by (v - v(p)).
     quotient, rem = _linear_quotient(
         {beta: c for (_, beta), c in g_proj.terms.items()}, fiber.cut_value
     )
-    if not negligible(rem, max(g_proj.one_norm(), comp.one_norm())):
+    if not negligible(rem, lambda: max(g_proj.one_norm(), comp.one_norm())):
         raise InternalContractError("fiber projection does not vanish at the base point")
     part_cut = LaurentPolynomial(
-        {(0, beta): c for beta, c in quotient.items()}, prune_scale=g_proj.max_norm()
+        {(0, beta): c for beta, c in quotient.items()}, prune_scale=g_proj.max_norm
     )
 
     shifter = LaurentPolynomial.monomial(i, j)

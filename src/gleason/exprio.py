@@ -271,25 +271,19 @@ def format_float(x: float) -> str:
     return s
 
 
-def _format_real(c) -> str:
-    if isinstance(c, QComplex):
-        return format_fraction(c.re)
-    return format_float(c.real)
+def _complex_text(re, im, fmt) -> str:
+    if im == 0:
+        return fmt(re)
+    sign = "-" if im < 0 else "+"
+    return f"{fmt(re)}{sign}{fmt(abs(im))}i"
 
 
 def format_scalar(c) -> str:
     """Compact complex literal: re, re+imi, or re-imi."""
     if isinstance(c, QComplex):
-        re, im = c.re, c.im
-        if im == 0:
-            return format_fraction(re)
-        sign = "-" if im < 0 else "+"
-        return f"{format_fraction(re)}{sign}{format_fraction(abs(im))}i"
+        return _complex_text(c.re, c.im, format_fraction)
     z = complex(c)
-    if z.imag == 0:
-        return format_float(z.real)
-    sign = "-" if z.imag < 0 else "+"
-    return f"{format_float(z.real)}{sign}{format_float(abs(z.imag))}i"
+    return _complex_text(z.real, z.imag, format_float)
 
 
 def parse_scalar(text: str, exact: bool = False):
@@ -345,22 +339,19 @@ def format_poly(f: LaurentPolynomial) -> str:
     for (a, b) in sorted(f.exponents(), reverse=True):
         c = f.coefficient(a, b)
         mono = _monomial_text(a, b)
+        # the parts are read once: a QComplex builds a Fraction per read
         if isinstance(c, QComplex):
-            imag_zero = c.im == 0
-            negative_real = c.re < 0
+            re, im, fmt = c.re, c.im, format_fraction
         else:
-            z = complex(c)
-            imag_zero = z.imag == 0
-            negative_real = z.real < 0
-        if imag_zero:
-            sign = "-" if negative_real else "+"
-            magnitude = -c if negative_real else c
-            body = _format_real(magnitude)
+            re, im, fmt = c.real, c.imag, format_float
+        if im == 0:
+            sign = "-" if re < 0 else "+"
+            body = fmt(-re if re < 0 else re)
             if mono:
                 body = mono if body == "1" else f"{body}{mono}"
         else:
             sign = "+"
-            body = f"({format_scalar(c)})"
+            body = f"({_complex_text(re, im, fmt)})"
             if mono:
                 body = f"{body}{mono}"
         pieces.append((sign, body))

@@ -10,6 +10,7 @@ dropped.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from types import MappingProxyType
 
 from .errors import EvaluationDomainError, NotDivisibleError
@@ -19,13 +20,29 @@ from .scalars import is_exact as scalar_is_exact
 PRUNE_REL = 1e-14
 
 
-def _canonical(terms: dict, prune_scale: float | None) -> dict:
-    """Drop exact zeros and, for floating coefficients, negligible ones."""
+def _canonical(terms, prune_scale: float | Callable[[], float] | None) -> dict:
+    """Drop exact zeros and, for floating coefficients, negligible ones.
+
+    prune_scale is a float, a function returning one, or None for the largest
+    floating coefficient.  It is looked at only when a coefficient is
+    floating: an exact polynomial never pays for a norm.
+    """
+    out = {}
+    for exp, c in terms.items():
+        # QComplex first: an exact coefficient then costs one type check
+        if not isinstance(c, QComplex) and isinstance(c, (float, complex)):
+            break
+        if c:
+            out[exp] = c
+    else:
+        return out
     if prune_scale is None:
         prune_scale = 0.0
         for c in terms.values():
             if not isinstance(c, QComplex):
                 prune_scale = max(prune_scale, coeff_abs(c))
+    elif callable(prune_scale):
+        prune_scale = prune_scale()
     threshold = PRUNE_REL * prune_scale
     out = {}
     for exp, c in terms.items():
@@ -43,8 +60,13 @@ class LaurentPolynomial:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: dict | None = None, *, prune_scale: float | None = None):
-        self._terms = _canonical(dict(terms or {}), prune_scale)
+    def __init__(
+        self,
+        terms: dict | None = None,
+        *,
+        prune_scale: float | Callable[[], float] | None = None,
+    ):
+        self._terms = _canonical(terms or {}, prune_scale)
 
     @classmethod
     def zero(cls) -> "LaurentPolynomial":
@@ -113,7 +135,7 @@ class LaurentPolynomial:
             for exp, c in other._terms.items():
                 acc[exp] = acc.get(exp, 0) + c
             return LaurentPolynomial(
-                acc, prune_scale=max(self.max_norm(), other.max_norm())
+                acc, prune_scale=lambda: max(self.max_norm(), other.max_norm())
             )
         if isinstance(other, (int, float, complex, QComplex)):
             return self + LaurentPolynomial.constant(other)
@@ -123,7 +145,7 @@ class LaurentPolynomial:
 
     def __neg__(self):
         return LaurentPolynomial(
-            {e: -c for e, c in self._terms.items()}, prune_scale=self.max_norm()
+            {e: -c for e, c in self._terms.items()}, prune_scale=self.max_norm
         )
 
     def __sub__(self, other):
@@ -142,14 +164,14 @@ class LaurentPolynomial:
                     exp = (a1 + a2, b1 + b2)
                     acc[exp] = acc.get(exp, 0) + c1 * c2
             return LaurentPolynomial(
-                acc, prune_scale=self.max_norm() * other.max_norm()
+                acc, prune_scale=lambda: self.max_norm() * other.max_norm()
             )
         if isinstance(other, (int, float, complex, QComplex)):
             if is_zero_coeff(other):
                 return LaurentPolynomial.zero()
             return LaurentPolynomial(
                 {e: c * other for e, c in self._terms.items()},
-                prune_scale=self.max_norm() * coeff_abs(other),
+                prune_scale=lambda: self.max_norm() * coeff_abs(other),
             )
         return NotImplemented
 
@@ -210,7 +232,7 @@ class LaurentPolynomial:
                     powers[a] = powi(value, a)
                 c = c * powers[a]
             acc[(0, b)] = acc.get((0, b), 0) + c
-        return LaurentPolynomial(acc, prune_scale=self.max_norm())
+        return LaurentPolynomial(acc, prune_scale=self.max_norm)
 
 
 def _linear_quotient(coeffs: dict, root):
@@ -257,7 +279,7 @@ def divide_univariate(
 
     coeffs = {(a if var == 1 else b): c for (a, b), c in f.terms.items()}
     quotient, remainder = _linear_quotient(coeffs, root)
-    if not negligible(remainder, f.one_norm()):
+    if not negligible(remainder, f.one_norm):
         residual = remainder * powi(root, min(0, min(coeffs)))
         if scalar_is_exact(remainder):
             raise NotDivisibleError("nonzero remainder in exact division", residual)
@@ -266,7 +288,9 @@ def divide_univariate(
         )
 
     terms = {((d, 0) if var == 1 else (0, d)): c for d, c in quotient.items()}
-    return LaurentPolynomial(terms, prune_scale=f.max_norm() * (1 + coeff_abs(root)))
+    return LaurentPolynomial(
+        terms, prune_scale=lambda: f.max_norm() * (1 + coeff_abs(root))
+    )
 
 
 def shift_divide_z1(f: LaurentPolynomial, p1) -> LaurentPolynomial:
@@ -289,7 +313,7 @@ def shift_divide_z1(f: LaurentPolynomial, p1) -> LaurentPolynomial:
                     )
                 if a >= 1:
                     out[(a - 1, b)] = c
-        return LaurentPolynomial(out, prune_scale=f.max_norm())
+        return LaurentPolynomial(out, prune_scale=f.max_norm)
 
     for b, sl in slices.items():
         value = 0
@@ -300,4 +324,6 @@ def shift_divide_z1(f: LaurentPolynomial, p1) -> LaurentPolynomial:
         quotient, _remainder = _linear_quotient(sl, p1)
         for d, c in quotient.items():
             out[(d, b)] = c
-    return LaurentPolynomial(out, prune_scale=f.max_norm() * (1 + coeff_abs(p1)))
+    return LaurentPolynomial(
+        out, prune_scale=lambda: f.max_norm() * (1 + coeff_abs(p1))
+    )

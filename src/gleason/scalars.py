@@ -1,15 +1,21 @@
-"""Coefficient scalars: floating complex plus an exact rational-complex type.
+"""Coefficient scalars: floating complex plus an exact Gaussian-rational type.
 
 Polynomial coefficients come in two flavours.  The default is the builtin
-``complex``.  For exact runs the coefficients are ``QComplex`` values, complex
-numbers whose real and imaginary parts are ``fractions.Fraction``.  Arithmetic
-between a QComplex and a float or complex degrades to ``complex``, the same
-convention ``Fraction`` uses with ``float``.
+``complex``.  For exact runs the coefficients are ``QComplex`` values: a
+Gaussian rational stored as three Python ints (x, y, d) for (x + y*i)/d,
+always reduced, with d > 0 and gcd(x, y, d) = 1.  That form is canonical,
+so equality compares the three ints, and every operation is plain int
+arithmetic followed by one three-argument ``math.gcd``; no ``Fraction`` is
+built on the arithmetic path.  ``.re`` and ``.im`` still hand out
+``Fraction`` values.  Arithmetic between a QComplex and a float or complex
+degrades to ``complex``, the same convention ``Fraction`` uses with
+``float``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from fractions import Fraction
 
 _EXACT_PARTS = (int, Fraction)
@@ -18,41 +24,72 @@ _EXACT_PARTS = (int, Fraction)
 VANISH_TOL_REL = 1e-9
 
 
-class QComplex:
-    """Complex number with exact rational real and imaginary parts."""
+def _parts(value) -> tuple[int, int]:
+    """(numerator, positive denominator) of an int or Fraction."""
+    if isinstance(value, int):
+        return value, 1
+    return value.numerator, value.denominator
 
-    __slots__ = ("re", "im")
+
+class QComplex:
+    """Gaussian rational (x + y*i)/d held as reduced ints."""
+
+    __slots__ = ("_x", "_y", "_d")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        re = re if isinstance(re, _EXACT_PARTS) else Fraction(re)
+        im = im if isinstance(im, _EXACT_PARTS) else Fraction(im)
+        a, b = _parts(re)
+        c, e = _parts(im)
+        if b == e:
+            x, y, d = a, c, b
+        else:
+            x, y, d = a * e, c * b, b * e
+        g = math.gcd(x, y, d)
+        self._x, self._y, self._d = x // g, y // g, d // g
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._x, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._y, self._d)
 
     # -- conversions ---------------------------------------------------
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        # int / int rounds correctly, so this equals float(self.re), float(self.im)
+        return complex(self._x / self._d, self._y / self._d)
 
     def __abs__(self):
-        return math.hypot(float(self.re), float(self.im))
+        return math.hypot(self._x / self._d, self._y / self._d)
 
     def abs2(self) -> Fraction:
         """|self|^2 as an exact Fraction."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._x * self._x + self._y * self._y, self._d * self._d)
 
     @property
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self._x and not self._y
 
     def __bool__(self):
-        return not self.is_zero
+        return bool(self._x or self._y)
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, QComplex):
-            return QComplex(self.re + other.re, self.im + other.im)
+            d, e = self._d, other._d
+            if d == e:
+                return _reduced(self._x + other._x, self._y + other._y, d)
+            return _reduced(self._x * e + other._x * d, self._y * e + other._y * d, d * e)
         if isinstance(other, _EXACT_PARTS):
-            return QComplex(self.re + other, self.im)
+            if not other:
+                return self
+            n, e = _parts(other)
+            d = self._d
+            return _reduced(self._x * e + n * d, self._y * e, d * e)
         if isinstance(other, (float, complex)):
             return complex(self) + other
         return NotImplemented
@@ -60,30 +97,29 @@ class QComplex:
     __radd__ = __add__
 
     def __neg__(self):
-        return QComplex(-self.re, -self.im)
+        return _raw(-self._x, -self._y, self._d)
 
     def __sub__(self, other):
-        if isinstance(other, (QComplex,) + _EXACT_PARTS):
-            return self + (-other if isinstance(other, QComplex) else QComplex(-other))
+        if isinstance(other, _EXACT_TYPES):
+            return self + -other
         if isinstance(other, (float, complex)):
             return complex(self) - other
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, _EXACT_PARTS):
-            return QComplex(other - self.re, -self.im)
+            return -self + other
         if isinstance(other, (float, complex)):
             return other - complex(self)
         return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, QComplex):
-            return QComplex(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
+            a, b, c, e = self._x, self._y, other._x, other._y
+            return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
         if isinstance(other, _EXACT_PARTS):
-            return QComplex(self.re * other, self.im * other)
+            n, e = _parts(other)
+            return _reduced(self._x * n, self._y * n, self._d * e)
         if isinstance(other, (float, complex)):
             return complex(self) * other
         return NotImplemented
@@ -92,17 +128,19 @@ class QComplex:
 
     def __truediv__(self, other):
         if isinstance(other, QComplex):
-            d = other.abs2()
-            if not d:
+            c, e = other._x, other._y
+            norm = c * c + e * e
+            if not norm:
                 raise ZeroDivisionError("division by exact zero")
-            return QComplex(
-                (self.re * other.re + self.im * other.im) / d,
-                (self.im * other.re - self.re * other.im) / d,
-            )
+            a, b, f = self._x, self._y, other._d
+            return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self._d * norm)
         if isinstance(other, _EXACT_PARTS):
             if not other:
                 raise ZeroDivisionError("division by exact zero")
-            return QComplex(self.re / other, self.im / other)
+            n, e = _parts(other)
+            if n < 0:
+                n, e = -n, -e
+            return _reduced(self._x * e, self._y * e, self._d * n)
         if isinstance(other, (float, complex)):
             return complex(self) / other
         return NotImplemented
@@ -119,22 +157,60 @@ class QComplex:
             return NotImplemented
         return powi(self, exponent)
 
+    def _power(self, exponent: int) -> "QComplex":
+        """self**exponent for exponent >= 1: a Gaussian-integer power, reduced once."""
+        x, y = 1, 0
+        a, b = self._x, self._y
+        n = exponent
+        while n:
+            if n & 1:
+                x, y = x * a - y * b, x * b + y * a
+            n >>= 1
+            if n:
+                a, b = a * a - b * b, 2 * a * b
+        return _reduced(x, y, self._d**exponent)
+
     # -- comparison ----------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, QComplex):
-            return self.re == other.re and self.im == other.im
+            return self._x == other._x and self._y == other._y and self._d == other._d
         if isinstance(other, _EXACT_PARTS):
-            return self.im == 0 and self.re == other
+            n, e = _parts(other)
+            return not self._y and self._x == n and self._d == e
         if isinstance(other, (float, complex)):
             return complex(self) == other
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes like the equal int or Fraction
+        if not self._y:
+            return hash(self.re)
+        return hash((self._x, self._y, self._d))
 
     def __repr__(self):
         return f"QComplex({self.re!r}, {self.im!r})"
+
+
+_EXACT_TYPES = (QComplex,) + _EXACT_PARTS
+_new = object.__new__
+
+
+def _raw(x: int, y: int, d: int) -> QComplex:
+    """QComplex from ints already in reduced form."""
+    q = _new(QComplex)
+    q._x, q._y, q._d = x, y, d
+    return q
+
+
+def _reduced(x: int, y: int, d: int) -> QComplex:
+    """QComplex for (x + y*i)/d with d > 0, divided through by gcd(x, y, d)."""
+    g = math.gcd(x, y, d)
+    if g != 1:
+        x, y, d = x // g, y // g, d // g
+    q = _new(QComplex)
+    q._x, q._y, q._d = x, y, d
+    return q
 
 
 def powi(base, exponent: int):
@@ -142,6 +218,8 @@ def powi(base, exponent: int):
     if exponent < 0:
         base = 1 / base
         exponent = -exponent
+    if isinstance(base, QComplex) and exponent:
+        return base._power(exponent)
     result = 1
     while exponent:
         if exponent & 1:
@@ -164,12 +242,14 @@ def coeff_abs(c) -> float:
 
 
 def is_exact(c) -> bool:
-    return isinstance(c, (QComplex,) + _EXACT_PARTS)
+    return isinstance(c, _EXACT_TYPES)
 
 
-def negligible(value, scale: float) -> bool:
+def negligible(value, scale: Callable[[], float]) -> bool:
     """Vanishing test: an exact value must be zero; a floating one may reach
-    VANISH_TOL_REL * scale.  The value's type decides which rule applies."""
+    VANISH_TOL_REL * scale().  The value's type decides which rule applies,
+    and scale, a function returning the float scale, is called only for a
+    floating value."""
     if isinstance(value, (float, complex)):
-        return abs(value) <= VANISH_TOL_REL * scale
+        return abs(value) <= VANISH_TOL_REL * scale()
     return is_zero_coeff(value)

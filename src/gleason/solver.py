@@ -53,7 +53,7 @@ class GleasonProblem:
                 "f has monomials outside the bounded cone", cert
             )
         value = self.f.eval(p1, p2)
-        if not negligible(value, self.f.one_norm()):
+        if not negligible(value, self.f.one_norm):
             raise NonvanishingError(
                 f"f(p) = {format_scalar(value)} != 0", value
             )
@@ -84,13 +84,13 @@ def _axis_parts(f: LaurentPolynomial, l: int, p2):
     rest_terms: dict = {}
     for (a, b), c in f.terms.items():
         (axis_terms if a == 0 else rest_terms)[(a, b)] = c
-    f0 = LaurentPolynomial(axis_terms, prune_scale=f.max_norm())
-    rest = LaurentPolynomial(rest_terms, prune_scale=f.max_norm())
+    f0 = LaurentPolynomial(axis_terms, prune_scale=f.max_norm)
+    rest = LaurentPolynomial(rest_terms, prune_scale=f.max_norm)
 
     inv = 1 / powi(p2, l)
     f1 = LaurentPolynomial(
         {(a - 1, b + l): c * inv for (a, b), c in rest.terms.items()},
-        prune_scale=f.max_norm() * coeff_abs(inv),
+        prune_scale=lambda: f.max_norm() * coeff_abs(inv),
     )
     comb = LaurentPolynomial(
         {(0, j): -(powi(p2, l - 1 - j) * inv) for j in range(l)}

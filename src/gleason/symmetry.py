@@ -46,7 +46,8 @@ def symmetric_decompose(f: LaurentPolynomial, order: int) -> SymmetricSystem:
         i = a % order
         j = b % order
         buckets[(i, j)][(a - i, b - j)] = c
-    scale = f.max_norm()
+    # routing moves f's own coefficients: only floating ones need a prune scale
+    scale = 0.0 if f.is_exact() else f.max_norm()
     components = {
         key: LaurentPolynomial(terms, prune_scale=scale)
         for key, terms in buckets.items()
@@ -71,5 +72,5 @@ def correction_polynomial(
     system = symmetric_decompose(f, order)
     return LaurentPolynomial(
         {key: comp.eval(p1, p2) for key, comp in system.components.items()},
-        prune_scale=f.max_norm() or 1.0,
+        prune_scale=lambda: f.max_norm() or 1.0,
     )

@@ -3,17 +3,21 @@
 Everything here treats the candidate factors as opaque polynomials.  The
 residual polynomial f - f1*(z1-p1) - f2*(z2-p2) is formed once; its
 coefficients decide the symbolic check and its values over a deterministic
-cusp-biased sample set give the numeric residual.
+cusp-biased sample set give the numeric residual.  numpy is imported by the
+functions that evaluate on sample arrays, so exact and unsampled work never
+loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .domains import CuspDomain, poly_bounded, sample
 from .laurent import LaurentPolynomial
+
+if TYPE_CHECKING:
+    import numpy as np
 
 IDENTITY_TOL_REL = 1e-9
 # Coefficient noise floor for declaring the symbolic residual zero.
@@ -49,6 +53,8 @@ class VerificationReport:
 
 def eval_on_arrays(f: LaurentPolynomial, q1, q2) -> np.ndarray:
     """Vectorized evaluation on complex arrays, with per-exponent power reuse."""
+    import numpy as np
+
     q1 = np.asarray(q1, dtype=complex)
     q2 = np.asarray(q2, dtype=complex)
     out = np.zeros(np.broadcast(q1, q2).shape, dtype=complex)
@@ -86,6 +92,8 @@ def sampled_sup(
     """Max of |f| over the deterministic sample set (a lower bound for the sup)."""
     if count <= 0:
         return 0.0
+    import numpy as np
+
     pts = sample(domain, count, seed, cusp_bias, depth)
     q1 = np.array([a for a, _ in pts], dtype=complex)
     q2 = np.array([b for _, b in pts], dtype=complex)
@@ -108,7 +116,8 @@ def verify(
     """Full report: symbolic residual, sampled residual, cone certificates."""
     residual = symbolic_residual(f, f1, f2, p)
     coeff_max = residual.max_norm()
-    scale = 1.0 + f.one_norm()
+    f_norm = f.one_norm()
+    scale = 1.0 + f_norm
     symbolic_zero = residual.is_zero or float(coeff_max) <= NOISE_REL * scale
 
     cert1 = poly_bounded(domain, f1)
@@ -116,6 +125,8 @@ def verify(
     violations = tuple(sorted(set(cert1.violations) | set(cert2.violations)))
 
     if samples > 0:
+        import numpy as np
+
         pts = sample(domain, samples, seed, cusp_bias, depth)
         q1 = np.array([a for a, _ in pts], dtype=complex)
         q2 = np.array([b for _, b in pts], dtype=complex)
@@ -139,7 +150,7 @@ def verify(
         bounded_f1=cert1.bounded,
         bounded_f2=cert2.bounded,
         cone_violations=violations,
-        sup_f_upper=float(f.one_norm()),
+        sup_f_upper=float(f_norm),
         sup_f1_sampled=sup1,
         sup_f2_sampled=sup2,
         samples_used=max(samples, 0),

@@ -54,6 +54,11 @@ def test_equality_and_hash_across_types():
     assert QComplex(Fraction(1, 2)) == 0.5
     assert QComplex(1, 1) != 1
     assert hash(QComplex(3)) == hash(QComplex(3, 0))
+    # a real value hashes like the int or Fraction it equals
+    assert hash(QComplex(3)) == hash(3)
+    assert hash(QComplex(Fraction(-5, 6))) == hash(Fraction(-5, 6))
+    assert len({QComplex(3), 3}) == 1
+    assert {Fraction(1, 2): "half"}[QComplex(Fraction(1, 2))] == "half"
 
 
 @given(qcomplexes, st.integers(min_value=-6, max_value=6))
@@ -111,3 +116,91 @@ def test_predicates():
     assert not is_exact(1 + 0j)
     assert coeff_abs(QComplex(3, 4)) == pytest.approx(5.0)
     assert coeff_abs(-2.5) == 2.5
+
+
+# -- the reduced (x + y*i)/d form against a (Fraction, Fraction) reference ----
+
+exact_reals = st.one_of(st.integers(min_value=-40, max_value=40), fractions)
+
+
+def _ref_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _ref_div(a, b):
+    norm = b[0] * b[0] + b[1] * b[1]
+    return ((a[0] * b[0] + a[1] * b[1]) / norm, (a[1] * b[0] - a[0] * b[1]) / norm)
+
+
+def _ref_pow(a, e):
+    out = (Fraction(1), Fraction(0))
+    for _ in range(abs(e)):
+        out = _ref_mul(out, a)
+    return _ref_div((Fraction(1), Fraction(0)), out) if e < 0 else out
+
+
+def _check(q, ref):
+    """q is a reduced QComplex whose value is the reference pair."""
+    assert isinstance(q, QComplex)
+    assert q._d > 0
+    assert math.gcd(q._x, q._y, q._d) == 1
+    re, im = q.re, q.im
+    assert isinstance(re, Fraction) and isinstance(im, Fraction)
+    assert (re, im) == tuple(Fraction(v) for v in ref)
+    assert q == QComplex(*ref)
+
+
+@given(fractions, fractions, fractions, fractions)
+def test_arithmetic_matches_fraction_reference(a, b, c, e):
+    x, y = QComplex(a, b), QComplex(c, e)
+    _check(x, (a, b))
+    _check(x + y, (a + c, b + e))
+    _check(x - y, (a - c, b - e))
+    _check(-x, (-a, -b))
+    _check(x * y, _ref_mul((a, b), (c, e)))
+    if c or e:
+        _check(x / y, _ref_div((a, b), (c, e)))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    assert x.abs2() == a * a + b * b
+    assert abs(x) == math.hypot(float(a), float(b))
+    assert complex(x) == complex(float(a), float(b))
+    assert (x == y) == ((a, b) == (c, e))
+    assert x.is_zero == (not a and not b)
+
+
+@given(fractions, fractions, exact_reals)
+def test_mixed_exact_operands_match_reference(a, b, r):
+    x, rr = QComplex(a, b), (r, 0)
+    _check(x + r, (a + r, b))
+    _check(r + x, (a + r, b))
+    _check(x - r, (a - r, b))
+    _check(r - x, (r - a, -b))
+    _check(x * r, _ref_mul((a, b), rr))
+    _check(r * x, _ref_mul((a, b), rr))
+    if r:
+        _check(x / r, _ref_div((a, b), rr))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / r
+    if a or b:
+        _check(r / x, _ref_div(rr, (a, b)))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            r / x
+    assert (x == r) == ((a, b) == rr)
+
+
+@given(fractions, fractions, st.integers(min_value=-7, max_value=7))
+def test_powi_matches_fraction_reference(a, b, e):
+    x = QComplex(a, b)
+    if x.is_zero and e < 0:
+        with pytest.raises(ZeroDivisionError):
+            powi(x, e)
+        return
+    if e == 0:
+        assert powi(x, e) == 1
+        return
+    _check(powi(x, e), _ref_pow((a, b), e))
+    _check(x**e, _ref_pow((a, b), e))

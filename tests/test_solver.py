@@ -17,7 +17,7 @@ from gleason import (
 from gleason.errors import InputError, NonvanishingError, UnboundedError
 from gleason.laurent import divide_univariate
 from gleason.scalars import powi
-from gleason.solver import MODE_AXIS, MODE_INTERIOR, MODE_STRIP
+from gleason.solver import MODE_AXIS, MODE_INTERIOR, MODE_STRIP, _pipeline_parts
 from gleason.verify import symbolic_residual
 
 from conftest import (
@@ -309,3 +309,32 @@ def test_float_pipeline_order_three_degrades_gracefully():
     sol = solve(domain, f, p, samples=300, seed=5)
     assert sol.report.passed
     assert sol.report.residual_max <= sol.report.identity_tol
+
+
+def _no_float_modulus(self):
+    raise AssertionError("float modulus taken of an exact coefficient")
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [
+        CuspDomain.hartogs(2, 1),
+        CuspDomain.hartogs(3, 2),
+        CuspDomain.strip(1, 1, 0.25, 4.0, 1, 1, 0.0),
+    ],
+    ids=["interior-2-1", "interior-3-2", "strip-cut-z1z2"],
+)
+def test_exact_pipeline_takes_no_float_modulus(monkeypatch, domain):
+    # prune scales and vanishing scales are float work that exact mode never uses
+    rng = random.Random(29)
+    for _ in range(4):
+        if domain.kind == "hartogs_full":
+            p = rand_interior_point(rng, domain, exact=True)
+            f = subtract_value_at(rand_bounded_poly(rng, domain, terms=10, exact=True), p)
+        else:
+            p = (QComplex(Fraction(1, 2)), QComplex(Fraction(2, 3)))
+            f = subtract_value_at(strip_cone_poly(rng, 1, 1, 1, 1, terms=8, exact=True), p)
+        with monkeypatch.context() as patch:
+            patch.setattr(QComplex, "__abs__", _no_float_modulus)
+            f1, f2 = _pipeline_parts(f, p, domain.pair)
+        assert symbolic_residual(f, f1, f2, p).is_zero

@@ -1,10 +1,16 @@
 """Residual checks, sampled sup norms, and the averaging oracle."""
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gleason
 from gleason import (
     CuspDomain,
     LaurentPolynomial,
@@ -182,3 +188,33 @@ def test_averaged_component_on_arrays_matches_scalar():
         for idx in range(len(q1)):
             scalar = averaged_component(f, order, i, j, q1[idx], q2[idx])
             assert vec[idx] == pytest.approx(scalar, rel=1e-10, abs=1e-12)
+
+
+_NUMPY_PROBE = """
+import json, sys
+from fractions import Fraction
+seen = {}
+import gleason
+seen["import"] = "numpy" in sys.modules
+from gleason.cli import main
+main(["info", "--k", "2", "--l", "3"])
+seen["info"] = "numpy" in sys.modules
+f = gleason.parse_poly("z1^2*z2^-1 - 1/2", exact=True)
+p = (gleason.QComplex(Fraction(1, 2)), gleason.QComplex(Fraction(1, 2)))
+assert gleason.solve(gleason.CuspDomain.hartogs(2, 1), f, p, samples=0).report.passed
+seen["solve"] = "numpy" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+def test_unsampled_work_leaves_numpy_unimported():
+    # numpy is loaded only by the functions that evaluate on sample arrays
+    src = str(Path(gleason.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    seen = json.loads(run.stdout.splitlines()[-1])
+    assert seen == {"import": False, "info": False, "solve": False}
