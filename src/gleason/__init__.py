@@ -7,25 +7,12 @@ recession cone of the logarithmic image, and verify the identity both
 symbolically and on cusp-biased samples.
 """
 
-from .division import (
-    FiberData,
-    MonomialPair,
-    from_ratio_cut,
-    split_component,
-    split_polynomial,
-    split_ratio,
-    to_ratio_cut,
-)
 from .domains import (
     BoundednessCertificate,
     CuspDomain,
     LogBoundary,
     SplitLine,
-    log_image,
     poly_bounded,
-    sample,
-    sample_log,
-    slope_candidates,
     split_line,
 )
 from .errors import (
@@ -49,16 +36,11 @@ from .exprio import (
     parse_report,
     parse_scalar,
 )
-from .laurent import LaurentPolynomial, divide_univariate, shift_divide_z1
+from .laurent import LaurentPolynomial
 from .scalars import QComplex
 from .solver import GleasonProblem, GleasonSolution, solve
-from .symmetry import SymmetricSystem, correction_polynomial, symmetric_decompose
-from .verify import (
-    VerificationReport,
-    sampled_sup,
-    symbolic_residual,
-    verify,
-)
+from .symmetry import SymmetricSystem, symmetric_decompose
+from .verify import VerificationReport, verify
 
 __version__ = "0.1.0"
 
@@ -68,7 +50,6 @@ __all__ = [
     "CuspDomain",
     "EvaluationDomainError",
     "ExponentOverflowError",
-    "FiberData",
     "GleasonError",
     "GleasonProblem",
     "GleasonSolution",
@@ -77,7 +58,6 @@ __all__ = [
     "InternalContractError",
     "LaurentPolynomial",
     "LogBoundary",
-    "MonomialPair",
     "NonvanishingError",
     "NotDivisibleError",
     "PolySyntaxError",
@@ -86,30 +66,16 @@ __all__ = [
     "SymmetricSystem",
     "UnboundedError",
     "VerificationReport",
-    "correction_polynomial",
-    "divide_univariate",
     "emit_report",
     "format_poly",
     "format_scalar",
-    "from_ratio_cut",
-    "log_image",
     "parse_poly",
     "parse_report",
     "parse_scalar",
     "poly_bounded",
-    "sample",
-    "sample_log",
-    "sampled_sup",
-    "shift_divide_z1",
-    "slope_candidates",
     "solve",
-    "split_component",
     "split_line",
-    "split_polynomial",
-    "split_ratio",
-    "symbolic_residual",
     "symmetric_decompose",
-    "to_ratio_cut",
     "verify",
     "__version__",
 ]

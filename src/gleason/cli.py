@@ -244,6 +244,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        # --tol bounds the sampled residual; with no samples it would accept anything
+        if getattr(args, "tol", None) is not None and args.samples <= 0:
+            raise InputError("--tol needs --samples > 0")
         return _COMMANDS[args.command](args)
     except (GleasonError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -152,7 +152,7 @@ def split_polynomial(
     # orders below P (high z1 powers at small p1), and eval noise at P's scale
     # would then dominate the z2 division's remainder check
     rest = sliced - LaurentPolynomial.constant(sliced.eval(p1, p2))
-    part2 = divide_univariate(rest, p2, var=2)
+    part2 = divide_univariate(rest, p2)
     return part1, part2
 
 

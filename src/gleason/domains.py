@@ -116,25 +116,17 @@ class CuspDomain:
 class BoundednessCertificate:
     bounded: bool
     violations: tuple[tuple[int, int], ...]
-    sup_upper: float
 
 
 def poly_bounded(domain: CuspDomain, f: LaurentPolynomial) -> BoundednessCertificate:
     """Check every exponent of f against the recession cone.
 
-    Violations are listed in ascending lexicographic order.  sup_upper is the
-    coefficient sum when bounded (valid as a supremum bound on hartogs_full)
-    and infinity otherwise.
+    Violations are listed in ascending lexicographic order.
     """
     violations = tuple(
         sorted((a, b) for a, b in f.exponents() if not domain.monomial_bounded(a, b))
     )
-    bounded = not violations
-    return BoundednessCertificate(
-        bounded=bounded,
-        violations=violations,
-        sup_upper=f.one_norm() if bounded else math.inf,
-    )
+    return BoundednessCertificate(bounded=not violations, violations=violations)
 
 
 def log_image(q1, q2) -> tuple[float, float]:

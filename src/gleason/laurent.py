@@ -100,8 +100,15 @@ class LaurentPolynomial:
         return self._terms.get((a, b), 0)
 
     def one_norm(self) -> float:
-        """Sum of coefficient moduli."""
-        return sum(coeff_abs(c) for c in self._terms.values())
+        """Sum of coefficient moduli, added left to right.
+
+        An explicit loop, not sum(): from Python 3.12 on, sum() compensates
+        float rounding, which would make the digits depend on the interpreter.
+        """
+        total = 0
+        for c in self._terms.values():
+            total += coeff_abs(c)
+        return total
 
     def max_norm(self) -> float:
         """Largest coefficient modulus."""
@@ -255,10 +262,8 @@ def _linear_quotient(coeffs: dict, root):
     return quotient, coeffs.get(low, 0) + root * carry
 
 
-def divide_univariate(
-    f: LaurentPolynomial, root, var: int | None = None
-) -> LaurentPolynomial:
-    """Quotient f / (z_var - root) for univariate f vanishing at root.
+def divide_univariate(f: LaurentPolynomial, root) -> LaurentPolynomial:
+    """Quotient f / (z2 - root) for f in z2 alone, vanishing at root.
 
     root must be nonzero; negative exponents are handled by clearing the pole
     first.  The remainder must pass the vanishing test scaled by the
@@ -268,16 +273,10 @@ def divide_univariate(
         raise EvaluationDomainError("division root must be nonzero")
     if f.is_zero:
         return LaurentPolynomial.zero()
-    uses_z1 = any(a for a, _ in f.exponents())
-    uses_z2 = any(b for _, b in f.exponents())
-    if uses_z1 and uses_z2:
-        raise ValueError("polynomial depends on both variables")
-    if var is None:
-        var = 1 if uses_z1 else 2
-    elif (var == 1 and uses_z2) or (var == 2 and uses_z1):
-        raise ValueError("polynomial is not univariate in the requested variable")
+    if any(a for a, _ in f.exponents()):
+        raise ValueError("polynomial depends on z1")
 
-    coeffs = {(a if var == 1 else b): c for (a, b), c in f.terms.items()}
+    coeffs = {b: c for (_, b), c in f.terms.items()}
     quotient, remainder = _linear_quotient(coeffs, root)
     if not negligible(remainder, f.one_norm):
         residual = remainder * powi(root, min(0, min(coeffs)))
@@ -286,35 +285,24 @@ def divide_univariate(
         raise NotDivisibleError(
             f"remainder {coeff_abs(remainder):.3e} beyond tolerance", residual
         )
-
-    terms = {((d, 0) if var == 1 else (0, d)): c for d, c in quotient.items()}
     return LaurentPolynomial(
-        terms, prune_scale=lambda: f.max_norm() * (1 + coeff_abs(root))
+        {(0, d): c for d, c in quotient.items()},
+        prune_scale=lambda: f.max_norm() * (1 + coeff_abs(root)),
     )
 
 
 def shift_divide_z1(f: LaurentPolynomial, p1) -> LaurentPolynomial:
     """Quotient (f - f|_{z1=p1}) / (z1 - p1), taken slice by slice in z2.
 
-    For p1 = 0 this is the plain shift a -> a-1 and requires every
-    z1-exponent to be nonnegative.
+    p1 must be nonzero.
     """
+    if is_zero_coeff(p1):
+        raise EvaluationDomainError("division root must be nonzero")
     slices: dict[int, dict[int, object]] = {}
     for (a, b), c in f.terms.items():
         slices.setdefault(b, {})[a] = c
 
     out: dict = {}
-    if is_zero_coeff(p1):
-        for b, sl in slices.items():
-            for a, c in sl.items():
-                if a < 0:
-                    raise EvaluationDomainError(
-                        "negative z1-exponent in shift-division at p1 = 0"
-                    )
-                if a >= 1:
-                    out[(a - 1, b)] = c
-        return LaurentPolynomial(out, prune_scale=f.max_norm)
-
     for b, sl in slices.items():
         value = 0
         for a, c in sl.items():

@@ -95,7 +95,7 @@ def _axis_parts(f: LaurentPolynomial, l: int, p2):
     comb = LaurentPolynomial(
         {(0, j): -(powi(p2, l - 1 - j) * inv) for j in range(l)}
     )
-    f2 = comb * rest + divide_univariate(f0, p2, var=2)
+    f2 = comb * rest + divide_univariate(f0, p2)
     bound_rhs = 2 ** (l + 1) * float(f.one_norm()) / coeff_abs(powi(p2, l))
     return f1, f2, bound_rhs
 
@@ -127,8 +127,6 @@ def solve(
     *,
     samples: int = 2000,
     seed: int = 42,
-    cusp_bias: float = 0.5,
-    depth: float = 30.0,
     force_branch: str | None = None,
 ) -> GleasonSolution:
     """Solve the division problem and attach a verification report.
@@ -136,31 +134,24 @@ def solve(
     Dispatch: strip domains take the strip branch; on the full cusp domain a
     base point on the z2-axis takes the explicit axis branch and any other
     base point the interior branch.  Strip and interior run one pipeline over
-    domain.pair.  force_branch overrides the
-    dispatch (raising InputError when the branch's own preconditions fail).
+    domain.pair.  force_branch only checks the dispatch: naming any other
+    branch raises InputError.
     """
     if force_branch is not None and force_branch not in _MODES:
         raise InputError(f"unknown branch {force_branch!r}")
     problem = GleasonProblem(domain, f, p)
     p1, p2 = p
 
-    if force_branch is None:
-        if domain.kind == STRIP_OMEGA2:
-            mode = MODE_STRIP
-        elif is_zero_coeff(p1):
-            mode = MODE_AXIS
-        else:
-            mode = MODE_INTERIOR
+    if domain.kind == STRIP_OMEGA2:
+        mode = MODE_STRIP
+    elif is_zero_coeff(p1):
+        mode = MODE_AXIS
     else:
-        mode = force_branch
-        if mode == MODE_STRIP and domain.kind != STRIP_OMEGA2:
-            raise InputError("strip branch requires a strip domain")
-        if mode != MODE_STRIP and domain.kind == STRIP_OMEGA2:
-            raise InputError("strip domains support only the strip branch")
-        if mode == MODE_AXIS and not is_zero_coeff(p1):
-            raise InputError("axis branch requires p1 = 0")
-        if mode == MODE_INTERIOR and is_zero_coeff(p1):
-            raise InputError("interior branch requires p1 != 0")
+        mode = MODE_INTERIOR
+    if force_branch not in (None, mode):
+        raise InputError(
+            f"branch {force_branch!r} requested, but the input dispatches to {mode!r}"
+        )
 
     bound_rhs = None
     if mode == MODE_AXIS:
@@ -168,16 +159,5 @@ def solve(
     else:
         f1, f2 = _pipeline_parts(f, p, domain.pair)
 
-    report = verify(
-        domain,
-        f,
-        f1,
-        f2,
-        p,
-        samples=samples,
-        seed=seed,
-        cusp_bias=cusp_bias,
-        depth=depth,
-        bound_rhs=bound_rhs,
-    )
+    report = verify(domain, f, f1, f2, p, samples=samples, seed=seed, bound_rhs=bound_rhs)
     return GleasonSolution(problem=problem, f1=f1, f2=f2, mode=mode, report=report)

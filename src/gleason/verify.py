@@ -81,25 +81,6 @@ def symbolic_residual(
     return f - f1 * lin1 - f2 * lin2
 
 
-def sampled_sup(
-    f: LaurentPolynomial,
-    domain: CuspDomain,
-    count: int,
-    seed: int,
-    cusp_bias: float = 0.5,
-    depth: float = 30.0,
-) -> float:
-    """Max of |f| over the deterministic sample set (a lower bound for the sup)."""
-    if count <= 0:
-        return 0.0
-    import numpy as np
-
-    pts = sample(domain, count, seed, cusp_bias, depth)
-    q1 = np.array([a for a, _ in pts], dtype=complex)
-    q2 = np.array([b for _, b in pts], dtype=complex)
-    return float(np.max(np.abs(eval_on_arrays(f, q1, q2))))
-
-
 def verify(
     domain: CuspDomain,
     f: LaurentPolynomial,
@@ -109,8 +90,6 @@ def verify(
     *,
     samples: int = 2000,
     seed: int = 42,
-    cusp_bias: float = 0.5,
-    depth: float = 30.0,
     bound_rhs: float | None = None,
 ) -> VerificationReport:
     """Full report: symbolic residual, sampled residual, cone certificates."""
@@ -127,7 +106,7 @@ def verify(
     if samples > 0:
         import numpy as np
 
-        pts = sample(domain, samples, seed, cusp_bias, depth)
+        pts = sample(domain, samples, seed)
         q1 = np.array([a for a, _ in pts], dtype=complex)
         q2 = np.array([b for _, b in pts], dtype=complex)
         res = np.abs(eval_on_arrays(residual, q1, q2))

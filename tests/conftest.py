@@ -2,8 +2,9 @@
 
 Random draws always take an explicit random.Random so every test is
 reproducible from its own seed.  The oracles (roots of unity, rotation,
-root-of-unity averaging of symmetric components, coefficient distance) are
-independent numeric checks that the library itself does not need.
+root-of-unity averaging of symmetric components, coefficient distance,
+sampled suprema) are independent numeric checks that the library itself
+does not need.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from gleason import CuspDomain, LaurentPolynomial, QComplex
+from gleason.domains import sample
 from gleason.scalars import coeff_abs
 from gleason.verify import eval_on_arrays
 
@@ -104,6 +106,23 @@ def averaged_component_on_arrays(
             r2 = cmath.exp(2j * math.pi * t / order)
             total = total + character * eval_on_arrays(f, r1 * q1, r2 * q2)
     return total / (order**2 * q1**i * q2**j)
+
+
+def sampled_sup(
+    f: LaurentPolynomial,
+    domain: CuspDomain,
+    count: int,
+    seed: int,
+    cusp_bias: float = 0.5,
+    depth: float = 30.0,
+) -> float:
+    """Max of |f| over the deterministic sample set (a lower bound for the sup)."""
+    if count <= 0:
+        return 0.0
+    pts = sample(domain, count, seed, cusp_bias, depth)
+    q1 = np.array([a for a, _ in pts], dtype=complex)
+    q2 = np.array([b for _, b in pts], dtype=complex)
+    return float(np.max(np.abs(eval_on_arrays(f, q1, q2))))
 
 
 def rand_fraction(rng: random.Random, span: int = 8) -> Fraction:
@@ -242,8 +261,6 @@ def rand_interior_point(rng: random.Random, domain: CuspDomain, exact: bool = Fa
                 continue
             return (p1, p2)
     # strip: pick log coordinates from the sampler's own geometry
-    from gleason import sample
-
     q1, q2 = sample(domain, 1, rng.randint(0, 10**9))[0]
     return (q1, q2)
 

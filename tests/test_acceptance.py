@@ -18,26 +18,26 @@ import pytest
 
 from gleason import (
     CuspDomain,
-    FiberData,
     GleasonError,
     LaurentPolynomial,
     LogBoundary,
-    MonomialPair,
     PolySyntaxError,
     QComplex,
     format_poly,
     parse_poly,
-    sample,
-    sample_log,
     solve,
-    split_component,
     split_line,
+    symmetric_decompose,
+)
+from gleason.division import (
+    FiberData,
+    MonomialPair,
+    split_component,
     split_polynomial,
     split_ratio,
-    symmetric_decompose,
     to_ratio_cut,
 )
-from gleason.domains import poly_bounded
+from gleason.domains import poly_bounded, sample, sample_log
 from gleason.scalars import powi
 from gleason.verify import eval_on_arrays, symbolic_residual
 

@@ -126,6 +126,22 @@ def test_verify_tolerance_flag(capsys):
     assert code_loose == 0
 
 
+@pytest.mark.parametrize("command", ["verify", "solve"])
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_tolerance_without_samples_is_exit_two(capsys, command, samples):
+    # nothing sampled means residual_max=0, which any --tol would accept
+    argv = [
+        command, "--k", "1", "--l", "1", "--p1", "0.5", "--p2", "0.5",
+        "--f", "z1 - 0.5", "--samples", samples, "--tol", "1e-9",
+    ]
+    if command == "verify":
+        argv += ["--f1", "7", "--f2", "3"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --tol needs --samples > 0\n"
+
+
 def test_decompose_routing(capsys):
     code, out, _ = run_cli(
         capsys, "decompose", "--k", "2", "--l", "1", "--f", "z1^3 + z1*z2^-1 + 4"

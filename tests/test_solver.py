@@ -11,7 +11,6 @@ from gleason import (
     LaurentPolynomial,
     QComplex,
     poly_bounded,
-    sampled_sup,
     solve,
 )
 from gleason.errors import InputError, NonvanishingError, UnboundedError
@@ -24,6 +23,7 @@ from conftest import (
     max_coeff_distance,
     rand_bounded_poly,
     rand_interior_point,
+    sampled_sup,
     strip_cone_poly,
     subtract_value_at,
 )
@@ -107,7 +107,7 @@ def _axis_oracle(f, l, p2, sign):
     comb = LaurentPolynomial({(0, j): powi(p2, l - 1 - j) for j in range(l)})
     inv = 1 / powi(p2, l)
     head = comb * (f - f0) * (sign * inv)
-    return head + divide_univariate(f0, p2, var=2)
+    return head + divide_univariate(f0, p2)
 
 
 @pytest.mark.parametrize("l", [1, 2, 3])
@@ -140,7 +140,7 @@ def test_axis_solve_of_axis_only_function():
     f = LaurentPolynomial({(0, 2): 1.0, (0, 0): -(p2**2)})
     sol = solve(domain, f, (0, p2), samples=300, seed=6)
     assert sol.f1.is_zero
-    assert sol.f2 == divide_univariate(f, p2, var=2)
+    assert sol.f2 == divide_univariate(f, p2)
     assert sol.report.passed
 
 
@@ -285,9 +285,10 @@ def test_force_branch_validation():
     domain = CuspDomain.hartogs(1, 1)
     strip = CuspDomain.strip(1, 1, 0.25, 4.0, 0, 1, -0.05)
     f = _lin2(0.5)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="unknown branch 'bogus'"):
         solve(domain, f, (0.25, 0.5), force_branch="bogus")
-    with pytest.raises(InputError):
+    # a forced branch is only checked against the dispatch; the error names both
+    with pytest.raises(InputError, match=f"'{MODE_AXIS}'.*'{MODE_INTERIOR}'"):
         solve(domain, f, (0.25, 0.5), force_branch=MODE_AXIS)
     with pytest.raises(InputError):
         solve(domain, f, (0, 0.5), force_branch=MODE_INTERIOR)

@@ -8,11 +8,11 @@ from gleason import (
     CuspDomain,
     LaurentPolynomial,
     QComplex,
-    correction_polynomial,
     poly_bounded,
     symmetric_decompose,
 )
 from gleason.errors import InputError
+from gleason.symmetry import correction_polynomial
 from gleason.scalars import coeff_abs, is_zero_coeff, powi
 
 from conftest import (

@@ -10,7 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from gleason import CuspDomain, LaurentPolynomial, QComplex, split_polynomial
+from gleason import CuspDomain, LaurentPolynomial, QComplex
+from gleason.division import split_polynomial
 from gleason.errors import NonvanishingError, NotDivisibleError
 from gleason.laurent import divide_univariate
 from gleason.solver import GleasonProblem
@@ -36,7 +37,7 @@ def _split(f, p):
 
 
 def _divide(f, p):
-    divide_univariate(f, p[1], var=2)
+    divide_univariate(f, p[1])
 
 
 # (site, variable of the linear form, error class); every site scales by |f|_1
