@@ -33,7 +33,6 @@ from .exprio import (
     format_poly,
     format_scalar,
     parse_poly,
-    parse_report,
     parse_scalar,
 )
 from .laurent import LaurentPolynomial
@@ -70,7 +69,6 @@ __all__ = [
     "format_poly",
     "format_scalar",
     "parse_poly",
-    "parse_report",
     "parse_scalar",
     "poly_bounded",
     "solve",

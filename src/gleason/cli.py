@@ -35,21 +35,20 @@ _FORCE_BRANCH = {
 }
 
 
-def _add_domain_args(sub, with_mode: bool):
+def _add_domain_args(sub):
     sub.add_argument("--k", type=int, required=True, help="ratio exponent of z1")
     sub.add_argument("--l", type=int, required=True, help="ratio exponent of z2")
-    if with_mode:
-        sub.add_argument(
-            "--mode",
-            choices=sorted(_FORCE_BRANCH),
-            default="auto",
-            help="branch selection; omega2 switches to a strip domain",
-        )
-        sub.add_argument("--strip-lower", type=float, help="strip lower ratio bound")
-        sub.add_argument("--strip-upper", type=float, help="strip upper ratio bound")
-        sub.add_argument("--cut-m", type=int, default=0, help="cut monomial z1-exponent")
-        sub.add_argument("--cut-n", type=int, default=1, help="cut monomial z2-exponent")
-        sub.add_argument("--cut-r", type=float, default=0.0, help="cut offset in log coordinates")
+    sub.add_argument(
+        "--mode",
+        choices=sorted(_FORCE_BRANCH),
+        default="auto",
+        help="branch selection; omega2 switches to a strip domain",
+    )
+    sub.add_argument("--strip-lower", type=float, help="strip lower ratio bound")
+    sub.add_argument("--strip-upper", type=float, help="strip upper ratio bound")
+    sub.add_argument("--cut-m", type=int, default=0, help="cut monomial z1-exponent")
+    sub.add_argument("--cut-n", type=int, default=1, help="cut monomial z2-exponent")
+    sub.add_argument("--cut-r", type=float, default=0.0, help="cut offset in log coordinates")
 
 
 def _add_poly_arg(sub, name: str):
@@ -88,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser("solve", help="solve and verify the two-generator division")
-    _add_domain_args(s, with_mode=True)
+    _add_domain_args(s)
     _add_point_args(s)
     _add_poly_arg(s, "f")
     s.add_argument("--exact", action="store_true", help="exact rational arithmetic")
@@ -100,12 +99,12 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_verify_args(s)
 
     d = subs.add_parser("decompose", help="print the rotation-symmetric components")
-    _add_domain_args(d, with_mode=True)
+    _add_domain_args(d)
     _add_poly_arg(d, "f")
     d.add_argument("--exact", action="store_true", help="exact rational arithmetic")
 
     v = subs.add_parser("verify", help="verify a given decomposition")
-    _add_domain_args(v, with_mode=True)
+    _add_domain_args(v)
     _add_point_args(v)
     _add_poly_arg(v, "f")
     _add_poly_arg(v, "f1")
@@ -114,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_verify_args(v)
 
     i = subs.add_parser("info", help="print domain parameters and the bounded cone")
-    _add_domain_args(i, with_mode=True)
+    _add_domain_args(i)
 
     sl = subs.add_parser("split-line", help="separating line for a log boundary CSV")
     sl.add_argument("--boundary", required=True, help="CSV file of x,y,strict rows")
@@ -125,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _domain_from(args) -> CuspDomain:
-    if getattr(args, "mode", "auto") == "omega2":
+    if args.mode == "omega2":
         if args.strip_lower is None or args.strip_upper is None:
             raise InputError("omega2 mode needs --strip-lower and --strip-upper")
         return CuspDomain.strip(

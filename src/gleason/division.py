@@ -21,7 +21,7 @@ from .laurent import (
     divide_univariate,
     shift_divide_z1,
 )
-from .scalars import is_zero_coeff, negligible, powi
+from .scalars import negligible, powi
 
 
 @dataclass(frozen=True)
@@ -40,26 +40,6 @@ class MonomialPair:
     @property
     def order(self) -> int:
         return self.k * self.n + self.l * self.m
-
-
-@dataclass(frozen=True)
-class FiberData:
-    """Values of the ratio and cut monomials at the base point."""
-
-    ratio_value: object
-    cut_value: object
-
-    @classmethod
-    def from_point(cls, pair: MonomialPair, p: tuple) -> "FiberData":
-        p1, p2 = p
-        if is_zero_coeff(p1) or is_zero_coeff(p2):
-            raise NonvanishingError(
-                "fiber data requires a base point off the coordinate axes", p
-            )
-        return cls(
-            ratio_value=powi(p1, pair.k) * powi(p2, -pair.l),
-            cut_value=powi(p1, pair.m) * powi(p2, pair.n),
-        )
 
 
 def to_ratio_cut(f: LaurentPolynomial, pair: MonomialPair) -> LaurentPolynomial:
@@ -105,7 +85,7 @@ def split_ratio(k: int, l: int, p: tuple) -> tuple[LaurentPolynomial, LaurentPol
     exponents sit inside the recession cone by construction.
     """
     p1, p2 = p
-    if is_zero_coeff(p2):
+    if not p2:
         raise NonvanishingError("ratio split needs p2 != 0", p)
     inv = 1 / powi(p2, l)
     r1_terms = {(j, 0): powi(p1, k - 1 - j) * inv for j in range(k)}
@@ -170,13 +150,16 @@ def split_component(
 
         z1^i z2^j comp = g1 * (u - u(p)) + g2 * (v - v(p)),
 
-    where u, v are the ratio and cut monomials.  Dividing the fiber
+    where u, v are the ratio and cut monomials and p is off the coordinate
+    axes.  Dividing the fiber
     projection by (v - v(p)) must be exact; a residue there means the
     vanishing precondition was violated and raises InternalContractError.
     """
-    fiber = FiberData.from_point(pair, p)
+    p1, p2 = p
+    u_p = powi(p1, pair.k) * powi(p2, -pair.l)
+    v_p = powi(p1, pair.m) * powi(p2, pair.n)
     g = to_ratio_cut(comp, pair)
-    g_proj = g.substitute_z1(fiber.ratio_value)  # fiber projection: u := u(p)
+    g_proj = g.substitute_z1(u_p)  # fiber projection: u := u(p)
 
     # Ratio direction: divide (g - g_proj) by (u - u(p)) slice by slice in
     # the cut exponent.  Each slice is an honest polynomial in u.
@@ -186,14 +169,14 @@ def split_component(
     ratio_terms: dict = {}
     for beta, sl in slices.items():
         sl[0] = sl.get(0, 0) - g_proj.coefficient(0, beta)
-        quotient, _rem = _linear_quotient(sl, fiber.ratio_value)
+        quotient, _rem = _linear_quotient(sl, u_p)
         for alpha, c in quotient.items():
             ratio_terms[(alpha, beta)] = c
     part_ratio = LaurentPolynomial(ratio_terms, prune_scale=g.max_norm)
 
     # Cut direction: divide the fiber projection by (v - v(p)).
     quotient, rem = _linear_quotient(
-        {beta: c for (_, beta), c in g_proj.terms.items()}, fiber.cut_value
+        {beta: c for (_, beta), c in g_proj.terms.items()}, v_p
     )
     if not negligible(rem, lambda: max(g_proj.one_norm(), comp.one_norm())):
         raise InternalContractError("fiber projection does not vanish at the base point")

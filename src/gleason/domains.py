@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd
 
 from .division import MonomialPair
-from .errors import EvaluationDomainError, InfeasibleSplitError, InputError
+from .errors import InfeasibleSplitError, InputError
 from .laurent import LaurentPolynomial
 from .scalars import QComplex
 
@@ -129,15 +129,6 @@ def poly_bounded(domain: CuspDomain, f: LaurentPolynomial) -> BoundednessCertifi
     return BoundednessCertificate(bounded=not violations, violations=violations)
 
 
-def log_image(q1, q2) -> tuple[float, float]:
-    """(log|q1|, log|q2|); both coordinates must be nonzero."""
-    m1 = _abs2(q1)
-    m2 = _abs2(q2)
-    if m1 == 0 or m2 == 0:
-        raise EvaluationDomainError("log image undefined on the coordinate axes")
-    return (0.5 * math.log(float(m1)), 0.5 * math.log(float(m2)))
-
-
 # ---------------------------------------------------------------------------
 # sampling
 
@@ -150,8 +141,8 @@ def _strip_y_ceiling(domain: CuspDomain) -> float:
     return (k * n * r - m * math.log(domain.lower)) / (k * n + l * m)
 
 
-def _draw_logs(domain, count, seed, cusp_bias, depth, phases):
-    """Deterministic stream of log-coordinate samples, optionally with phases.
+def _draw_logs(domain, count, seed, cusp_bias, depth):
+    """Deterministic stream of (log|z1|, log|z2|, phase1, phase2) samples.
 
     Per point the stream order is: band choice, y, x, then two phases.  This
     makes sample sets for growing counts nested, so sampled suprema are
@@ -180,12 +171,9 @@ def _draw_logs(domain, count, seed, cusp_bias, depth, phases):
                 x_hi = min(x_hi, domain.cut_n * (domain.cut_r - y) / domain.cut_m)
             span = x_hi - x_lo
             x = x_lo + span * (1e-6 + 0.999998 * rng.random())
-        if phases:
-            t1 = rng.uniform(0.0, 2.0 * math.pi)
-            t2 = rng.uniform(0.0, 2.0 * math.pi)
-            out.append((x, y, t1, t2))
-        else:
-            out.append((x, y))
+        t1 = rng.uniform(0.0, 2.0 * math.pi)
+        t2 = rng.uniform(0.0, 2.0 * math.pi)
+        out.append((x, y, t1, t2))
     return out
 
 
@@ -204,7 +192,7 @@ def sample(
     satisfies domain.contains.
     """
     pts = []
-    for x, y, t1, t2 in _draw_logs(domain, count, seed, cusp_bias, depth, True):
+    for x, y, t1, t2 in _draw_logs(domain, count, seed, cusp_bias, depth):
         pts.append(
             (
                 math.exp(x) * complex(math.cos(t1), math.sin(t1)),
@@ -212,17 +200,6 @@ def sample(
             )
         )
     return pts
-
-
-def sample_log(
-    domain: CuspDomain,
-    count: int,
-    seed: int,
-    cusp_bias: float = 0.5,
-    depth: float = 30.0,
-) -> list[tuple[float, float]]:
-    """Log coordinates only; same band logic as sample but a distinct stream."""
-    return _draw_logs(domain, count, seed, cusp_bias, depth, False)
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +264,6 @@ class LogBoundary:
             points.append((x, y))
             flags.append(parts[2].strip() == "1")
         return cls(points=tuple(points), strict=tuple(flags))
-
-    def to_csv(self) -> str:
-        from .exprio import format_float
-
-        return "\n".join(
-            f"{format_float(x)},{format_float(y)},{1 if s else 0}"
-            for (x, y), s in zip(self.points, self.strict)
-        )
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ Exponents are capped at |e| <= 10^6.
 
 from __future__ import annotations
 
+import math
 from decimal import Decimal
 from fractions import Fraction
 
@@ -227,9 +228,12 @@ def parse_poly(text: str, exact: bool = False) -> LaurentPolynomial:
 # number and scalar formatting
 
 
-def _fraction_decimal(fr: Fraction) -> str | None:
-    """Exact decimal string for fractions with 2- and 5-smooth denominators."""
-    den = fr.denominator
+def _ratio_text(num: int, den: int) -> str:
+    """num/den for num >= 0, den > 0: an exact decimal when the reduced
+    denominator is 2- and 5-smooth, else the reduced num/den."""
+    g = math.gcd(num, den)
+    if g != 1:
+        num, den = num // g, den // g
     twos = fives = 0
     rest = den
     while rest % 2 == 0:
@@ -239,23 +243,13 @@ def _fraction_decimal(fr: Fraction) -> str | None:
         rest //= 5
         fives += 1
     if rest != 1:
-        return None
+        return f"{num}/{den}"
     shift = max(twos, fives)
-    scaled = fr.numerator * (10**shift // den)
-    digits = str(abs(scaled)).rjust(shift + 1, "0")
-    sign = "-" if scaled < 0 else ""
+    digits = str(num * (10**shift // den)).rjust(shift + 1, "0")
     if shift == 0:
-        return sign + digits
-    whole, frac = digits[:-shift], digits[-shift:]
-    frac = frac.rstrip("0")
-    return sign + whole + ("." + frac if frac else "")
-
-
-def format_fraction(fr: Fraction) -> str:
-    dec = _fraction_decimal(fr)
-    if dec is not None:
-        return dec
-    return f"{fr.numerator}/{fr.denominator}"
+        return digits
+    whole, frac = digits[:-shift], digits[-shift:].rstrip("0")
+    return whole + ("." + frac if frac else "")
 
 
 def format_float(x: float) -> str:
@@ -271,19 +265,27 @@ def format_float(x: float) -> str:
     return s
 
 
-def _complex_text(re, im, fmt) -> str:
-    if im == 0:
-        return fmt(re)
-    sign = "-" if im < 0 else "+"
-    return f"{fmt(re)}{sign}{fmt(abs(im))}i"
+def _signed_parts(c) -> tuple:
+    """(re < 0, |re| text, im < 0, |im| text) of a coefficient; the |im| text
+    is None for a real value.  A QComplex is read as ints once."""
+    if isinstance(c, QComplex):
+        x, y, d = c.as_ints()
+        return x < 0, _ratio_text(abs(x), d), y < 0, _ratio_text(abs(y), d) if y else None
+    z = complex(c)
+    re, im = z.real, z.imag
+    return re < 0, format_float(abs(re)), im < 0, format_float(abs(im)) if im else None
+
+
+def _complex_text(re_neg, re_text, im_neg, im_text) -> str:
+    text = ("-" if re_neg else "") + re_text
+    if im_text is None:
+        return text
+    return f"{text}{'-' if im_neg else '+'}{im_text}i"
 
 
 def format_scalar(c) -> str:
     """Compact complex literal: re, re+imi, or re-imi."""
-    if isinstance(c, QComplex):
-        return _complex_text(c.re, c.im, format_fraction)
-    z = complex(c)
-    return _complex_text(z.real, z.imag, format_float)
+    return _complex_text(*_signed_parts(c))
 
 
 def parse_scalar(text: str, exact: bool = False):
@@ -306,7 +308,8 @@ def parse_scalar(text: str, exact: bool = False):
         body = s[:-1]
         split = -1
         for idx in range(1, len(body)):
-            if body[idx] in "+-" and body[idx - 1] not in "+-/":
+            # a sign after '+', '-', '/' or an exponent marker is not the split
+            if body[idx] in "+-" and body[idx - 1] not in "+-/eE":
                 split = idx
         if split < 0:
             raise InputError(f"bad complex literal {text!r}: missing real part")
@@ -337,23 +340,16 @@ def format_poly(f: LaurentPolynomial) -> str:
         return "0"
     pieces = []
     for (a, b) in sorted(f.exponents(), reverse=True):
-        c = f.coefficient(a, b)
+        parts = _signed_parts(f.coefficient(a, b))
         mono = _monomial_text(a, b)
-        # the parts are read once: a QComplex builds a Fraction per read
-        if isinstance(c, QComplex):
-            re, im, fmt = c.re, c.im, format_fraction
-        else:
-            re, im, fmt = c.real, c.imag, format_float
-        if im == 0:
-            sign = "-" if re < 0 else "+"
-            body = fmt(-re if re < 0 else re)
+        re_neg, body, _, im_text = parts
+        if im_text is None:
+            sign = "-" if re_neg else "+"
             if mono:
                 body = mono if body == "1" else f"{body}{mono}"
         else:
             sign = "+"
-            body = f"({_complex_text(re, im, fmt)})"
-            if mono:
-                body = f"{body}{mono}"
+            body = f"({_complex_text(*parts)}){mono}"
         pieces.append((sign, body))
     first_sign, first_body = pieces[0]
     out = ("-" if first_sign == "-" else "") + first_body
@@ -377,8 +373,8 @@ def _format_violations(violations) -> str:
 def emit_report(solution, fmt: str = "machine") -> str:
     """Render a solved problem's verification report.
 
-    Machine format is one key=value per line and re-parses with parse_report;
-    plain format is a human-readable summary of the same fields.
+    Machine format is one key=value per line; plain format is a
+    human-readable summary of the same fields.
     """
     rep = solution.report
     prob = solution.problem
@@ -427,47 +423,3 @@ def emit_report(solution, fmt: str = "machine") -> str:
         lines.append(f"samples, seed   : {rep.samples_used}, {rep.seed}")
         return "\n".join(lines)
     raise InputError(f"unknown report format {fmt!r}")
-
-
-_REPORT_FLOAT_KEYS = {
-    "residual_max",
-    "sup_f_upper",
-    "sup_f1_sampled",
-    "sup_f2_sampled",
-    "bound_rhs",
-}
-_REPORT_INT_KEYS = {"k", "l"}
-_REPORT_BOOL_KEYS = {"bounded_f1", "bounded_f2"}
-_REPORT_COMPLEX_KEYS = {"p1", "p2"}
-
-
-def parse_report(text: str) -> dict:
-    """Parse a machine report back into typed fields."""
-    out: dict = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise InputError(f"malformed report line {line!r}")
-        key, value = line.split("=", 1)
-        if key in _REPORT_FLOAT_KEYS:
-            out[key] = float(Fraction(value)) if "/" in value else float(value)
-        elif key in _REPORT_INT_KEYS:
-            out[key] = int(value)
-        elif key in _REPORT_BOOL_KEYS:
-            out[key] = value == "true"
-        elif key in _REPORT_COMPLEX_KEYS:
-            out[key] = complex(parse_scalar(value))
-        elif key == "residual_argmax":
-            a, b = value.split(",")
-            out[key] = (complex(parse_scalar(a)), complex(parse_scalar(b)))
-        elif key == "cone_violations":
-            out[key] = [
-                (int(pair.split(":")[0]), int(pair.split(":")[1]))
-                for pair in value.split(";")
-                if pair
-            ]
-        else:
-            out[key] = value
-    return out

@@ -14,7 +14,7 @@ from collections.abc import Callable
 from types import MappingProxyType
 
 from .errors import EvaluationDomainError, NotDivisibleError
-from .scalars import QComplex, coeff_abs, is_zero_coeff, negligible, powi
+from .scalars import QComplex, negligible, powi
 from .scalars import is_exact as scalar_is_exact
 
 PRUNE_REL = 1e-14
@@ -40,7 +40,7 @@ def _canonical(terms, prune_scale: float | Callable[[], float] | None) -> dict:
         prune_scale = 0.0
         for c in terms.values():
             if not isinstance(c, QComplex):
-                prune_scale = max(prune_scale, coeff_abs(c))
+                prune_scale = max(prune_scale, abs(c))
     elif callable(prune_scale):
         prune_scale = prune_scale()
     threshold = PRUNE_REL * prune_scale
@@ -107,12 +107,12 @@ class LaurentPolynomial:
         """
         total = 0
         for c in self._terms.values():
-            total += coeff_abs(c)
+            total += abs(c)
         return total
 
     def max_norm(self) -> float:
         """Largest coefficient modulus."""
-        return max((coeff_abs(c) for c in self._terms.values()), default=0.0)
+        return max((abs(c) for c in self._terms.values()), default=0.0)
 
     def is_exact(self) -> bool:
         return all(isinstance(c, QComplex) for c in self._terms.values())
@@ -174,11 +174,11 @@ class LaurentPolynomial:
                 acc, prune_scale=lambda: self.max_norm() * other.max_norm()
             )
         if isinstance(other, (int, float, complex, QComplex)):
-            if is_zero_coeff(other):
+            if not other:
                 return LaurentPolynomial.zero()
             return LaurentPolynomial(
                 {e: c * other for e, c in self._terms.items()},
-                prune_scale=lambda: self.max_norm() * coeff_abs(other),
+                prune_scale=lambda: self.max_norm() * abs(other),
             )
         return NotImplemented
 
@@ -192,8 +192,8 @@ class LaurentPolynomial:
         A zero coordinate is allowed only if the polynomial has no negative
         exponent in that variable.
         """
-        q1_zero = is_zero_coeff(q1)
-        q2_zero = is_zero_coeff(q2)
+        q1_zero = not q1
+        q2_zero = not q2
         pow1: dict = {}
         pow2: dict = {}
         total = 0
@@ -224,7 +224,7 @@ class LaurentPolynomial:
 
     def substitute_z1(self, value) -> "LaurentPolynomial":
         """Partial evaluation z1 := value, leaving a polynomial in z2."""
-        value_zero = is_zero_coeff(value)
+        value_zero = not value
         powers: dict = {}
         acc: dict = {}
         for (a, b), c in self._terms.items():
@@ -269,7 +269,7 @@ def divide_univariate(f: LaurentPolynomial, root) -> LaurentPolynomial:
     first.  The remainder must pass the vanishing test scaled by the
     coefficient sum; otherwise NotDivisibleError carries the residual f(root).
     """
-    if is_zero_coeff(root):
+    if not root:
         raise EvaluationDomainError("division root must be nonzero")
     if f.is_zero:
         return LaurentPolynomial.zero()
@@ -283,11 +283,11 @@ def divide_univariate(f: LaurentPolynomial, root) -> LaurentPolynomial:
         if scalar_is_exact(remainder):
             raise NotDivisibleError("nonzero remainder in exact division", residual)
         raise NotDivisibleError(
-            f"remainder {coeff_abs(remainder):.3e} beyond tolerance", residual
+            f"remainder {abs(remainder):.3e} beyond tolerance", residual
         )
     return LaurentPolynomial(
         {(0, d): c for d, c in quotient.items()},
-        prune_scale=lambda: f.max_norm() * (1 + coeff_abs(root)),
+        prune_scale=lambda: f.max_norm() * (1 + abs(root)),
     )
 
 
@@ -296,7 +296,7 @@ def shift_divide_z1(f: LaurentPolynomial, p1) -> LaurentPolynomial:
 
     p1 must be nonzero.
     """
-    if is_zero_coeff(p1):
+    if not p1:
         raise EvaluationDomainError("division root must be nonzero")
     slices: dict[int, dict[int, object]] = {}
     for (a, b), c in f.terms.items():
@@ -313,5 +313,5 @@ def shift_divide_z1(f: LaurentPolynomial, p1) -> LaurentPolynomial:
         for d, c in quotient.items():
             out[(d, b)] = c
     return LaurentPolynomial(
-        out, prune_scale=lambda: f.max_norm() * (1 + coeff_abs(p1))
+        out, prune_scale=lambda: f.max_norm() * (1 + abs(p1))
     )

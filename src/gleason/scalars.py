@@ -56,6 +56,10 @@ class QComplex:
     def im(self) -> Fraction:
         return Fraction(self._y, self._d)
 
+    def as_ints(self) -> tuple[int, int, int]:
+        """(x, y, d) with self = (x + y*i)/d, d > 0 and gcd(x, y, d) = 1."""
+        return self._x, self._y, self._d
+
     # -- conversions ---------------------------------------------------
 
     def __complex__(self):
@@ -230,17 +234,6 @@ def powi(base, exponent: int):
     return result
 
 
-def is_zero_coeff(c) -> bool:
-    if isinstance(c, QComplex):
-        return c.is_zero
-    return c == 0
-
-
-def coeff_abs(c) -> float:
-    """Modulus as a float, for tolerances and norms."""
-    return abs(c)
-
-
 def is_exact(c) -> bool:
     return isinstance(c, _EXACT_TYPES)
 
@@ -252,4 +245,4 @@ def negligible(value, scale: Callable[[], float]) -> bool:
     floating value."""
     if isinstance(value, (float, complex)):
         return abs(value) <= VANISH_TOL_REL * scale()
-    return is_zero_coeff(value)
+    return not value

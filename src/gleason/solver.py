@@ -25,7 +25,7 @@ from .domains import STRIP_OMEGA2, CuspDomain, poly_bounded
 from .errors import InputError, NonvanishingError, UnboundedError
 from .exprio import format_scalar
 from .laurent import LaurentPolynomial, divide_univariate
-from .scalars import coeff_abs, is_zero_coeff, negligible, powi
+from .scalars import negligible, powi
 from .symmetry import correction_polynomial, symmetric_decompose
 from .verify import VerificationReport, verify
 
@@ -90,13 +90,13 @@ def _axis_parts(f: LaurentPolynomial, l: int, p2):
     inv = 1 / powi(p2, l)
     f1 = LaurentPolynomial(
         {(a - 1, b + l): c * inv for (a, b), c in rest.terms.items()},
-        prune_scale=lambda: f.max_norm() * coeff_abs(inv),
+        prune_scale=lambda: f.max_norm() * abs(inv),
     )
     comb = LaurentPolynomial(
         {(0, j): -(powi(p2, l - 1 - j) * inv) for j in range(l)}
     )
     f2 = comb * rest + divide_univariate(f0, p2)
-    bound_rhs = 2 ** (l + 1) * float(f.one_norm()) / coeff_abs(powi(p2, l))
+    bound_rhs = 2 ** (l + 1) * float(f.one_norm()) / abs(powi(p2, l))
     return f1, f2, bound_rhs
 
 
@@ -144,7 +144,7 @@ def solve(
 
     if domain.kind == STRIP_OMEGA2:
         mode = MODE_STRIP
-    elif is_zero_coeff(p1):
+    elif not p1:
         mode = MODE_AXIS
     else:
         mode = MODE_INTERIOR

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .laurent import LaurentPolynomial
-from .scalars import is_zero_coeff
 
 
 @dataclass(frozen=True)
@@ -26,15 +25,6 @@ class SymmetricSystem:
 
     order: int
     components: dict
-
-    def component(self, i: int, j: int) -> LaurentPolynomial:
-        return self.components[(i, j)]
-
-    def reconstruct(self) -> LaurentPolynomial:
-        total = LaurentPolynomial.zero()
-        for (i, j), comp in self.components.items():
-            total = total + LaurentPolynomial.monomial(i, j) * comp
-        return total
 
 
 def symmetric_decompose(f: LaurentPolynomial, order: int) -> SymmetricSystem:
@@ -67,7 +57,7 @@ def correction_polynomial(
     grid, of degree at most N-1 in each variable.  Requires nonzero p1, p2.
     """
     p1, p2 = p
-    if is_zero_coeff(p1) or is_zero_coeff(p2):
+    if not p1 or not p2:
         raise InputError("correction polynomial requires a base point off the axes")
     system = symmetric_decompose(f, order)
     return LaurentPolynomial(

@@ -4,7 +4,8 @@ Random draws always take an explicit random.Random so every test is
 reproducible from its own seed.  The oracles (roots of unity, rotation,
 root-of-unity averaging of symmetric components, coefficient distance,
 sampled suprema) are independent numeric checks that the library itself
-does not need.
+does not need.  parse_report is the oracle for machine reports: it reads
+emit_report's key=value lines back into typed fields.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from gleason import CuspDomain, LaurentPolynomial, QComplex
+from gleason import CuspDomain, InputError, LaurentPolynomial, QComplex, parse_scalar
 from gleason.domains import sample
-from gleason.scalars import coeff_abs
+from gleason.scalars import powi
 from gleason.verify import eval_on_arrays
 
 # Orders whose primitive root of unity is a Gaussian rational.
@@ -69,7 +70,7 @@ def max_coeff_distance(f: LaurentPolynomial, g: LaurentPolynomial) -> float:
     exps = set(f.exponents()) | set(g.exponents())
     best = 0.0
     for e in exps:
-        best = max(best, coeff_abs(f.coefficient(*e) - g.coefficient(*e)))
+        best = max(best, abs(f.coefficient(*e) - g.coefficient(*e)))
     return best
 
 
@@ -265,9 +266,76 @@ def rand_interior_point(rng: random.Random, domain: CuspDomain, exact: bool = Fa
     return (q1, q2)
 
 
+def recombine(system) -> LaurentPolynomial:
+    """sum z1^i z2^j f_ij over the components of a symmetric decomposition of f."""
+    total = LaurentPolynomial.zero()
+    for (i, j), comp in system.components.items():
+        total = total + LaurentPolynomial.monomial(i, j) * comp
+    return total
+
+
+def fiber_values(pair, p):
+    """u(p) = p1^k p2^(-l) and v(p) = p1^m p2^n: the ratio and cut monomials at p."""
+    p1, p2 = p
+    return powi(p1, pair.k) * powi(p2, -pair.l), powi(p1, pair.m) * powi(p2, pair.n)
+
+
+def log_coordinates(points):
+    """Arrays of log|q1| and log|q2| over sampled points."""
+    pts = np.array(points, dtype=complex)
+    return np.log(np.abs(pts[:, 0])), np.log(np.abs(pts[:, 1]))
+
+
 def subtract_value_at(f: LaurentPolynomial, p) -> LaurentPolynomial:
     """f - f(p), the standard way the corpus meets the vanishing precondition."""
     return f - LaurentPolynomial.constant(f.eval(*p))
+
+
+# -- machine report oracle ----------------------------------------------------
+
+
+_REPORT_FLOAT_KEYS = {
+    "residual_max",
+    "sup_f_upper",
+    "sup_f1_sampled",
+    "sup_f2_sampled",
+    "bound_rhs",
+}
+_REPORT_INT_KEYS = {"k", "l"}
+_REPORT_BOOL_KEYS = {"bounded_f1", "bounded_f2"}
+_REPORT_COMPLEX_KEYS = {"p1", "p2"}
+
+
+def parse_report(text: str) -> dict:
+    """Parse a machine report back into typed fields."""
+    out: dict = {}
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InputError(f"malformed report line {line!r}")
+        key, value = line.split("=", 1)
+        if key in _REPORT_FLOAT_KEYS:
+            out[key] = float(Fraction(value)) if "/" in value else float(value)
+        elif key in _REPORT_INT_KEYS:
+            out[key] = int(value)
+        elif key in _REPORT_BOOL_KEYS:
+            out[key] = value == "true"
+        elif key in _REPORT_COMPLEX_KEYS:
+            out[key] = complex(parse_scalar(value))
+        elif key == "residual_argmax":
+            a, b = value.split(",")
+            out[key] = (complex(parse_scalar(a)), complex(parse_scalar(b)))
+        elif key == "cone_violations":
+            out[key] = [
+                (int(pair.split(":")[0]), int(pair.split(":")[1]))
+                for pair in value.split(";")
+                if pair
+            ]
+        else:
+            out[key] = value
+    return out
 
 
 # one visible PASS/FAIL line per acceptance check, immune to output capture

@@ -30,24 +30,26 @@ from gleason import (
     symmetric_decompose,
 )
 from gleason.division import (
-    FiberData,
     MonomialPair,
     split_component,
     split_polynomial,
     split_ratio,
     to_ratio_cut,
 )
-from gleason.domains import poly_bounded, sample, sample_log
+from gleason.domains import poly_bounded, sample
 from gleason.scalars import powi
 from gleason.verify import eval_on_arrays, symbolic_residual
 
 from conftest import (
     averaged_component_on_arrays,
+    fiber_values,
+    log_coordinates,
     rand_bounded_poly,
     rand_interior_point,
     rand_laurent,
     rand_qcomplex,
     rand_symmetric_component,
+    recombine,
     strip_cone_poly,
     subtract_value_at,
 )
@@ -165,11 +167,11 @@ def test_04_symmetrization_oracle():
         for _ in range(50):
             f = rand_laurent(rng, terms=rng.randint(1, 12), max_exp=5)
             system = symmetric_decompose(f, order)
-            assert system.reconstruct() == f
+            assert recombine(system) == f
             scale = 1 + f.one_norm()
             for i in range(order):
                 for j in range(order):
-                    comp = system.component(i, j)
+                    comp = system.components[(i, j)]
                     vals = eval_on_arrays(comp, q1, q2)
                     avg = averaged_component_on_arrays(f, order, i, j, q1, q2)
                     assert float(np.abs(vals - avg).max()) <= 1e-10 * scale
@@ -214,16 +216,16 @@ def test_05_division_identities():
         hartogs = CuspDomain.hartogs(k, l)
         for _ in range(200):
             p = (rand_qcomplex(rng, nonzero=True), rand_qcomplex(rng, nonzero=True))
-            fiber = FiberData.from_point(pair, p)
+            u_p, v_p = fiber_values(pair, p)
             i, j = rng.randrange(order), rng.randrange(order)
             h = rand_symmetric_component(rng, k, l, m, n, terms=6, exact=True)
             comp = subtract_value_at(h, p)
             g1, g2 = split_component(i, j, comp, pair, p)
             ratio_lin = LaurentPolynomial(
-                {(k, -l): QComplex(1), (0, 0): -fiber.ratio_value}
+                {(k, -l): QComplex(1), (0, 0): -u_p}
             )
             cut_lin = LaurentPolynomial(
-                {(m, n): QComplex(1), (0, 0): -fiber.cut_value}
+                {(m, n): QComplex(1), (0, 0): -v_p}
             )
             target = LaurentPolynomial.monomial(i, j) * comp
             assert g1 * ratio_lin + g2 * cut_lin == target
@@ -251,12 +253,12 @@ def test_06_branch_independence():
                 rng.uniform(0.6, 0.9) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
                 for _ in range(2)
             )
-            fiber = FiberData.from_point(pair, p)
+            u_p, _ = fiber_values(pair, p)
             h = rand_symmetric_component(rng, k, l, m, n, terms=5, max_unit=2)
             g = to_ratio_cut(h, pair)
-            proj = g.substitute_z1(fiber.ratio_value)
+            proj = g.substitute_z1(u_p)
             scale = 1 + h.one_norm()
-            log_u = cmath.log(fiber.ratio_value)
+            log_u = cmath.log(u_p)
             for _ in range(100):
                 x_val = cmath.exp(complex(rng.uniform(-1, -0.05), rng.uniform(0, 2 * math.pi)))
                 log_x = cmath.log(x_val)
@@ -274,12 +276,8 @@ def test_06_branch_independence():
 def test_07_cone_soundness():
     for k, l in PAIRS:
         domain = CuspDomain.hartogs(k, l)
-        shallow = sample_log(domain, 10_000, seed=11)
-        deep = sample_log(domain, 10_000, seed=12, cusp_bias=0.9, depth=60.0)
-        xs = np.array([x for x, _ in shallow])
-        ys = np.array([y for _, y in shallow])
-        xd = np.array([x for x, _ in deep])
-        yd = np.array([y for _, y in deep])
+        xs, ys = log_coordinates(sample(domain, 10_000, seed=11))
+        xd, yd = log_coordinates(sample(domain, 10_000, seed=12, cusp_bias=0.9, depth=60.0))
         rng = random.Random(700 * k + l)
         for _ in range(500):
             a, b = rng.randint(-12, 12), rng.randint(-12, 12)

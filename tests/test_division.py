@@ -13,7 +13,6 @@ from gleason import (
     poly_bounded,
 )
 from gleason.division import (
-    FiberData,
     MonomialPair,
     from_ratio_cut,
     split_component,
@@ -26,6 +25,7 @@ from gleason.errors import ConeError, InternalContractError, NonvanishingError
 from gleason.scalars import powi
 
 from conftest import (
+    fiber_values,
     max_coeff_distance,
     rand_laurent,
     rand_qcomplex,
@@ -49,15 +49,19 @@ def test_monomial_pair_validation_and_order():
 
 
 def test_fiber_data_values():
-    pair = MonomialPair(2, 1, 1, 1)
+    # at p = (2, 3) the ratio monomial z1^2 z2^-1 is 4/3 and the cut z1 z2 is 6;
+    # split_component divides u^3 - u(p)^3 and v^3 - v(p)^3 by those values
+    pair = MonomialPair(2, 1, 1, 1)  # order 3
     p = (QComplex(2), QComplex(3))
-    fd = FiberData.from_point(pair, p)
-    assert fd.ratio_value == powi(QComplex(2), 2) / QComplex(3)
-    assert fd.cut_value == QComplex(6)
-    with pytest.raises(NonvanishingError):
-        FiberData.from_point(pair, (0, 0.5))
-    with pytest.raises(NonvanishingError):
-        FiberData.from_point(pair, (0.5, 0))
+    u_p, v_p = QComplex(4) / 3, QComplex(6)
+    ratio_cubed = LaurentPolynomial({(6, -3): QComplex(1), (0, 0): -(u_p**3)})
+    g1, g2 = split_component(0, 0, ratio_cubed, pair, p)
+    assert g1 == LaurentPolynomial({(4, -2): QComplex(1), (2, -1): u_p, (0, 0): u_p**2})
+    assert g2.is_zero
+    cut_cubed = LaurentPolynomial({(3, 3): QComplex(1), (0, 0): -(v_p**3)})
+    g1, g2 = split_component(0, 0, cut_cubed, pair, p)
+    assert g1.is_zero
+    assert g2 == LaurentPolynomial({(2, 2): QComplex(1), (1, 1): v_p, (0, 0): v_p**2})
 
 
 def test_to_ratio_cut_examples():
@@ -96,23 +100,23 @@ def test_round_trip_through_ratio_cut(k, l, m, n):
 def test_project_to_fiber_examples():
     pair = MonomialPair(1, 1, 0, 1)
     p = (QComplex(1, 1), QComplex(2))
-    fiber = FiberData.from_point(pair, p)
+    u_p, _ = fiber_values(pair, p)
     g = LaurentPolynomial({(1, 0): QComplex(1)})
-    assert dict(g.substitute_z1(fiber.ratio_value).terms) == {(0, 0): fiber.ratio_value}
+    assert dict(g.substitute_z1(u_p).terms) == {(0, 0): u_p}
     g = LaurentPolynomial({(1, 1): QComplex(1)})
-    assert dict(g.substitute_z1(fiber.ratio_value).terms) == {(0, 1): fiber.ratio_value}
+    assert dict(g.substitute_z1(u_p).terms) == {(0, 1): u_p}
 
 
 def test_project_to_fiber_collapses_ratio_direction():
     rng = random.Random(8)
     pair = MonomialPair(2, 1, 0, 1)
     p = _exact_point(rng)
-    fiber = FiberData.from_point(pair, p)
+    u_p, v_p = fiber_values(pair, p)
     g = to_ratio_cut(rand_symmetric_component(rng, 2, 1, 0, 1, terms=8, exact=True), pair)
-    proj = g.substitute_z1(fiber.ratio_value)
+    proj = g.substitute_z1(u_p)
     assert all(alpha == 0 for alpha, _ in proj.terms)
     # substituting the ratio value is evaluation along the fiber
-    value = sum(c * powi(fiber.cut_value, beta) for (_, beta), c in proj.terms.items())
+    value = sum(c * powi(v_p, beta) for (_, beta), c in proj.terms.items())
     f = from_ratio_cut(g, pair)
     assert f.eval(*p) == value
 
@@ -221,9 +225,11 @@ def test_split_polynomial_float_mode():
 # -- split_component ----------------------------------------------------------
 
 
-def _linear_factors(pair: MonomialPair, fiber: FiberData):
-    ratio_lin = LaurentPolynomial({(pair.k, -pair.l): QComplex(1) if isinstance(fiber.ratio_value, QComplex) else 1.0, (0, 0): -fiber.ratio_value})
-    cut_lin = LaurentPolynomial({(pair.m, pair.n): QComplex(1) if isinstance(fiber.ratio_value, QComplex) else 1.0, (0, 0): -fiber.cut_value})
+def _linear_factors(pair: MonomialPair, p: tuple):
+    u_p, v_p = fiber_values(pair, p)
+    one = QComplex(1) if isinstance(u_p, QComplex) else 1.0
+    ratio_lin = LaurentPolynomial({(pair.k, -pair.l): one, (0, 0): -u_p})
+    cut_lin = LaurentPolynomial({(pair.m, pair.n): one, (0, 0): -v_p})
     return ratio_lin, cut_lin
 
 
@@ -231,8 +237,7 @@ def test_split_component_examples():
     pair = MonomialPair(1, 1, 0, 1)
     rng = random.Random(2)
     p = _exact_point(rng)
-    fiber = FiberData.from_point(pair, p)
-    ratio_lin, cut_lin = _linear_factors(pair, fiber)
+    ratio_lin, cut_lin = _linear_factors(pair, p)
 
     f1, f2 = split_component(0, 0, ratio_lin, pair, p)
     assert f1 == LaurentPolynomial.constant(QComplex(1)) and f2.is_zero
@@ -252,12 +257,11 @@ def test_split_component_reexpands_and_stays_in_cone(k, l, m, n):
     strip = CuspDomain.strip(k, l, 0.5, 2.0, m, n, 0.0)
     for _ in range(20):
         p = _exact_point(rng)
-        fiber = FiberData.from_point(pair, p)
         i, j = rng.randrange(order), rng.randrange(order)
         h = rand_symmetric_component(rng, k, l, m, n, terms=6, exact=True)
         comp = h - LaurentPolynomial.constant(h.eval(*p))
         f1, f2 = split_component(i, j, comp, pair, p)
-        ratio_lin, cut_lin = _linear_factors(pair, fiber)
+        ratio_lin, cut_lin = _linear_factors(pair, p)
         target = LaurentPolynomial.monomial(i, j) * comp
         assert f1 * ratio_lin + f2 * cut_lin == target
         for out in (f1, f2):
@@ -282,8 +286,7 @@ def test_split_component_float_mode():
     h = rand_symmetric_component(rng, 2, 1, 0, 1, terms=6, exact=False)
     comp = h - LaurentPolynomial.constant(h.eval(*p))
     f1, f2 = split_component(1, 0, comp, pair, p)
-    fiber = FiberData.from_point(pair, p)
-    ratio_lin, cut_lin = _linear_factors(pair, fiber)
+    ratio_lin, cut_lin = _linear_factors(pair, p)
     rebuilt = f1 * ratio_lin + f2 * cut_lin
     target = LaurentPolynomial.monomial(1, 0) * comp
     assert max_coeff_distance(rebuilt, target) <= 1e-10 * (1 + comp.one_norm())
@@ -297,14 +300,14 @@ def test_branch_evaluations_agree_with_fiber_projection():
         pair = MonomialPair(k, l, m, n)
         order = pair.order
         p = (0.4 + 0.3j, 0.7 - 0.2j)
-        fiber = FiberData.from_point(pair, p)
+        u_p, _ = fiber_values(pair, p)
         h = rand_symmetric_component(rng, k, l, m, n, terms=5, exact=False)
         g = to_ratio_cut(h, pair)
-        proj = g.substitute_z1(fiber.ratio_value)
+        proj = g.substitute_z1(u_p)
         scale = 1 + h.one_norm()
         for _ in range(20):
             x_val = cmath.exp(complex(rng.uniform(-2, -0.1), rng.uniform(0, 6.28)))
-            log_u = cmath.log(fiber.ratio_value)
+            log_u = cmath.log(u_p)
             log_x = cmath.log(x_val)
             z1 = cmath.exp((n * log_u + l * log_x) / order)
             z2 = cmath.exp((-m * log_u + k * log_x) / order)

@@ -15,8 +15,10 @@ from gleason import (
     split_line,
 )
 from gleason.division import MonomialPair
-from gleason.domains import SplitLine, log_image, sample, sample_log, slope_candidates
-from gleason.errors import EvaluationDomainError, InfeasibleSplitError, InputError
+from gleason.domains import SplitLine, sample, slope_candidates
+from gleason.errors import InfeasibleSplitError, InputError
+
+from conftest import log_coordinates
 
 
 def test_contains_hartogs_examples():
@@ -92,17 +94,6 @@ def test_domain_validation():
         CuspDomain(k=1, l=1, kind="polydisk")
 
 
-def test_log_image():
-    x, y = log_image(math.e, math.e**2)
-    assert (x, y) == pytest.approx((1.0, 2.0))
-    assert log_image(1, 1) == pytest.approx((0.0, 0.0))
-    assert log_image(QComplex(0, 1), 1j) == pytest.approx((0.0, 0.0))
-    with pytest.raises(EvaluationDomainError):
-        log_image(0, 1)
-    with pytest.raises(EvaluationDomainError):
-        log_image(1, 0)
-
-
 # -- sampling -----------------------------------------------------------------
 
 
@@ -123,7 +114,6 @@ def test_sample_postconditions(domain):
 def test_sample_prefix_nesting():
     d = CuspDomain.hartogs(2, 1)
     assert sample(d, 100, seed=9)[:30] == sample(d, 30, seed=9)
-    assert sample_log(d, 100, seed=9)[:30] == sample_log(d, 30, seed=9)
 
 
 def test_sample_cusp_bias_one_stays_deep():
@@ -137,26 +127,24 @@ def test_sample_cusp_bias_one_stays_deep():
 
 def test_sample_log_consistent_with_region():
     d = CuspDomain.hartogs(2, 3)
-    for x, y in sample_log(d, 500, seed=4):
+    for x, y in zip(*log_coordinates(sample(d, 500, seed=4))):
         assert d.k * x < d.l * y < 0
 
 
 def test_contains_log_image_consistency():
     d = CuspDomain.strip(1, 1, 0.5, 2.0, 1, 2, -0.1)
-    for q1, q2 in sample(d, 300, seed=8):
-        x, y = log_image(q1, q2)
+    for x, y in zip(*log_coordinates(sample(d, 300, seed=8))):
         assert math.log(0.5) < d.k * x - d.l * y < math.log(2.0)
         assert d.cut_n * y + d.cut_m * x <= d.cut_n * d.cut_r + 1e-9
 
 
 def test_bounded_monomial_sampled_sup():
     d = CuspDomain.hartogs(1, 1)
-    logs = sample_log(d, 2000, seed=12)
-    sup = max(math.exp(1 * x + (-1) * y) for x, y in logs)
+    sup = max(abs(q1 / q2) for q1, q2 in sample(d, 2000, seed=12))
     assert sup <= 1 + 1e-9
     # unbounded direction blows up once the cusp is deep enough
-    deep = sample_log(d, 2000, seed=12, depth=60.0)
-    assert max(math.exp(0 * x + (-1) * y) for x, y in deep) > 1e3
+    deep = sample(d, 2000, seed=12, depth=60.0)
+    assert max(1 / abs(q2) for _, q2 in deep) > 1e3
 
 
 def test_strip_cut_constraint():
@@ -178,11 +166,9 @@ def _arc(start_deg=170.0, stop_deg=5.0, count=56, radius=1.0):
 
 
 def test_log_boundary_csv_round_trip():
-    pts = _arc(count=12)
-    b = LogBoundary(points=tuple(pts), strict=tuple([True] * 12))
-    again = LogBoundary.from_csv(b.to_csv())
-    assert again.points == b.points
-    assert again.strict == b.strict
+    b = LogBoundary.from_csv("-1,0,1\n -0.5, -0.5 ,1\n\n0.125,-0.75,0\n")
+    assert b.points == ((-1.0, 0.0), (-0.5, -0.5), (0.125, -0.75))
+    assert b.strict == (True, True, False)
 
 
 def test_log_boundary_validation():

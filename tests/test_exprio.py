@@ -18,12 +18,11 @@ from gleason.exprio import (
     format_float,
     format_scalar,
     emit_report,
-    parse_report,
     parse_scalar,
 )
 from gleason import CuspDomain
 
-from conftest import rand_laurent
+from conftest import parse_report, rand_laurent
 
 
 # -- parsing ------------------------------------------------------------------
@@ -125,6 +124,15 @@ def test_format_scalar_round_trips():
         parse_scalar("i")
     with pytest.raises(InputError):
         parse_scalar("2/0")
+
+
+def test_parse_scalar_exponent_sign_is_not_the_split():
+    # the sign of an exponent belongs to its number, not to the real/imaginary split
+    assert parse_scalar("0.25+1e-3i") == complex(0.25, 1e-3)
+    assert parse_scalar("1-2E-3i") == complex(1, -2e-3)
+    assert parse_scalar("1e-3+2i") == complex(1e-3, 2)
+    assert parse_scalar("1+2e3i") == complex(1, 2e3)
+    assert parse_scalar("-1e+2-3e-1i", exact=True) == QComplex(-100, Fraction(-3, 10))
 
 
 smallfracs = st.fractions(min_value=-9, max_value=9, max_denominator=12)
