@@ -57,6 +57,10 @@ class CuspDomain:
     def __post_init__(self):
         if self.k < 1 or self.l < 1:
             raise InputError("domain exponents k, l must be positive integers")
+        for name in ("lower", "upper", "cut_r"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InputError(f"domain {name} must be finite, got {value!r}")
         if self.kind == STRIP_OMEGA2:
             if not 0 < self.lower < self.upper:
                 raise InputError("strip bounds must satisfy 0 < lower < upper")

@@ -93,8 +93,16 @@ def _tokenize(text: str) -> list[_Token]:
 # parser
 
 
+def _float_complex(re: Fraction, im: Fraction, literal: str) -> complex:
+    try:
+        return complex(float(re), float(im))
+    except OverflowError as exc:
+        raise InputError(f"numeric literal {literal!r} is out of the float range") from exc
+
+
 class _Parser:
     def __init__(self, text: str, exact: bool):
+        self.text = text
         self.tokens = _tokenize(text)
         self.idx = 0
         self.exact = exact
@@ -151,7 +159,7 @@ class _Parser:
             raise PolySyntaxError("expected a coefficient", tok.pos)
         if self.exact:
             return QComplex(re, im)
-        return complex(float(re), float(im))
+        return _float_complex(re, im, self.text[tok.pos : self.peek().pos].rstrip())
 
     def exponent(self) -> int:
         sign = 1
@@ -318,7 +326,7 @@ def parse_scalar(text: str, exact: bool = False):
     im = number(im_text) if im_text is not None else Fraction(0)
     if exact:
         return QComplex(re, im)
-    return complex(float(re), float(im))
+    return _float_complex(re, im, s)
 
 
 # ---------------------------------------------------------------------------

@@ -263,3 +263,47 @@ def test_strip_solve_via_cli(capsys):
     )
     assert code == 0
     assert "mode=omega2_local" in out
+
+
+BIG = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("flag, value", [("--p1", "1e400"), ("--p2", f"0.5+{BIG}i")])
+def test_out_of_range_scalar_is_exit_two(capsys, flag, value):
+    argv = {"--p1": "0.5", "--p2": "0.5", "--f": "z1 - 0.5"}
+    argv[flag] = value
+    code, out, err = run_cli(
+        capsys,
+        "solve", "--k", "1", "--l", "1", *(f"{name}={text}" for name, text in argv.items()),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: numeric literal {value!r} is out of the float range\n"
+
+
+@pytest.mark.parametrize("coeff", [BIG, f"(1-{BIG}i)"])
+def test_out_of_range_coefficient_is_exit_two(capsys, coeff):
+    code, out, err = run_cli(
+        capsys,
+        "solve", "--k", "1", "--l", "1", "--p1", "0.5", "--p2", "0.5",
+        "--f", f"{coeff} *z1 + z2",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: numeric literal {coeff!r} is out of the float range\n"
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--strip-upper", "inf"), ("--strip-upper", "nan"), ("--cut-r", "nan"), ("--cut-r", "-inf"),
+])
+def test_info_non_finite_strip_is_exit_two(capsys, flag, value):
+    argv = {"--strip-lower": "0.5", "--strip-upper": "2", "--cut-r": "0"}
+    argv[flag] = value
+    code, out, err = run_cli(
+        capsys,
+        "info", "--k", "1", "--l", "1", "--mode", "omega2",
+        *(f"{name}={text}" for name, text in argv.items()),
+    )
+    assert code == 2
+    assert out == ""
+    assert "must be finite" in err

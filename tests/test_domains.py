@@ -94,6 +94,16 @@ def test_domain_validation():
         CuspDomain(k=1, l=1, kind="polydisk")
 
 
+@pytest.mark.parametrize("field", ["lower", "upper", "cut_r"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("kind", ["hartogs_full", "strip_omega2"])
+def test_non_finite_fields_are_rejected(field, value, kind):
+    fields = {"lower": 0.5, "upper": 2.0, "cut_r": 0.0} if kind == "strip_omega2" else {}
+    fields[field] = value
+    with pytest.raises(InputError, match=f"{field} must be finite"):
+        CuspDomain(k=1, l=1, kind=kind, **fields)
+
+
 # -- sampling -----------------------------------------------------------------
 
 

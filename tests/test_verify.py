@@ -1,5 +1,6 @@
 """Residual checks, sampled sup norms, and the averaging oracle."""
 
+import dataclasses
 import json
 import os
 import random
@@ -18,7 +19,7 @@ from gleason import (
     verify,
 )
 from gleason.domains import sample
-from gleason.verify import eval_on_arrays, symbolic_residual
+from gleason.verify import _sample_arrays, eval_on_arrays, symbolic_residual
 
 from conftest import (
     averaged_component,
@@ -192,6 +193,76 @@ def test_averaged_component_on_arrays_matches_scalar():
         for idx in range(len(q1)):
             scalar = averaged_component(f, order, i, j, q1[idx], q2[idx])
             assert vec[idx] == pytest.approx(scalar, rel=1e-10, abs=1e-12)
+
+
+# -- the sample cache ----------------------------------------------------------
+
+STRIP = CuspDomain.strip(1, 1, 0.5, 2.0, 1, 2, -0.25)
+
+
+def test_sample_arrays_are_read_only():
+    for q in _sample_arrays(STRIP, 50, 3):
+        with pytest.raises(ValueError):
+            q[0] = 0
+        with pytest.raises(ValueError):
+            q *= 2
+
+
+@pytest.mark.parametrize("domain", [CuspDomain.hartogs(2, 1), STRIP])
+def test_sample_arrays_match_a_fresh_sample(domain):
+    q1, q2 = _sample_arrays(domain, 80, 5)
+    assert q1.dtype == q2.dtype == complex
+    assert list(zip(q1.tolist(), q2.tolist())) == sample(domain, 80, 5)
+
+
+def test_sample_arrays_are_shared_between_equal_keys():
+    first = _sample_arrays(CuspDomain.hartogs(2, 1), 40, 7)
+    again = _sample_arrays(CuspDomain.hartogs(2, 1), 40, 7)
+    assert again[0] is first[0] and again[1] is first[1]
+
+
+@pytest.mark.parametrize("key", [
+    (STRIP, 40, 8),
+    (STRIP, 41, 7),
+    (dataclasses.replace(STRIP, kind="hartogs_full"), 40, 7),
+    (dataclasses.replace(STRIP, lower=0.4), 40, 7),
+    (dataclasses.replace(STRIP, upper=2.5), 40, 7),
+    (dataclasses.replace(STRIP, cut_r=-1.0), 40, 7),
+])
+def test_sample_arrays_differ_between_keys(key):
+    q1, q2 = _sample_arrays(STRIP, 40, 7)
+    r1, r2 = _sample_arrays(*key)
+    assert r1 is not q1 and r2 is not q2
+    assert r1.shape != q1.shape or not (np.array_equal(r1, q1) and np.array_equal(r2, q2))
+
+
+def test_sample_cache_is_bounded():
+    assert _sample_arrays.cache_info().maxsize is not None
+
+
+def test_shared_powers_change_no_bit():
+    rng = random.Random(31)
+    polys = [rand_laurent(rng, terms=8, max_exp=4, exact=False) for _ in range(3)]
+    q1, q2 = _sample_arrays(CuspDomain.hartogs(1, 1), 60, 9)
+    powers = ({}, {})
+    for f in polys:
+        assert np.array_equal(eval_on_arrays(f, q1, q2, powers), eval_on_arrays(f, q1, q2))
+
+
+def test_repeated_verify_reports_are_equal():
+    rng = random.Random(37)
+    domain = CuspDomain.hartogs(2, 1)
+    p = (0.3 + 0.1j, 0.6 - 0.2j)
+    f, f1, f2 = (rand_laurent(rng, terms=5, max_exp=3, exact=False) for _ in range(3))
+    first = verify(domain, f, f1, f2, p, samples=300, seed=4)
+    again = verify(domain, f, f1, f2, p, samples=300, seed=4)
+    assert first == again
+    pts = sample(domain, 300, 4)
+    q1 = np.array([a for a, _ in pts])
+    q2 = np.array([b for _, b in pts])
+    residual = symbolic_residual(f, f1, f2, p)
+    assert first.residual_max == float(np.max(np.abs(eval_on_arrays(residual, q1, q2))))
+    assert first.sup_f1_sampled == float(np.max(np.abs(eval_on_arrays(f1, q1, q2))))
 
 
 _NUMPY_PROBE = """
