@@ -95,9 +95,12 @@ def _tokenize(text: str) -> list[_Token]:
 
 def _float_complex(re: Fraction, im: Fraction, literal: str) -> complex:
     try:
-        return complex(float(re), float(im))
+        value = complex(float(re), float(im))
     except OverflowError as exc:
         raise InputError(f"numeric literal {literal!r} is out of the float range") from exc
+    if (re and not value.real) or (im and not value.imag):
+        raise InputError(f"numeric literal {literal!r} underflows to zero as a float")
+    return value
 
 
 class _Parser:

@@ -5,7 +5,9 @@ coefficients, representing ``sum c * z1**a * z2**b``.  Coefficients are either
 ``complex`` or exact ``QComplex`` values; see :mod:`gleason.scalars`.  The term
 map is canonical: exact zeros are never stored, and in floating mode any
 coefficient with modulus at most ``1e-14`` times the operation's scale is
-dropped.
+dropped.  The pass that drops them also records the largest modulus kept, so
+a floating polynomial carries its max norm and the scale of the next `+` or
+`*` costs no rescan; an exact polynomial computes its norm only when asked.
 """
 
 from __future__ import annotations
@@ -20,12 +22,13 @@ from .scalars import is_exact as scalar_is_exact
 PRUNE_REL = 1e-14
 
 
-def _canonical(terms, prune_scale: float | Callable[[], float] | None) -> dict:
+def _canonical(terms, prune_scale: float | Callable[[], float] | None) -> tuple:
     """Drop exact zeros and, for floating coefficients, negligible ones.
 
     prune_scale is a float, a function returning one, or None for the largest
     floating coefficient.  It is looked at only when a coefficient is
-    floating: an exact polynomial never pays for a norm.
+    floating: an exact polynomial never pays for a norm.  Returns the map and
+    its largest modulus (ties as in max()), or None for an exact map.
     """
     out = {}
     for exp, c in terms.items():
@@ -35,7 +38,7 @@ def _canonical(terms, prune_scale: float | Callable[[], float] | None) -> dict:
         if c:
             out[exp] = c
     else:
-        return out
+        return out, None
     if prune_scale is None:
         prune_scale = 0.0
         for c in terms.values():
@@ -45,20 +48,28 @@ def _canonical(terms, prune_scale: float | Callable[[], float] | None) -> dict:
         prune_scale = prune_scale()
     threshold = PRUNE_REL * prune_scale
     out = {}
+    norm = None
     for exp, c in terms.items():
-        if isinstance(c, QComplex):
-            if c.is_zero:
+        if type(c) is complex or not isinstance(c, QComplex):
+            if c == 0:
                 continue
-        elif c == 0 or abs(c) <= threshold:
+            size = abs(c)
+            if size <= threshold:
+                continue
+        elif c.is_zero:
             continue
+        else:
+            size = abs(c)
         out[exp] = c
-    return out
+        if norm is None or size > norm:
+            norm = size
+    return out, (0.0 if norm is None else norm)
 
 
 class LaurentPolynomial:
     """Immutable sparse Laurent polynomial in z1, z2."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_norm")
 
     def __init__(
         self,
@@ -66,7 +77,7 @@ class LaurentPolynomial:
         *,
         prune_scale: float | Callable[[], float] | None = None,
     ):
-        self._terms = _canonical(terms or {}, prune_scale)
+        self._terms, self._norm = _canonical(terms or {}, prune_scale)
 
     @classmethod
     def zero(cls) -> "LaurentPolynomial":
@@ -111,8 +122,10 @@ class LaurentPolynomial:
         return total
 
     def max_norm(self) -> float:
-        """Largest coefficient modulus."""
-        return max((abs(c) for c in self._terms.values()), default=0.0)
+        """Largest coefficient modulus; carried from construction when floating."""
+        if self._norm is None:
+            self._norm = max((abs(c) for c in self._terms.values()), default=0.0)
+        return self._norm
 
     def is_exact(self) -> bool:
         return all(isinstance(c, QComplex) for c in self._terms.values())

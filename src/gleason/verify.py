@@ -10,12 +10,17 @@ loads it.
 The sample set depends only on (domain, count, seed), so its (q1, q2) arrays
 are drawn once per key and kept, read-only, in a least-recently-used cache of
 32 keys: at most 32 x count x 32 bytes, 2 MB at the default 2000 samples.
-Within one `verify` call the residual, f1 and f2 share one table of the
-powers q1**a and q2**b.
+The powers q1**a and q2**b depend only on that key and the exponent, so they
+are kept too, read-only, in a least-recently-used cache of at most
+POWER_CACHE_BYTES (32 MiB, 1048 powers at 2000 samples) behind one lock; a
+warm key never recomputes a power.  Within one `verify` call the residual, f1
+and f2 share one table of them.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -97,6 +102,35 @@ def _sample_arrays(domain: CuspDomain, count: int, seed: int) -> tuple:
     return q1, q2
 
 
+POWER_CACHE_BYTES = 32 << 20
+# (domain, count, seed, variable, exponent) -> read-only power, least recently used first
+_power_cache: OrderedDict = OrderedDict()
+_power_cache_bytes = 0
+_power_cache_lock = threading.Lock()
+
+
+def _sample_power(domain: CuspDomain, count: int, seed: int, var: int, exponent: int):
+    """Read-only `q**exponent` for q = q1 (var 0) or q2 (var 1) of the sample arrays.
+
+    An array larger than POWER_CACHE_BYTES on its own is returned but not kept.
+    """
+    global _power_cache_bytes
+    key = (domain, count, seed, var, exponent)
+    with _power_cache_lock:
+        power = _power_cache.get(key)
+        if power is not None:
+            _power_cache.move_to_end(key)
+            return power
+        power = _sample_arrays(domain, count, seed)[var] ** exponent
+        power.flags.writeable = False
+        if power.nbytes <= POWER_CACHE_BYTES:
+            _power_cache[key] = power
+            _power_cache_bytes += power.nbytes
+            while _power_cache_bytes > POWER_CACHE_BYTES:
+                _power_cache_bytes -= _power_cache.popitem(last=False)[1].nbytes
+    return power
+
+
 def symbolic_residual(
     f: LaurentPolynomial,
     f1: LaurentPolynomial,
@@ -135,7 +169,11 @@ def verify(
         import numpy as np
 
         q1, q2 = _sample_arrays(domain, samples, seed)
-        powers = ({}, {})
+        exponents = [{e[var] for g in (residual, f1, f2) for e in g.exponents()} for var in (0, 1)]
+        powers = tuple(
+            {e: _sample_power(domain, samples, seed, var, e) for e in exponents[var]}
+            for var in (0, 1)
+        )
         res = np.abs(eval_on_arrays(residual, q1, q2, powers))
         top = int(np.argmax(res))
         residual_max = float(res[top])

@@ -293,6 +293,36 @@ def test_out_of_range_coefficient_is_exit_two(capsys, coeff):
     assert err == f"error: numeric literal {coeff!r} is out of the float range\n"
 
 
+TINY = "0." + "0" * 400 + "1"
+
+
+@pytest.mark.parametrize("flag, value", [("--p2", "1e-400"), ("--p1", "0.5+1e-400i")])
+def test_underflowing_scalar_is_exit_two(capsys, flag, value):
+    # a nonzero literal must not turn into 0.0 and move the base point
+    argv = {"--p1": "0.5", "--p2": "0.75", "--f": "z1 - 0.5"}
+    argv[flag] = value
+    code, out, err = run_cli(
+        capsys,
+        "solve", "--k", "1", "--l", "1", *(f"{name}={text}" for name, text in argv.items()),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: numeric literal {value!r} underflows to zero as a float\n"
+
+
+@pytest.mark.parametrize("coeff", [TINY, f"(1-{TINY}i)"])
+def test_underflowing_coefficient_is_exit_two(capsys, coeff):
+    # a nonzero coefficient must not be dropped from f without a word
+    code, out, err = run_cli(
+        capsys,
+        "solve", "--k", "1", "--l", "1", "--p1", "0.5", "--p2", "0.75",
+        "--f", f"{coeff} *z2 + z1 - 0.5",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: numeric literal {coeff!r} underflows to zero as a float\n"
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--strip-upper", "inf"), ("--strip-upper", "nan"), ("--cut-r", "nan"), ("--cut-r", "-inf"),
 ])

@@ -1,6 +1,8 @@
 """Sparse Laurent polynomial ring: arithmetic, evaluation, division."""
 
+import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from gleason import LaurentPolynomial, QComplex
 from gleason.errors import EvaluationDomainError, NotDivisibleError
-from gleason.laurent import divide_univariate, shift_divide_z1
+from gleason.laurent import PRUNE_REL, divide_univariate, shift_divide_z1
 from gleason.scalars import powi
 
 from conftest import max_coeff_distance, rand_laurent, rand_qcomplex, root_of_unity, rotate
@@ -79,6 +81,72 @@ def test_norms_and_exactness():
     assert f.max_norm() == pytest.approx(5.0)
     assert f.is_exact()
     assert not (f + LaurentPolynomial.constant(0.5)).is_exact()
+
+
+# float coefficients over many magnitudes, so that pruning happens, plus NaN
+float_coeffs = st.one_of(
+    st.builds(
+        lambda c, k: c * 10.0**k,
+        st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+        st.integers(-30, 30),
+    ),
+    st.just(complex(math.nan, 0.0)),
+)
+mixed_coeffs = st.one_of(float_coeffs, coeffs, st.just(1))
+scales = st.one_of(st.floats(0.0, 1e30), st.just(math.nan))
+norm_polys = st.dictionaries(exps, st.one_of(float_coeffs, coeffs, mixed_coeffs), max_size=6)
+
+
+def _same_bits(x, y) -> bool:
+    return type(x) is type(y) and struct.pack("<d", x) == struct.pack("<d", y)
+
+
+def _assert_norm_carried(f: LaurentPolynomial) -> None:
+    expected = max((abs(c) for c in f.terms.values()), default=0.0)
+    assert _same_bits(f.max_norm(), expected)
+
+
+@given(norm_polys, norm_polys, scales, mixed_coeffs, st.sampled_from([0.5 - 0.25j, QComplex(2, -1), 3]))
+def test_carried_max_norm_is_the_max_of_the_moduli(terms, other, scale, scalar, value):
+    built = [
+        LaurentPolynomial(terms),
+        LaurentPolynomial(terms, prune_scale=scale),
+        LaurentPolynomial(terms, prune_scale=lambda: scale),
+    ]
+    g = LaurentPolynomial(other)
+    for f in built:
+        _assert_norm_carried(f)
+        for h in (f + g, f - g, g - f, -f, f * g, f * scalar, scalar * f, f.substitute_z1(value)):
+            _assert_norm_carried(h)
+
+
+def test_split_cut_style_int_next_to_complex_keeps_its_type():
+    # split_cut's running product starts at int 1; max() would return that int
+    f = LaurentPolynomial({(1, 1): 1, (0, 1): 1.0 + 0j, (0, 0): 0.5j})
+    assert _same_bits(f.max_norm(), 1)
+    assert _same_bits((f * 2.0).max_norm(), 2.0)
+
+
+def test_nan_first_carries_nan_like_max():
+    f = LaurentPolynomial({(0, 0): complex(math.nan, 0.0), (1, 0): 2.0 + 0j})
+    assert math.isnan(f.max_norm())
+    g = LaurentPolynomial({(1, 0): 2.0 + 0j, (0, 0): complex(math.nan, 0.0)})
+    assert g.max_norm() == 2.0
+
+
+@pytest.mark.parametrize("scale", [1.0, 3.0, 7.5e8])
+def test_prune_boundary_is_inclusive(scale):
+    at = PRUNE_REL * scale
+    above = math.nextafter(at, math.inf)
+    terms = {(0, 0): complex(at), (1, 0): complex(above)}
+    for prune_scale in (scale, lambda: scale):
+        f = LaurentPolynomial(terms, prune_scale=prune_scale)
+        assert dict(f.terms) == {(1, 0): complex(above)}
+        assert f.max_norm() == above
+    # with no scale given, the largest floating coefficient is the scale
+    f = LaurentPolynomial({(2, 0): complex(scale), **terms})
+    assert dict(f.terms) == {(2, 0): complex(scale), (1, 0): complex(above)}
+    assert f.max_norm() == scale
 
 
 def test_one_norm_adds_left_to_right():

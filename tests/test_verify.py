@@ -1,11 +1,15 @@
 """Residual checks, sampled sup norms, and the averaging oracle."""
 
 import dataclasses
+import importlib
 import json
 import os
 import random
 import subprocess
 import sys
+import threading
+from collections import OrderedDict
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +23,13 @@ from gleason import (
     verify,
 )
 from gleason.domains import sample
-from gleason.verify import _sample_arrays, eval_on_arrays, symbolic_residual
+from gleason.verify import (
+    POWER_CACHE_BYTES,
+    _sample_arrays,
+    _sample_power,
+    eval_on_arrays,
+    symbolic_residual,
+)
 
 from conftest import (
     averaged_component,
@@ -263,6 +273,110 @@ def test_repeated_verify_reports_are_equal():
     residual = symbolic_residual(f, f1, f2, p)
     assert first.residual_max == float(np.max(np.abs(eval_on_arrays(residual, q1, q2))))
     assert first.sup_f1_sampled == float(np.max(np.abs(eval_on_arrays(f1, q1, q2))))
+
+
+# -- the power cache ------------------------------------------------------------
+
+# the package attribute gleason.verify is the function; the module is this one
+verify_module = importlib.import_module("gleason.verify")
+
+
+@pytest.fixture
+def cold_cache(monkeypatch):
+    """Empty sample and power caches for one test; the shared ones are untouched."""
+    monkeypatch.setattr(verify_module, "_power_cache", OrderedDict())
+    monkeypatch.setattr(verify_module, "_power_cache_bytes", 0)
+    fresh = lru_cache(maxsize=32)(_sample_arrays.__wrapped__)
+    monkeypatch.setattr(verify_module, "_sample_arrays", fresh)
+
+
+def _cached_bytes() -> int:
+    held = sum(a.nbytes for a in verify_module._power_cache.values())
+    assert held == verify_module._power_cache_bytes
+    return held
+
+
+def test_sample_powers_are_read_only(cold_cache):
+    for var in (0, 1):
+        for e in (-3, 0, 1, 2, 5):
+            power = _sample_power(STRIP, 50, 3, var, e)
+            with pytest.raises(ValueError):
+                power[0] = 0
+            with pytest.raises(ValueError):
+                power *= 2
+
+
+@pytest.mark.parametrize("domain", [CuspDomain.hartogs(2, 1), STRIP])
+def test_sample_powers_are_bit_equal_to_fresh_powers(cold_cache, domain):
+    q = _sample_arrays(domain, 80, 5)
+    for var in (0, 1):
+        fresh_q = np.array(q[var])  # a writeable copy, as a caller without the cache has
+        for e in (-4, -1, 0, 1, 2, 3, 7):
+            power = _sample_power(domain, 80, 5, var, e)
+            assert power.tobytes() == (fresh_q**e).tobytes()
+            assert _sample_power(domain, 80, 5, var, e) is power
+
+
+def test_power_cache_keeps_its_byte_bound(cold_cache):
+    domain = CuspDomain.hartogs(2, 1)
+    count = 20000
+    fits = POWER_CACHE_BYTES // (count * 16)
+    exponents = range(1, fits + 26)
+    for e in exponents:
+        _sample_power(domain, count, 1, 0, e)
+        assert _cached_bytes() <= POWER_CACHE_BYTES
+    # least recently used first out: the newest `fits` powers are the ones kept
+    kept = [key[-1] for key in verify_module._power_cache]
+    assert kept == list(exponents)[-fits:]
+
+
+def test_power_larger_than_the_bound_is_not_kept(cold_cache, monkeypatch):
+    monkeypatch.setattr(verify_module, "POWER_CACHE_BYTES", 100)
+    q1, _ = _sample_arrays(STRIP, 50, 3)
+    power = _sample_power(STRIP, 50, 3, 0, 2)
+    assert power.tobytes() == (np.array(q1) ** 2).tobytes()
+    assert not verify_module._power_cache and _cached_bytes() == 0
+
+
+def test_power_cache_keeps_its_books_under_threads(cold_cache, monkeypatch):
+    count = 50
+    monkeypatch.setattr(verify_module, "POWER_CACHE_BYTES", 5 * count * 16)
+    _sample_arrays(STRIP, count, 3)
+    errors = []
+
+    def work(offset):
+        try:
+            for i in range(400):
+                _sample_power(STRIP, count, 3, i % 2, (7 * i + offset) % 23 - 11)
+        except Exception as err:  # reported by the assertion below
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert _cached_bytes() <= verify_module.POWER_CACHE_BYTES
+
+
+def test_verify_on_a_cold_cache_equals_verify_on_a_warm_one(cold_cache):
+    rng = random.Random(41)
+    domain = CuspDomain.strip(2, 1, 0.5, 2.0, 1, 1, 0.0)
+    p = (0.2 + 0.1j, 0.7 - 0.1j)
+    f, f1, f2 = (rand_laurent(rng, terms=7, max_exp=4, exact=False) for _ in range(3))
+    cold = verify(domain, f, f1, f2, p, samples=400, seed=6)
+    held = {key: id(power) for key, power in verify_module._power_cache.items()}
+    warm = verify(domain, f, f1, f2, p, samples=400, seed=6)
+    assert repr(warm) == repr(cold)
+    # the warm call found every power it needed and computed none
+    assert {key: id(power) for key, power in verify_module._power_cache.items()} == held
 
 
 _NUMPY_PROBE = """
