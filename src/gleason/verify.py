@@ -11,16 +11,14 @@ The sample set depends only on (domain, count, seed), so its (q1, q2) arrays
 are drawn once per key and kept, read-only, in a least-recently-used cache of
 32 keys: at most 32 x count x 32 bytes, 2 MB at the default 2000 samples.
 The powers q1**a and q2**b depend only on that key and the exponent, so they
-are kept too, read-only, in a least-recently-used cache of at most
-POWER_CACHE_BYTES (32 MiB, 1048 powers at 2000 samples) behind one lock; a
-warm key never recomputes a power.  Within one `verify` call the residual, f1
-and f2 share one table of them.
+are kept too, read-only, in a least-recently-used cache of 1024 powers: at
+most 1024 x count x 16 bytes, 32 MB at 2000 samples; a warm key never
+recomputes a power.  Within one `verify` call the residual, f1 and f2 share
+one table of them.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -102,32 +100,14 @@ def _sample_arrays(domain: CuspDomain, count: int, seed: int) -> tuple:
     return q1, q2
 
 
-POWER_CACHE_BYTES = 32 << 20
-# (domain, count, seed, variable, exponent) -> read-only power, least recently used first
-_power_cache: OrderedDict = OrderedDict()
-_power_cache_bytes = 0
-_power_cache_lock = threading.Lock()
-
-
+@lru_cache(maxsize=1024)
 def _sample_power(domain: CuspDomain, count: int, seed: int, var: int, exponent: int):
     """Read-only `q**exponent` for q = q1 (var 0) or q2 (var 1) of the sample arrays.
 
-    An array larger than POWER_CACHE_BYTES on its own is returned but not kept.
+    1024 powers of count x 16 bytes each are kept: 32 MB at 2000 samples.
     """
-    global _power_cache_bytes
-    key = (domain, count, seed, var, exponent)
-    with _power_cache_lock:
-        power = _power_cache.get(key)
-        if power is not None:
-            _power_cache.move_to_end(key)
-            return power
-        power = _sample_arrays(domain, count, seed)[var] ** exponent
-        power.flags.writeable = False
-        if power.nbytes <= POWER_CACHE_BYTES:
-            _power_cache[key] = power
-            _power_cache_bytes += power.nbytes
-            while _power_cache_bytes > POWER_CACHE_BYTES:
-                _power_cache_bytes -= _power_cache.popitem(last=False)[1].nbytes
+    power = _sample_arrays(domain, count, seed)[var] ** exponent
+    power.flags.writeable = False
     return power
 
 

@@ -7,8 +7,6 @@ import os
 import random
 import subprocess
 import sys
-import threading
-from collections import OrderedDict
 from functools import lru_cache
 from pathlib import Path
 
@@ -24,7 +22,6 @@ from gleason import (
 )
 from gleason.domains import sample
 from gleason.verify import (
-    POWER_CACHE_BYTES,
     _sample_arrays,
     _sample_power,
     eval_on_arrays,
@@ -284,22 +281,17 @@ verify_module = importlib.import_module("gleason.verify")
 @pytest.fixture
 def cold_cache(monkeypatch):
     """Empty sample and power caches for one test; the shared ones are untouched."""
-    monkeypatch.setattr(verify_module, "_power_cache", OrderedDict())
-    monkeypatch.setattr(verify_module, "_power_cache_bytes", 0)
-    fresh = lru_cache(maxsize=32)(_sample_arrays.__wrapped__)
-    monkeypatch.setattr(verify_module, "_sample_arrays", fresh)
-
-
-def _cached_bytes() -> int:
-    held = sum(a.nbytes for a in verify_module._power_cache.values())
-    assert held == verify_module._power_cache_bytes
-    return held
+    for name in ("_sample_arrays", "_sample_power"):
+        cached = getattr(verify_module, name)
+        fresh = lru_cache(maxsize=cached.cache_info().maxsize)(cached.__wrapped__)
+        monkeypatch.setattr(verify_module, name, fresh)
+    return verify_module._sample_power
 
 
 def test_sample_powers_are_read_only(cold_cache):
     for var in (0, 1):
         for e in (-3, 0, 1, 2, 5):
-            power = _sample_power(STRIP, 50, 3, var, e)
+            power = cold_cache(STRIP, 50, 3, var, e)
             with pytest.raises(ValueError):
                 power[0] = 0
             with pytest.raises(ValueError):
@@ -308,62 +300,30 @@ def test_sample_powers_are_read_only(cold_cache):
 
 @pytest.mark.parametrize("domain", [CuspDomain.hartogs(2, 1), STRIP])
 def test_sample_powers_are_bit_equal_to_fresh_powers(cold_cache, domain):
-    q = _sample_arrays(domain, 80, 5)
+    q = verify_module._sample_arrays(domain, 80, 5)
     for var in (0, 1):
         fresh_q = np.array(q[var])  # a writeable copy, as a caller without the cache has
         for e in (-4, -1, 0, 1, 2, 3, 7):
-            power = _sample_power(domain, 80, 5, var, e)
+            power = cold_cache(domain, 80, 5, var, e)
             assert power.tobytes() == (fresh_q**e).tobytes()
-            assert _sample_power(domain, 80, 5, var, e) is power
+            assert cold_cache(domain, 80, 5, var, e) is power
 
 
 def test_power_cache_keeps_its_byte_bound(cold_cache):
-    domain = CuspDomain.hartogs(2, 1)
-    count = 20000
-    fits = POWER_CACHE_BYTES // (count * 16)
-    exponents = range(1, fits + 26)
+    # the bound stated in the module docstring and README: 1024 x count x 16 bytes
+    keep = _sample_power.cache_info().maxsize
+    assert keep == 1024 and keep * 2000 * 16 <= 32_800_000
+    count = 20
+    exponents = range(keep + 25)
     for e in exponents:
-        _sample_power(domain, count, 1, 0, e)
-        assert _cached_bytes() <= POWER_CACHE_BYTES
-    # least recently used first out: the newest `fits` powers are the ones kept
-    kept = [key[-1] for key in verify_module._power_cache]
-    assert kept == list(exponents)[-fits:]
-
-
-def test_power_larger_than_the_bound_is_not_kept(cold_cache, monkeypatch):
-    monkeypatch.setattr(verify_module, "POWER_CACHE_BYTES", 100)
-    q1, _ = _sample_arrays(STRIP, 50, 3)
-    power = _sample_power(STRIP, 50, 3, 0, 2)
-    assert power.tobytes() == (np.array(q1) ** 2).tobytes()
-    assert not verify_module._power_cache and _cached_bytes() == 0
-
-
-def test_power_cache_keeps_its_books_under_threads(cold_cache, monkeypatch):
-    count = 50
-    monkeypatch.setattr(verify_module, "POWER_CACHE_BYTES", 5 * count * 16)
-    _sample_arrays(STRIP, count, 3)
-    errors = []
-
-    def work(offset):
-        try:
-            for i in range(400):
-                _sample_power(STRIP, count, 3, i % 2, (7 * i + offset) % 23 - 11)
-        except Exception as err:  # reported by the assertion below
-            errors.append(err)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert errors == []
-    assert _cached_bytes() <= verify_module.POWER_CACHE_BYTES
+        assert cold_cache(STRIP, count, 3, e % 2, e).nbytes == count * 16
+        assert cold_cache.cache_info().currsize <= keep
+    # least recently used first out: the newest `keep` powers are the ones kept
+    info = cold_cache.cache_info()
+    cold_cache(STRIP, count, 3, exponents[-keep] % 2, exponents[-keep])
+    assert cold_cache.cache_info().hits == info.hits + 1
+    cold_cache(STRIP, count, 3, 0, 0)
+    assert cold_cache.cache_info().misses == info.misses + 1
 
 
 def test_verify_on_a_cold_cache_equals_verify_on_a_warm_one(cold_cache):
@@ -372,11 +332,12 @@ def test_verify_on_a_cold_cache_equals_verify_on_a_warm_one(cold_cache):
     p = (0.2 + 0.1j, 0.7 - 0.1j)
     f, f1, f2 = (rand_laurent(rng, terms=7, max_exp=4, exact=False) for _ in range(3))
     cold = verify(domain, f, f1, f2, p, samples=400, seed=6)
-    held = {key: id(power) for key, power in verify_module._power_cache.items()}
+    misses = cold_cache.cache_info().misses
+    assert misses > 0
     warm = verify(domain, f, f1, f2, p, samples=400, seed=6)
     assert repr(warm) == repr(cold)
     # the warm call found every power it needed and computed none
-    assert {key: id(power) for key, power in verify_module._power_cache.items()} == held
+    assert cold_cache.cache_info().misses == misses
 
 
 _NUMPY_PROBE = """
