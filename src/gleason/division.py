@@ -67,11 +67,17 @@ def to_ratio_cut(f: LaurentPolynomial, pair: MonomialPair) -> LaurentPolynomial:
     return g
 
 
-def from_ratio_cut(g: LaurentPolynomial, pair: MonomialPair) -> LaurentPolynomial:
-    """Expand a (u, v) form back to z-exponents: u^alpha v^beta = z1^(ak+bm) z2^(-al+bn)."""
+def from_ratio_cut(
+    g: LaurentPolynomial, pair: MonomialPair, shift: tuple[int, int] = (0, 0)
+) -> LaurentPolynomial:
+    """Expand a (u, v) form back to z-exponents, times z1^i z2^j for shift (i, j).
+
+    u^alpha v^beta = z1^(ak+bm) z2^(-al+bn).
+    """
+    i, j = shift
     return LaurentPolynomial(
         {
-            (alpha * pair.k + beta * pair.m, -alpha * pair.l + beta * pair.n): c
+            (alpha * pair.k + beta * pair.m + i, -alpha * pair.l + beta * pair.n + j): c
             for (alpha, beta), c in g.terms.items()
         },
         prune_scale=g.max_norm,
@@ -184,5 +190,4 @@ def split_component(
         {(0, beta): c for beta, c in quotient.items()}, prune_scale=g_proj.max_norm
     )
 
-    shifter = LaurentPolynomial.monomial(i, j)
-    return shifter * from_ratio_cut(part_ratio, pair), shifter * from_ratio_cut(part_cut, pair)
+    return from_ratio_cut(part_ratio, pair, (i, j)), from_ratio_cut(part_cut, pair, (i, j))

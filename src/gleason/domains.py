@@ -111,10 +111,6 @@ class CuspDomain:
         y = 0.5 * math.log(float(m2))
         return self.cut_n * y + self.cut_m * x <= self.cut_n * self.cut_r
 
-    def monomial_bounded(self, a: int, b: int) -> bool:
-        """Recession-cone test: a*gx + b*gy <= 0 for every generator."""
-        return all(a * gx + b * gy <= 0 for gx, gy in self.recession_generators)
-
 
 @dataclass(frozen=True)
 class BoundednessCertificate:
@@ -125,11 +121,18 @@ class BoundednessCertificate:
 def poly_bounded(domain: CuspDomain, f: LaurentPolynomial) -> BoundednessCertificate:
     """Check every exponent of f against the recession cone.
 
-    Violations are listed in ascending lexicographic order.
+    A monomial z1^a z2^b is bounded iff a*gx + b*gy <= 0 for every recession
+    generator (gx, gy).  Violations are listed in ascending lexicographic
+    order.
     """
-    violations = tuple(
-        sorted((a, b) for a, b in f.exponents() if not domain.monomial_bounded(a, b))
-    )
+    generators = domain.recession_generators
+    outside = []
+    for a, b in f.exponents():
+        for gx, gy in generators:
+            if a * gx + b * gy > 0:
+                outside.append((a, b))
+                break
+    violations = tuple(sorted(outside))
     return BoundednessCertificate(bounded=not violations, violations=violations)
 
 

@@ -225,7 +225,11 @@ class _Parser:
                 sign = -1 if self.advance().kind == "-" else 1
                 continue
             raise PolySyntaxError("expected '+', '-' or end of input", tok.pos)
-        return LaurentPolynomial(acc)
+        try:
+            return LaurentPolynomial(acc)
+        except OverflowError as exc:
+            # both parts are finite floats, but abs() of the coefficient overflows
+            raise InputError("a coefficient's modulus is out of the float range") from exc
 
 
 def parse_poly(text: str, exact: bool = False) -> LaurentPolynomial:

@@ -8,6 +8,16 @@ coefficient with modulus at most ``1e-14`` times the operation's scale is
 dropped.  The pass that drops them also records the largest modulus kept, so
 a floating polynomial carries its max norm and the scale of the next `+` or
 `*` costs no rescan; an exact polynomial computes its norm only when asked.
+
+Exact products are reduced once per coefficient.  When every coefficient is
+exact (``QComplex``, ``int`` or ``Fraction``) and each product has a factor
+of QComplex values only, `*` and `multiply_add`, which forms
+``base +- sum g*h``, read each coefficient as Gaussian-integer ints (x, y, d)
+for (x + y*i)/d, keep each exponent's sum as an unreduced triple and divide
+it through by its gcd only when the result is built.  The reduced form is
+canonical, so the coefficients equal those of the operator-by-operator
+chain, and the terms keep that chain's order.  Other operands, floating ones
+among them, take that chain itself.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ from collections.abc import Callable
 from types import MappingProxyType
 
 from .errors import EvaluationDomainError, NotDivisibleError
-from .scalars import QComplex, negligible, powi
+from .scalars import QComplex, _reduced, negligible, powi
 from .scalars import is_exact as scalar_is_exact
 
 PRUNE_REL = 1e-14
@@ -64,6 +74,51 @@ def _canonical(terms, prune_scale: float | Callable[[], float] | None) -> tuple:
         if norm is None or size > norm:
             norm = size
     return out, (0.0 if norm is None else norm)
+
+
+def _exact_triples(terms) -> tuple | None:
+    """([(exponent, x, y, d)], plain) of an exact term map, else None.
+
+    The test is scalars.is_exact, as in LaurentPolynomial.is_exact; plain
+    says whether some coefficient is an int or Fraction, not a QComplex.
+    """
+    out = []
+    plain = False
+    for exp, c in terms.items():
+        if isinstance(c, QComplex):
+            out.append((exp, *c.as_ints()))
+        elif scalar_is_exact(c):
+            out.append((exp, c.numerator, 0, c.denominator))
+            plain = True
+        else:
+            return None
+    return out, plain
+
+
+def _product_triples(g: list, h: list) -> dict:
+    """exponent -> unreduced (x, y, d) of the product of two triple lists.
+
+    Exponents appear in the order the operator loop meets them; a sum that
+    cancels stays in the map as a zero triple.
+    """
+    acc: dict = {}
+    get = acc.get
+    for (a1, b1), x1, y1, d1 in g:
+        for (a2, b2), x2, y2, d2 in h:
+            exp = (a1 + a2, b1 + b2)
+            x = x1 * x2 - y1 * y2
+            y = x1 * y2 + y1 * x2
+            d = d1 * d2
+            old = get(exp)
+            if old is None:
+                acc[exp] = (x, y, d)
+            else:
+                u, v, w = old
+                if w == d:
+                    acc[exp] = (u + x, v + y, d)
+                else:
+                    acc[exp] = (u * d + x * w, v * d + y * w, w * d)
+    return acc
 
 
 class LaurentPolynomial:
@@ -128,7 +183,8 @@ class LaurentPolynomial:
         return self._norm
 
     def is_exact(self) -> bool:
-        return all(isinstance(c, QComplex) for c in self._terms.values())
+        """Every coefficient is exact in the sense of scalars.is_exact."""
+        return all(scalar_is_exact(c) for c in self._terms.values())
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPolynomial):
@@ -178,6 +234,9 @@ class LaurentPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, LaurentPolynomial):
+            pair = _exact_pair(self, other)
+            if pair is not None:
+                return _exact_sum([], [pair], False)
             acc: dict = {}
             for (a1, b1), c1 in self._terms.items():
                 for (a2, b2), c2 in other._terms.items():
@@ -253,6 +312,73 @@ class LaurentPolynomial:
                 c = c * powers[a]
             acc[(0, b)] = acc.get((0, b), 0) + c
         return LaurentPolynomial(acc, prune_scale=self.max_norm)
+
+
+def _exact_pair(g: LaurentPolynomial, h: LaurentPolynomial) -> tuple | None:
+    """Triple lists of g and h when their product can take the exact kernel.
+
+    Both must be exact, and one must hold only QComplex coefficients: every
+    term product is then a QComplex, as it is in the operator loop, which
+    keeps a product of two plain rationals an int or Fraction.
+    """
+    g_exact = _exact_triples(g._terms)
+    if g_exact is None:
+        return None
+    h_exact = _exact_triples(h._terms)
+    if h_exact is None or (g_exact[1] and h_exact[1]):
+        return None
+    return g_exact[0], h_exact[0]
+
+
+def _exact_sum(base: list, pairs: list, subtract: bool) -> LaurentPolynomial:
+    """The exact kernel: base triples +- the products of the triple-list pairs.
+
+    The sum is formed in one map of unreduced triples and each coefficient is
+    reduced once.  A product's cancelled exponents are skipped and an
+    exponent whose sum cancels is dropped, so the terms come out in the order
+    of the operator chain, which drops exact zeros after every `*` and `+`.
+    """
+    acc = {exp: (x, y, d) for exp, x, y, d in base}
+    for pair in pairs:
+        for exp, (x, y, d) in _product_triples(*pair).items():
+            if not (x or y):
+                continue
+            if subtract:
+                x, y = -x, -y
+            old = acc.get(exp)
+            if old is None:
+                acc[exp] = (x, y, d)
+                continue
+            u, v, w = old
+            if w == d:
+                u, v = u + x, v + y
+            else:
+                u, v, w = u * d + x * w, v * d + y * w, w * d
+            if u or v:
+                acc[exp] = (u, v, w)
+            else:
+                del acc[exp]
+    poly = object.__new__(LaurentPolynomial)
+    poly._terms = {exp: _reduced(x, y, d) for exp, (x, y, d) in acc.items()}
+    poly._norm = None
+    return poly
+
+
+def multiply_add(base: LaurentPolynomial, products, subtract: bool = False) -> LaurentPolynomial:
+    """base + g*h + ... over the (g, h) pairs of products, or base - g*h - ...
+
+    The exact kernel runs when base holds only QComplex coefficients and
+    every pair can take it; any other operands take the operator chain, `+`
+    or `-` after each `*`, in the order given.
+    """
+    exact = _exact_triples(base._terms)
+    pairs = [_exact_pair(g, h) for g, h in products] if exact and not exact[1] else [None]
+    if None in pairs:
+        acc = base
+        for g, h in products:
+            acc = acc - g * h if subtract else acc + g * h
+        return acc
+    return _exact_sum(exact[0], pairs, subtract)
 
 
 def _linear_quotient(coeffs: dict, root):

@@ -24,7 +24,7 @@ from .division import (
 from .domains import STRIP_OMEGA2, CuspDomain, poly_bounded
 from .errors import InputError, NonvanishingError, UnboundedError
 from .exprio import format_scalar
-from .laurent import LaurentPolynomial, divide_univariate
+from .laurent import LaurentPolynomial, divide_univariate, multiply_add
 from .scalars import negligible, powi
 from .symmetry import correction_polynomial, symmetric_decompose
 from .verify import VerificationReport, verify
@@ -109,15 +109,15 @@ def _pipeline_parts(f: LaurentPolynomial, p: tuple, pair: MonomialPair):
     V1, V2 = split_cut(pair.m, pair.n, p)
 
     system = symmetric_decompose(f - P, order)
-    f1 = P1
-    f2 = P2
+    terms1 = []
+    terms2 = []
     for (i, j), comp in system.components.items():
         if comp.is_zero:
             continue
         g1, g2 = split_component(i, j, comp, pair, p)
-        f1 = f1 + g1 * R1 + g2 * V1
-        f2 = f2 + g1 * R2 + g2 * V2
-    return f1, f2
+        terms1 += [(g1, R1), (g2, V1)]
+        terms2 += [(g1, R2), (g2, V2)]
+    return multiply_add(P1, terms1), multiply_add(P2, terms2)
 
 
 def solve(

@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .domains import CuspDomain, poly_bounded, sample
-from .laurent import LaurentPolynomial
+from .laurent import LaurentPolynomial, multiply_add
 
 if TYPE_CHECKING:
     import numpy as np
@@ -120,7 +120,7 @@ def symbolic_residual(
     """f - f1*(z1-p1) - f2*(z2-p2) as a polynomial; zero iff the identity holds."""
     lin1 = LaurentPolynomial.monomial(1, 0) - LaurentPolynomial.constant(p[0])
     lin2 = LaurentPolynomial.monomial(0, 1) - LaurentPolynomial.constant(p[1])
-    return f - f1 * lin1 - f2 * lin2
+    return multiply_add(f, [(f1, lin1), (f2, lin2)], subtract=True)
 
 
 def verify(

@@ -158,12 +158,17 @@ def rand_laurent(
     return LaurentPolynomial(out)
 
 
+def monomial_bounded(domain: CuspDomain, a: int, b: int) -> bool:
+    """Recession-cone test of one monomial: a*gx + b*gy <= 0 for every generator."""
+    return all(a * gx + b * gy <= 0 for gx, gy in domain.recession_generators)
+
+
 def cone_exponent(rng: random.Random, domain: CuspDomain, max_exp: int = 12):
     """One exponent pair inside the domain's bounded cone."""
     while True:
         a = rng.randint(-max_exp, max_exp)
         b = rng.randint(-max_exp, max_exp)
-        if domain.monomial_bounded(a, b):
+        if monomial_bounded(domain, a, b):
             return (a, b)
 
 
@@ -289,6 +294,33 @@ def log_coordinates(points):
 def subtract_value_at(f: LaurentPolynomial, p) -> LaurentPolynomial:
     """f - f(p), the standard way the corpus meets the vanishing precondition."""
     return f - LaurentPolynomial.constant(f.eval(*p))
+
+
+def chain_multiply_add(base: LaurentPolynomial, products, subtract: bool = False) -> dict:
+    """Dict-loop reference of base +- sum g*h in scalar arithmetic.
+
+    Each product and each sum is formed coefficient by coefficient with the
+    scalars' own * and +, and exact zeros are dropped after every product and
+    every sum, as the operator chain f + g*h + ... drops them.  Returns the
+    term map in the chain's order; a product of two plain rationals stays
+    int or Fraction, as scalar arithmetic keeps it.
+    """
+    acc = dict(base.terms)
+    for g, h in products:
+        product: dict = {}
+        for (a1, b1), c1 in g.terms.items():
+            for (a2, b2), c2 in h.terms.items():
+                exp = (a1 + a2, b1 + b2)
+                product[exp] = product.get(exp, 0) + c1 * c2
+        for exp, c in product.items():
+            if not c:
+                continue
+            total = acc.get(exp, 0) + (-c if subtract else c)
+            if total:
+                acc[exp] = total
+            else:
+                del acc[exp]
+    return acc
 
 
 # -- machine report oracle ----------------------------------------------------

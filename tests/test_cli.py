@@ -293,6 +293,25 @@ def test_out_of_range_coefficient_is_exit_two(capsys, coeff):
     assert err == f"error: numeric literal {coeff!r} is out of the float range\n"
 
 
+# 1.7e308: each part is a float, the modulus of (HUGE + HUGE*i) is not
+HUGE = "17" + "0" * 307
+
+
+@pytest.mark.parametrize(
+    "f",
+    [f"({HUGE}+{HUGE}i)*z2 + z1 - 0.5", f"({HUGE}+0i)*z2 + (0+{HUGE}i)*z2 + z1 - 0.5"],
+    ids=["one_literal", "two_terms"],
+)
+def test_coefficient_modulus_out_of_range_is_exit_two(capsys, f):
+    code, out, err = run_cli(
+        capsys,
+        "solve", "--k", "1", "--l", "1", "--p1", "0.5", "--p2", "0.75", "--f", f,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: a coefficient's modulus is out of the float range\n"
+
+
 TINY = "0." + "0" * 400 + "1"
 
 

@@ -27,6 +27,7 @@ from gleason.scalars import powi
 from conftest import (
     fiber_values,
     max_coeff_distance,
+    monomial_bounded,
     rand_laurent,
     rand_qcomplex,
     rand_symmetric_component,
@@ -267,7 +268,7 @@ def test_split_component_reexpands_and_stays_in_cone(k, l, m, n):
         for out in (f1, f2):
             for a, b in out.exponents():
                 assert a * l + b * k >= 0
-                assert strip.monomial_bounded(a, b)
+                assert monomial_bounded(strip, a, b)
             if (m, n) == (0, 1):
                 assert poly_bounded(CuspDomain.hartogs(k, l), out).bounded
 

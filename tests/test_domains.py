@@ -18,7 +18,7 @@ from gleason.division import MonomialPair
 from gleason.domains import SplitLine, sample, slope_candidates
 from gleason.errors import InfeasibleSplitError, InputError
 
-from conftest import log_coordinates
+from conftest import log_coordinates, monomial_bounded
 
 
 def test_contains_hartogs_examples():
@@ -54,14 +54,14 @@ def test_monomial_pair_of_domain():
 
 def test_monomial_bounded_examples():
     d = CuspDomain.hartogs(1, 1)
-    assert d.monomial_bounded(1, -1)
-    assert not d.monomial_bounded(0, -1)
-    assert d.monomial_bounded(0, 0)
-    assert not d.monomial_bounded(-1, 0)
+    assert monomial_bounded(d, 1, -1)
+    assert not monomial_bounded(d, 0, -1)
+    assert monomial_bounded(d, 0, 0)
+    assert not monomial_bounded(d, -1, 0)
     # on the strip the z1-direction generator is absent
     s = CuspDomain.strip(1, 1, 0.5, 2.0, 0, 1, -0.1)
-    assert s.monomial_bounded(-1, 1)
-    assert not s.monomial_bounded(-2, 1)
+    assert monomial_bounded(s, -1, 1)
+    assert not monomial_bounded(s, -2, 1)
 
 
 def test_poly_bounded_certificates():
@@ -77,6 +77,19 @@ def test_poly_bounded_certificates():
     f = LaurentPolynomial({(0, -1): 1, (-2, 0): 1, (-1, -1): 1, (2, 0): 1})
     cert = poly_bounded(d, f)
     assert cert.violations == ((-2, 0), (-1, -1), (0, -1))
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [CuspDomain.hartogs(1, 1), CuspDomain.hartogs(3, 2), CuspDomain.strip(2, 3, 0.5, 2.0, 1, 1, 0.0)],
+)
+def test_poly_bounded_is_the_monomial_test_on_every_exponent(domain):
+    rng = random.Random(5)
+    exps = {(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(60)}
+    cert = poly_bounded(domain, LaurentPolynomial({e: 1 for e in exps}))
+    expected = tuple(sorted(e for e in exps if not monomial_bounded(domain, *e)))
+    assert expected and len(expected) < len(exps)
+    assert cert.violations == expected and cert.bounded is False
 
 
 def test_domain_validation():

@@ -10,10 +10,24 @@ from hypothesis import given, strategies as st
 
 from gleason import LaurentPolynomial, QComplex
 from gleason.errors import EvaluationDomainError, NotDivisibleError
-from gleason.laurent import PRUNE_REL, divide_univariate, shift_divide_z1
-from gleason.scalars import powi
+from gleason.laurent import (
+    PRUNE_REL,
+    _exact_pair,
+    _exact_triples,
+    divide_univariate,
+    multiply_add,
+    shift_divide_z1,
+)
+from gleason.scalars import is_exact, powi
 
-from conftest import max_coeff_distance, rand_laurent, rand_qcomplex, root_of_unity, rotate
+from conftest import (
+    chain_multiply_add,
+    max_coeff_distance,
+    rand_laurent,
+    rand_qcomplex,
+    root_of_unity,
+    rotate,
+)
 
 fracs = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 coeffs = st.builds(QComplex, fracs, fracs)
@@ -81,6 +95,96 @@ def test_norms_and_exactness():
     assert f.max_norm() == pytest.approx(5.0)
     assert f.is_exact()
     assert not (f + LaurentPolynomial.constant(0.5)).is_exact()
+
+
+def test_is_exact_agrees_with_the_scalar_test():
+    # an int or Fraction coefficient is exact, as scalars.is_exact says
+    assert LaurentPolynomial.monomial(1, 0).is_exact()
+    assert LaurentPolynomial.monomial(1, 0, Fraction(1, 3)).is_exact()
+    assert LaurentPolynomial.zero().is_exact()
+    assert not LaurentPolynomial.monomial(1, 0, 1.0).is_exact()
+    assert not LaurentPolynomial({(0, 0): QComplex(1), (1, 0): 0.5j}).is_exact()
+
+
+# -- the exact multiply-accumulate kernel ---------------------------------------
+
+# small values over a few exponents, so that sums collide and often cancel;
+# mixed denominators, plus plain int and Fraction coefficients
+small_fracs = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+exact_coeffs = st.one_of(
+    st.builds(QComplex, small_fracs, small_fracs),
+    st.integers(-2, 2),
+    small_fracs,
+)
+small_exps = st.tuples(st.integers(-2, 2), st.integers(-1, 1))
+exact_polys = st.dictionaries(small_exps, exact_coeffs, max_size=5).map(LaurentPolynomial)
+qcomplex_polys = st.dictionaries(
+    small_exps, st.builds(QComplex, small_fracs, small_fracs), max_size=5
+).map(LaurentPolynomial)
+float_polys = st.dictionaries(
+    small_exps, st.one_of(st.complex_numbers(max_magnitude=4.0), exact_coeffs), max_size=5
+).map(LaurentPolynomial)
+
+
+def _typed_terms(terms) -> list:
+    """Terms in order, each with its coefficient's type: equal lists mean
+    equal values, types and order."""
+    return [(exp, type(c), c) for exp, c in terms.items()]
+
+
+@given(st.one_of(exact_polys, float_polys))
+def test_kernel_dispatch_is_the_exactness_test(f):
+    assert (_exact_triples(f.terms) is not None) == f.is_exact()
+    assert f.is_exact() == all(is_exact(c) for c in f.terms.values())
+
+
+@given(exact_polys, exact_polys)
+def test_exact_product_matches_the_dict_loop(g, h):
+    expected = chain_multiply_add(LaurentPolynomial.zero(), [(g, h)])
+    assert _typed_terms((g * h).terms) == _typed_terms(expected)
+
+
+@given(
+    qcomplex_polys,
+    st.lists(st.tuples(exact_polys, qcomplex_polys), max_size=3),
+    st.booleans(),
+)
+def test_multiply_add_matches_the_dict_loop(base, products, subtract):
+    # one all-QComplex factor per product and an all-QComplex base: the kernel runs
+    assert all(_exact_pair(g, h) is not None for g, h in products)
+    expected = chain_multiply_add(base, products, subtract)
+    assert _typed_terms(multiply_add(base, products, subtract).terms) == _typed_terms(expected)
+
+
+@given(exact_polys, st.lists(st.tuples(exact_polys, exact_polys), max_size=3), st.booleans())
+def test_multiply_add_keeps_plain_rationals_plain(base, products, subtract):
+    # a plain base or a product of two plain factors takes the operator chain
+    expected = chain_multiply_add(base, products, subtract)
+    assert _typed_terms(multiply_add(base, products, subtract).terms) == _typed_terms(expected)
+
+
+@given(qcomplex_polys, qcomplex_polys, qcomplex_polys, st.booleans())
+def test_multiply_add_cancels_to_zero(g, h, k, subtract):
+    # base = g*h + g*k, minus both products again, cancels term by term
+    base = multiply_add(LaurentPolynomial.zero(), [(g, h), (g, k)])
+    back = multiply_add(base, [(g, h), (g, k)], subtract=True)
+    assert back.is_zero
+    assert multiply_add(g * h, [(g, -1 * h)]).is_zero
+
+
+def test_multiply_add_appends_an_exponent_that_cancels_and_comes_back():
+    # the chain drops (0, 0) after the first product and appends it after the second
+    one = LaurentPolynomial.constant(QComplex(1))
+    base = LaurentPolynomial({(0, 0): QComplex(1), (1, 0): QComplex(1)})
+    got = multiply_add(base, [(one, -1 * one), (one, 2 * one)])
+    assert list(got.terms.items()) == [((1, 0), QComplex(1)), ((0, 0), QComplex(2))]
+
+
+@given(float_polys, float_polys, float_polys, st.booleans())
+def test_multiply_add_on_floats_is_the_operator_chain(base, g, h, subtract):
+    chained = base - g * h - h * g if subtract else base + g * h + h * g
+    got = multiply_add(base, [(g, h), (h, g)], subtract)
+    assert _typed_terms(got.terms) == _typed_terms(chained.terms)
 
 
 # float coefficients over many magnitudes, so that pruning happens, plus NaN

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from gleason import (
     CuspDomain,
     LaurentPolynomial,
     QComplex,
+    solve,
     verify,
 )
 from gleason.domains import sample
@@ -31,8 +33,12 @@ from gleason.verify import (
 from conftest import (
     averaged_component,
     averaged_component_on_arrays,
+    chain_multiply_add,
+    rand_bounded_poly,
+    rand_interior_point,
     rand_laurent,
     sampled_sup,
+    subtract_value_at,
 )
 
 
@@ -115,6 +121,49 @@ def test_symbolic_residual_polynomial():
     f1 = LaurentPolynomial.constant(QComplex(1))
     res = symbolic_residual(f, f1, LaurentPolynomial.zero(), p)
     assert res == LaurentPolynomial.constant(p[0])
+
+
+def _linear_factors(p):
+    """z1 - p1 and z2 - p2, built as symbolic_residual builds them."""
+    return (
+        LaurentPolynomial.monomial(1, 0) - LaurentPolynomial.constant(p[0]),
+        LaurentPolynomial.monomial(0, 1) - LaurentPolynomial.constant(p[1]),
+    )
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_exact_symbolic_residual_matches_the_dict_loop(seed):
+    rng = random.Random(seed)
+    f, f1, f2 = (rand_laurent(rng, terms=6, max_exp=2, exact=True) for _ in range(3))
+    p = (QComplex(Fraction(rng.randint(1, 5), 7), 1), QComplex(Fraction(2, 3)))
+    lin1, lin2 = _linear_factors(p)
+    expected = chain_multiply_add(f, [(f1, lin1), (f2, lin2)], subtract=True)
+    res = symbolic_residual(f, f1, f2, p)
+    assert list(res.terms.items()) == list(expected.items())
+    assert all(type(c) is QComplex for c in res.terms.values())
+    # f built from the identity itself leaves no residual at all
+    exact_f = chain_multiply_add(LaurentPolynomial.zero(), [(f1, lin1), (f2, lin2)])
+    assert symbolic_residual(LaurentPolynomial(exact_f), f1, f2, p).is_zero
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_perturbed_exact_solution_is_refuted(seed):
+    rng = random.Random(seed)
+    domain = CuspDomain.hartogs(2, 1)
+    p = rand_interior_point(rng, domain, exact=True)
+    f = subtract_value_at(rand_bounded_poly(rng, domain, 6, max_exp=6, exact=True), p)
+    sol = solve(domain, f, p, samples=0)
+    assert sol.report.passed and symbolic_residual(f, sol.f1, sol.f2, p).is_zero
+    exp = next(iter(sol.f1.exponents()))
+    third = LaurentPolynomial.monomial(*exp, QComplex(Fraction(1, 3)))
+    bad_f1 = sol.f1 + third
+    res = symbolic_residual(f, bad_f1, sol.f2, p)
+    lin1, _ = _linear_factors(p)
+    assert res == -1 * (third * lin1)
+    report = verify(domain, f, bad_f1, sol.f2, p, samples=0)
+    assert not report.symbolic_residual_zero
+    assert report.residual_coeff_max > 0
+    assert report.passed is False
 
 
 # -- sampled suprema ----------------------------------------------------------
