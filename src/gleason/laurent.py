@@ -358,13 +358,14 @@ def _exact_sum(base: list, pairs: list, subtract: bool) -> LaurentPolynomial:
                 acc[exp] = (u, v, w)
             else:
                 del acc[exp]
+    # nonzero reduced exact terms are canonical already: skip _canonical
     poly = object.__new__(LaurentPolynomial)
     poly._terms = {exp: _reduced(x, y, d) for exp, (x, y, d) in acc.items()}
     poly._norm = None
     return poly
 
 
-def multiply_add(base: LaurentPolynomial, products, subtract: bool = False) -> LaurentPolynomial:
+def multiply_add(base: LaurentPolynomial, products: list, subtract: bool = False) -> LaurentPolynomial:
     """base + g*h + ... over the (g, h) pairs of products, or base - g*h - ...
 
     The exact kernel runs when base holds only QComplex coefficients and
@@ -372,13 +373,14 @@ def multiply_add(base: LaurentPolynomial, products, subtract: bool = False) -> L
     or `-` after each `*`, in the order given.
     """
     exact = _exact_triples(base._terms)
-    pairs = [_exact_pair(g, h) for g, h in products] if exact and not exact[1] else [None]
-    if None in pairs:
-        acc = base
-        for g, h in products:
-            acc = acc - g * h if subtract else acc + g * h
-        return acc
-    return _exact_sum(exact[0], pairs, subtract)
+    if exact is not None and not exact[1]:
+        pairs = [_exact_pair(g, h) for g, h in products]
+        if None not in pairs:
+            return _exact_sum(exact[0], pairs, subtract)
+    acc = base
+    for g, h in products:
+        acc = acc - g * h if subtract else acc + g * h
+    return acc
 
 
 def _linear_quotient(coeffs: dict, root):
