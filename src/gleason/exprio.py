@@ -226,10 +226,12 @@ class _Parser:
                 continue
             raise PolySyntaxError("expected '+', '-' or end of input", tok.pos)
         try:
-            return LaurentPolynomial(acc)
-        except OverflowError as exc:
-            # both parts are finite floats, but abs() of the coefficient overflows
-            raise InputError("a coefficient's modulus is out of the float range") from exc
+            poly = LaurentPolynomial(acc)
+            if math.isfinite(poly.max_norm()):  # past the float range: inf, or abs() raises
+                return poly
+        except OverflowError:
+            pass
+        raise InputError("a coefficient's modulus is out of the float range")
 
 
 def parse_poly(text: str, exact: bool = False) -> LaurentPolynomial:

@@ -9,15 +9,13 @@ dropped.  The pass that drops them also records the largest modulus kept, so
 a floating polynomial carries its max norm and the scale of the next `+` or
 `*` costs no rescan; an exact polynomial computes its norm only when asked.
 
-Exact products are reduced once per coefficient.  When every coefficient is
-exact (``QComplex``, ``int`` or ``Fraction``) and each product has a factor
-of QComplex values only, `*` and `multiply_add`, which forms
-``base +- sum g*h``, read each coefficient as Gaussian-integer ints (x, y, d)
-for (x + y*i)/d, keep each exponent's sum as an unreduced triple and divide
-it through by its gcd only when the result is built.  The reduced form is
-canonical, so the coefficients equal those of the operator-by-operator
-chain, and the terms keep that chain's order.  Other operands, floating ones
-among them, take that chain itself.
+`multiply_add` forms ``base +- sum g*h`` in one map.  On exact operands it
+reads each coefficient as Gaussian-integer ints (x, y, d) for (x + y*i)/d,
+keeps each exponent's sum unreduced and divides it through by its gcd once;
+exact `*` runs there too.  On floating operands it rounds and prunes term by
+term where the operator chain does, but touches only the terms a product
+hits.  Either way coefficients and term order are the chain's; other
+operands take the chain itself.
 """
 
 from __future__ import annotations
@@ -50,10 +48,7 @@ def _canonical(terms, prune_scale: float | Callable[[], float] | None) -> tuple:
     else:
         return out, None
     if prune_scale is None:
-        prune_scale = 0.0
-        for c in terms.values():
-            if not isinstance(c, QComplex):
-                prune_scale = max(prune_scale, abs(c))
+        prune_scale = max([0.0] + [abs(c) for c in terms.values() if not isinstance(c, QComplex)])
     elif callable(prune_scale):
         prune_scale = prune_scale()
     threshold = PRUNE_REL * prune_scale
@@ -118,6 +113,17 @@ def _product_triples(g: list, h: list) -> dict:
                     acc[exp] = (u + x, v + y, d)
                 else:
                     acc[exp] = (u * d + x * w, v * d + y * w, w * d)
+    return acc
+
+
+def _term_products(g: dict, h: dict) -> dict:
+    """exponent -> unpruned sum of term products; `*` and the float kernel share it."""
+    acc: dict = {}
+    get = acc.get
+    for (a1, b1), c1 in g.items():
+        for (a2, b2), c2 in h.items():
+            exp = (a1 + a2, b1 + b2)
+            acc[exp] = get(exp, 0) + c1 * c2
     return acc
 
 
@@ -237,13 +243,9 @@ class LaurentPolynomial:
             pair = _exact_pair(self, other)
             if pair is not None:
                 return _exact_sum([], [pair], False)
-            acc: dict = {}
-            for (a1, b1), c1 in self._terms.items():
-                for (a2, b2), c2 in other._terms.items():
-                    exp = (a1 + a2, b1 + b2)
-                    acc[exp] = acc.get(exp, 0) + c1 * c2
             return LaurentPolynomial(
-                acc, prune_scale=lambda: self.max_norm() * other.max_norm()
+                _term_products(self._terms, other._terms),
+                prune_scale=lambda: self.max_norm() * other.max_norm(),
             )
         if isinstance(other, (int, float, complex, QComplex)):
             if not other:
@@ -272,15 +274,11 @@ class LaurentPolynomial:
         for (a, b), c in self._terms.items():
             if q1_zero and a != 0:
                 if a < 0:
-                    raise EvaluationDomainError(
-                        "negative z1-exponent evaluated at z1 = 0"
-                    )
+                    raise EvaluationDomainError("negative z1-exponent evaluated at z1 = 0")
                 continue
             if q2_zero and b != 0:
                 if b < 0:
-                    raise EvaluationDomainError(
-                        "negative z2-exponent evaluated at z2 = 0"
-                    )
+                    raise EvaluationDomainError("negative z2-exponent evaluated at z2 = 0")
                 continue
             term = c
             if a:
@@ -302,9 +300,7 @@ class LaurentPolynomial:
         for (a, b), c in self._terms.items():
             if value_zero and a != 0:
                 if a < 0:
-                    raise EvaluationDomainError(
-                        "negative z1-exponent evaluated at z1 = 0"
-                    )
+                    raise EvaluationDomainError("negative z1-exponent evaluated at z1 = 0")
                 continue
             if a:
                 if a not in powers:
@@ -365,18 +361,70 @@ def _exact_sum(base: list, pairs: list, subtract: bool) -> LaurentPolynomial:
     return poly
 
 
+def _floating(poly: LaurentPolynomial) -> bool:
+    return set(map(type, poly._terms.values())) <= {float, complex}
+
+
+def _kept(terms: dict, sizes: dict, threshold: float) -> tuple:
+    """terms and their moduli without those of modulus 0 or at most threshold."""
+    if sizes and not min(sizes.values()) > threshold:
+        sizes = {e: s for e, s in sizes.items() if not (s == 0 or s <= threshold)}
+        terms = {e: terms[e] for e in sizes}
+    return terms, sizes
+
+
+def _float_sum(base: LaurentPolynomial, products: list, subtract: bool) -> LaurentPolynomial:
+    """The floating kernel, in one map updated in place.  As the chain does, it
+    prunes each product at PRUNE_REL * |g| * |h|, a negated one again at
+    PRUNE_REL * |g*h| and each sum at PRUNE_REL * max(|acc|, |g*h|).  Each kept
+    term's modulus, kept beside it, exceeds the last sum threshold, so untouched
+    terms are checked again only when that threshold rises."""
+    acc = dict(base._terms)
+    sizes = {exp: abs(c) for exp, c in acc.items()}
+    norm, last = base.max_norm(), float("nan")  # base has met no sum threshold
+    for g, h in products:
+        prod = _term_products(g._terms, h._terms)
+        kept = {e: abs(c) for e, c in prod.items()}
+        if prod:  # the chain takes no factor norm for an empty product
+            prod, kept = _kept(prod, kept, PRUNE_REL * (g.max_norm() * h.max_norm()))
+        if subtract and kept:
+            prod, kept = _kept(prod, kept, PRUNE_REL * max(kept.values()))
+        prod_norm = max(kept.values()) if kept else 0.0
+        threshold = PRUNE_REL * (prod_norm if prod_norm > norm else norm)  # max()'s ties
+        for exp, c in prod.items():
+            c = acc.get(exp, 0) + (-c if subtract else c)
+            if (size := abs(c)) == 0 or size <= threshold:
+                if exp in sizes:
+                    del acc[exp], sizes[exp]
+            else:
+                acc[exp], sizes[exp] = c, size
+        if not threshold <= last:
+            acc, sizes = _kept(acc, sizes, threshold)
+        elif not prod:
+            continue  # nothing changed
+        last = threshold
+        norm = max(sizes.values()) if sizes else 0.0
+    poly = object.__new__(LaurentPolynomial)
+    poly._terms, poly._norm = acc, norm
+    return poly
+
+
 def multiply_add(base: LaurentPolynomial, products: list, subtract: bool = False) -> LaurentPolynomial:
     """base + g*h + ... over the (g, h) pairs of products, or base - g*h - ...
 
     The exact kernel runs when base holds only QComplex coefficients and
-    every pair can take it; any other operands take the operator chain, `+`
-    or `-` after each `*`, in the order given.
+    every pair can take it.  The floating kernel runs when base holds only
+    float or complex coefficients and every pair has such a factor.  Other
+    operands take the operator chain, `+` or `-` after each `*`, in the
+    order given.
     """
     exact = _exact_triples(base._terms)
     if exact is not None and not exact[1]:
         pairs = [_exact_pair(g, h) for g, h in products]
         if None not in pairs:
             return _exact_sum(exact[0], pairs, subtract)
+    if _floating(base) and all(_floating(g) or _floating(h) for g, h in products):
+        return _float_sum(base, products, subtract)
     acc = base
     for g, h in products:
         acc = acc - g * h if subtract else acc + g * h

@@ -312,6 +312,18 @@ def test_coefficient_modulus_out_of_range_is_exit_two(capsys, f):
     assert err == "error: a coefficient's modulus is out of the float range\n"
 
 
+def test_exact_coefficient_beyond_the_float_range_is_exit_two(capsys):
+    # f vanishes at p, but the report's norms need a float modulus of 10^400
+    code, out, err = run_cli(
+        capsys,
+        "solve", "--exact", "--samples", "0", "--k", "1", "--l", "1",
+        "--p1", "1/2", "--p2", "3/4", "--f", f"{BIG}*z2 - 3{BIG[1:]}/2*z1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: a coefficient's modulus is out of the float range\n"
+
+
 TINY = "0." + "0" * 400 + "1"
 
 

@@ -6,7 +6,7 @@ import struct
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gleason import LaurentPolynomial, QComplex
 from gleason.errors import EvaluationDomainError, NotDivisibleError
@@ -14,6 +14,7 @@ from gleason.laurent import (
     PRUNE_REL,
     _exact_pair,
     _exact_triples,
+    _floating,
     divide_univariate,
     multiply_add,
     shift_divide_z1,
@@ -185,6 +186,112 @@ def test_multiply_add_on_floats_is_the_operator_chain(base, g, h, subtract):
     chained = base - g * h - h * g if subtract else base + g * h + h * g
     got = multiply_add(base, [(g, h), (h, g)], subtract)
     assert _typed_terms(got.terms) == _typed_terms(chained.terms)
+
+
+# -- the floating multiply-accumulate kernel ------------------------------------
+
+# moduli from 1e-20 to 1e20 over few exponents: products and sums collide, and
+# the product prune, the re-prune of a negated product and the rescan after
+# the sum threshold rises all fire
+wide_floats = st.builds(
+    lambda re, im, k: complex(re, im) * 10.0**k,
+    st.floats(-1.0, 1.0),
+    st.floats(-1.0, 1.0),
+    st.integers(-20, 20),
+)
+wide_polys = st.dictionaries(small_exps, wide_floats, max_size=5).map(LaurentPolynomial)
+# second factors may hold int and QComplex coefficients, as split_cut's V1 does
+second_factors = st.dictionaries(
+    small_exps, st.one_of(wide_floats, st.integers(-2, 2), st.builds(QComplex, small_fracs)), max_size=3
+).map(LaurentPolynomial)
+
+
+def _operator_chain(base, products, subtract):
+    acc = base
+    for g, h in products:
+        acc = acc - g * h if subtract else acc + g * h
+    return acc
+
+
+def _bits(f: LaurentPolynomial) -> tuple:
+    """Terms in order with coefficient reprs, and the max norm's repr: equal
+    tuples mean equal bits, signed zeros and order."""
+    return [(exp, repr(c)) for exp, c in f.terms.items()], repr(f.max_norm())
+
+
+@settings(max_examples=400)
+@given(
+    wide_polys,
+    st.lists(st.tuples(wide_polys, second_factors), max_size=5),
+    st.booleans(),
+    st.booleans(),
+)
+@example(LaurentPolynomial.zero(), [(LaurentPolynomial.zero(), LaurentPolynomial.monomial(1, 0))], False, False)
+@example(
+    LaurentPolynomial({(0, 0): 1e-3j}),
+    [(LaurentPolynomial.constant(2.0 + 1j), LaurentPolynomial.monomial(1, 0, QComplex(1, 2)))],
+    True,
+    True,
+)
+def test_float_multiply_add_is_the_operator_chain_bit_for_bit(base, products, subtract, cancel):
+    if cancel and products:
+        # the first product again with the other sign: its terms cancel to exactly 0
+        g, h = products[0]
+        products = products + [(g, -1 * h)]
+    assert _floating(base) and all(_floating(g) for g, _ in products)  # the kernel runs
+    got = multiply_add(base, products, subtract)
+    assert _bits(got) == _bits(_operator_chain(base, products, subtract))
+
+
+def _poly(*terms) -> LaurentPolynomial:
+    return LaurentPolynomial({(a, 0): complex(c) for a, c in terms})
+
+
+ONE = _poly((0, 1.0))
+
+# one case per pruning rule of the chain; each (exponent, coefficient) comes
+# out as the chain leaves it, and differently if the kernel skipped that rule
+PRUNE_RULE_CASES = {
+    # 2e-14 * 0.1 is below the product's threshold 1e-14 * |g| * |h| and is
+    # dropped there, so it never reaches the 1e-10 it would otherwise change
+    "product": (
+        _poly((0, 1.0), (6, 1e-10)),
+        [(_poly((0, 1.0), (1, 2e-14)), _poly((0, 1.0), (5, 0.1)))],
+        False,
+        (6, 1e-10),
+    ),
+    # |g*h| = 2 > |g| * |h| = 1: the negated product's re-prune at 2e-14
+    # drops the 1.5e-14 terms that passed the product's own 1e-14
+    "negated product": (
+        _poly((0, 1.0), (5, 1e-10)),
+        [(_poly((0, 1.0), (1, 1.0), (5, 1.5e-14)), _poly((0, 1.0), (1, 1.0)))],
+        True,
+        (5, 1e-10),
+    ),
+    # an empty product still prunes the sum: after the first product |acc| = 2,
+    # and the 1.5e-14 that passed 1e-14 * max(1, 1) fails 1e-14 * max(2, 0)
+    "empty product": (_poly((0, 1.0), (3, 1.5e-14)), [(ONE, ONE), (LaurentPolynomial.zero(), ONE)], False, (3, None)),
+    # the second product misses (3, 0), but the sum threshold rises from
+    # 1e-14 * max(1, 1) to 1e-14 * max(2, 10), the product's norm, and drops it
+    "rising threshold": (
+        _poly((0, 1.0), (3, 3e-14)),
+        [(ONE, ONE), (_poly((1, 10.0)), ONE)],
+        False,
+        (3, None),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PRUNE_RULE_CASES.values(), ids=PRUNE_RULE_CASES.keys())
+def test_float_multiply_add_prunes_where_the_chain_prunes(case):
+    base, products, subtract, (a, coefficient) = case
+    got = multiply_add(base, products, subtract)
+    assert _bits(got) == _bits(_operator_chain(base, products, subtract))
+    if coefficient is None:
+        assert (a, 0) not in got.terms
+        assert (a, 0) in multiply_add(base, products[:-1], subtract).terms
+    else:
+        assert got.terms[(a, 0)] == coefficient
 
 
 # float coefficients over many magnitudes, so that pruning happens, plus NaN

@@ -1,5 +1,6 @@
 """End-to-end division solves on the cusp domain and the strip."""
 
+import importlib
 import math
 import random
 from fractions import Fraction
@@ -14,7 +15,7 @@ from gleason import (
     solve,
 )
 from gleason.errors import InputError, NonvanishingError, UnboundedError
-from gleason.laurent import divide_univariate
+from gleason.laurent import divide_univariate, multiply_add
 from gleason.scalars import powi
 from gleason.solver import MODE_AXIS, MODE_INTERIOR, MODE_STRIP, _pipeline_parts
 from gleason.verify import symbolic_residual
@@ -339,3 +340,56 @@ def test_exact_pipeline_takes_no_float_modulus(monkeypatch, domain):
             patch.setattr(QComplex, "__abs__", _no_float_modulus)
             f1, f2 = _pipeline_parts(f, p, domain.pair)
         assert symbolic_residual(f, f1, f2, p).is_zero
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [
+        CuspDomain.hartogs(3, 2),
+        CuspDomain.hartogs(5, 1),
+        CuspDomain.strip(1, 1, 0.25, 4.0, 1, 1, 0.0),
+    ],
+    ids=["interior-3-2", "interior-5-1", "strip-cut-z1z2"],
+)
+def test_float_pipeline_takes_the_float_kernel(monkeypatch, domain):
+    # the recombination and the residual accumulate in the floating kernel:
+    # inside multiply_add, the operator chain's * and + must never run
+    depth = []
+    calls = []
+
+    def tracked(base, products, subtract=False):
+        calls.append(len(products))
+        depth.append(1)
+        try:
+            return multiply_add(base, products, subtract)
+        finally:
+            depth.pop()
+
+    def refuse(name):
+        op = getattr(LaurentPolynomial, name)
+
+        def guarded(self, other):
+            if depth:
+                raise AssertionError(f"multiply_add fell back to LaurentPolynomial.{name}")
+            return op(self, other)
+
+        return guarded
+
+    # gleason.verify is also the name of a function: import the modules by path
+    for module in ("gleason.solver", "gleason.verify"):
+        monkeypatch.setattr(importlib.import_module(module), "multiply_add", tracked)
+    for name in ("__mul__", "__add__"):
+        monkeypatch.setattr(LaurentPolynomial, name, refuse(name))
+    rng = random.Random(31)
+    for _ in range(4):
+        if domain.kind == "hartogs_full":
+            p = rand_interior_point(rng, domain)
+            f = subtract_value_at(rand_bounded_poly(rng, domain, terms=10), p)
+        else:
+            p = (0.5, 2 / 3)
+            f = subtract_value_at(strip_cone_poly(rng, 1, 1, 1, 1, terms=8), p)
+        f1, f2 = _pipeline_parts(f, p, domain.pair)
+        residual = symbolic_residual(f, f1, f2, p)
+        assert residual.max_norm() <= 1e-9 * (1 + f.one_norm())
+    # two recombinations and one residual per instance, each with products
+    assert len(calls) == 12 and all(calls)
