@@ -48,7 +48,10 @@ def _canonical(terms, prune_scale: float | Callable[[], float] | None) -> tuple:
     else:
         return out, None
     if prune_scale is None:
-        prune_scale = max([0.0] + [abs(c) for c in terms.values() if not isinstance(c, QComplex)])
+        prune_scale = 0.0
+        for c in terms.values():
+            if not isinstance(c, QComplex):
+                prune_scale = max(prune_scale, abs(c))
     elif callable(prune_scale):
         prune_scale = prune_scale()
     threshold = PRUNE_REL * prune_scale
@@ -274,11 +277,15 @@ class LaurentPolynomial:
         for (a, b), c in self._terms.items():
             if q1_zero and a != 0:
                 if a < 0:
-                    raise EvaluationDomainError("negative z1-exponent evaluated at z1 = 0")
+                    raise EvaluationDomainError(
+                        "negative z1-exponent evaluated at z1 = 0"
+                    )
                 continue
             if q2_zero and b != 0:
                 if b < 0:
-                    raise EvaluationDomainError("negative z2-exponent evaluated at z2 = 0")
+                    raise EvaluationDomainError(
+                        "negative z2-exponent evaluated at z2 = 0"
+                    )
                 continue
             term = c
             if a:
@@ -300,7 +307,9 @@ class LaurentPolynomial:
         for (a, b), c in self._terms.items():
             if value_zero and a != 0:
                 if a < 0:
-                    raise EvaluationDomainError("negative z1-exponent evaluated at z1 = 0")
+                    raise EvaluationDomainError(
+                        "negative z1-exponent evaluated at z1 = 0"
+                    )
                 continue
             if a:
                 if a not in powers:
