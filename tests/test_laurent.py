@@ -191,8 +191,11 @@ def test_multiply_add_on_floats_is_the_operator_chain(base, g, h, subtract):
 # -- the floating multiply-accumulate kernel ------------------------------------
 
 # moduli from 1e-20 to 1e20 over few exponents: products and sums collide, and
-# the product prune, the re-prune of a negated product and the rescan after
-# the sum threshold rises all fire
+# the product prune and the rescan after a rising sum threshold drop terms in
+# about a fifth and a third of the draws.  The negated product's re-prune
+# drops one only when |g*h| > |g| * |h| and a term sits just above the
+# product's threshold, which random draws almost never give;
+# PRUNE_RULE_CASES below pin each rule with a case that fails when it is skipped
 wide_floats = st.builds(
     lambda re, im, k: complex(re, im) * 10.0**k,
     st.floats(-1.0, 1.0),
@@ -270,7 +273,12 @@ PRUNE_RULE_CASES = {
     ),
     # an empty product still prunes the sum: after the first product |acc| = 2,
     # and the 1.5e-14 that passed 1e-14 * max(1, 1) fails 1e-14 * max(2, 0)
-    "empty product": (_poly((0, 1.0), (3, 1.5e-14)), [(ONE, ONE), (LaurentPolynomial.zero(), ONE)], False, (3, None)),
+    "empty product": (
+        _poly((0, 1.0), (3, 1.5e-14)),
+        [(ONE, ONE), (LaurentPolynomial.zero(), ONE)],
+        False,
+        (3, None),
+    ),
     # the second product misses (3, 0), but the sum threshold rises from
     # 1e-14 * max(1, 1) to 1e-14 * max(2, 10), the product's norm, and drops it
     "rising threshold": (
