@@ -103,17 +103,18 @@ def split_cut(m: int, n: int, p: tuple) -> tuple[LaurentPolynomial, LaurentPolyn
     """Closed-form pair (V1, V2) with v - v(p) = V1*(z1-p1) + V2*(z2-p2).
 
     Here v = z1^m z2^n, V1 = z2^n sum_{j<m} p1^(m-1-j) z1^j and
-    V2 = p1^m sum_{j<n} p2^(n-1-j) z2^j; the powers are built top down as
-    running products, the order a Horner division would produce them in.
+    V2 = p1^m sum_{j<n} p2^(n-1-j) z2^j; the powers are running products
+    from p1**0, a 1 of p's kind, built top down as a Horner division would.
     """
     p1, p2 = p
+    one = p1**0
     v1_terms: dict = {}
-    c = 1
+    c = one
     for j in range(m - 1, -1, -1):
         v1_terms[(j, n)] = c
         c = c * p1
     v2_terms: dict = {}
-    c = powi(p1, m)
+    c = powi(p1, m) if m else one
     for j in range(n - 1, -1, -1):
         v2_terms[(0, j)] = c
         c = c * p2

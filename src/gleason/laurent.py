@@ -1,21 +1,23 @@
 """Sparse Laurent polynomials in two complex variables.
 
 A polynomial is a finite map from integer exponent pairs ``(a, b)`` to nonzero
-coefficients, representing ``sum c * z1**a * z2**b``.  Coefficients are either
-``complex`` or exact ``QComplex`` values; see :mod:`gleason.scalars`.  The term
-map is canonical: exact zeros are never stored, and in floating mode any
-coefficient with modulus at most ``1e-14`` times the operation's scale is
-dropped.  The pass that drops them also records the largest modulus kept, so
-a floating polynomial carries its max norm and the scale of the next `+` or
-`*` costs no rescan; an exact polynomial computes its norm only when asked.
+coefficients, representing ``sum c * z1**a * z2**b``, of one kind: a map with
+a ``float`` or ``complex`` coefficient is floating and holds only ``complex``
+ones, any other is exact and holds only ``QComplex`` ones (see
+:mod:`gleason.scalars`); zero counts as exact.  Exact zeros are never stored,
+and in floating mode any coefficient with modulus at most ``1e-14`` times the
+operation's scale is dropped.  The pass that drops them also records the
+largest modulus kept, so a floating polynomial carries its max norm and the
+scale of the next `+` or `*` costs no rescan; an exact polynomial computes
+its norm only when asked.
 
-`multiply_add` forms ``base +- sum g*h`` in one map.  On exact operands it
-reads each coefficient as Gaussian-integer ints (x, y, d) for (x + y*i)/d,
-keeps each exponent's sum unreduced and divides it through by its gcd once;
-exact `*` runs there too.  On floating operands it rounds and prunes term by
-term where the operator chain does, but touches only the terms a product
-hits.  Either way coefficients and term order are the chain's; other
-operands take the chain itself.
+`multiply_add` forms ``base +- sum g*h`` in one map.  When every operand is
+exact it reads each coefficient as Gaussian-integer ints (x, y, d) for
+(x + y*i)/d, keeps each exponent's sum unreduced and divides it through by
+its gcd once; exact `*` runs there too.  Otherwise it reads the operands as
+complex and rounds and prunes term by term where the operator chain does,
+but touches only the terms a product hits.  Either way coefficients and term
+order are the chain's.
 """
 
 from __future__ import annotations
@@ -31,66 +33,48 @@ PRUNE_REL = 1e-14
 
 
 def _canonical(terms, prune_scale: float | Callable[[], float] | None) -> tuple:
-    """Drop exact zeros and, for floating coefficients, negligible ones.
+    """Coerce a term map to its kind and drop zeros, and if floating, negligible terms.
 
+    A map with a float or complex coefficient is floating and every
+    coefficient becomes complex; any other map becomes all QComplex.
     prune_scale is a float, a function returning one, or None for the largest
-    floating coefficient.  It is looked at only when a coefficient is
-    floating: an exact polynomial never pays for a norm.  Returns the map and
-    its largest modulus (ties as in max()), or None for an exact map.
+    modulus.  It is looked at only for a floating map: an exact polynomial
+    never pays for a norm.  Returns the map and its largest modulus (ties as
+    in max()), or None for an exact map.
     """
     out = {}
     for exp, c in terms.items():
         # QComplex first: an exact coefficient then costs one type check
-        if not isinstance(c, QComplex) and isinstance(c, (float, complex)):
+        if isinstance(c, QComplex):
+            if c:
+                out[exp] = c
+        elif isinstance(c, (float, complex)):
             break
-        if c:
-            out[exp] = c
+        elif c:
+            out[exp] = QComplex(c)
     else:
         return out, None
     if prune_scale is None:
-        prune_scale = 0.0
-        for c in terms.values():
-            if not isinstance(c, QComplex):
-                prune_scale = max(prune_scale, abs(c))
+        prune_scale = max(0.0, *map(abs, terms.values()))
     elif callable(prune_scale):
         prune_scale = prune_scale()
     threshold = PRUNE_REL * prune_scale
     out = {}
     norm = None
     for exp, c in terms.items():
-        if type(c) is complex or not isinstance(c, QComplex):
-            if c == 0:
-                continue
-            size = abs(c)
-            if size <= threshold:
-                continue
-        elif c.is_zero:
+        if type(c) is not complex:
+            c = complex(c)
+        if c == 0 or (size := abs(c)) <= threshold:
             continue
-        else:
-            size = abs(c)
         out[exp] = c
         if norm is None or size > norm:
             norm = size
     return out, (0.0 if norm is None else norm)
 
 
-def _exact_triples(terms) -> tuple | None:
-    """([(exponent, x, y, d)], plain) of an exact term map, else None.
-
-    The test is scalars.is_exact, as in LaurentPolynomial.is_exact; plain
-    says whether some coefficient is an int or Fraction, not a QComplex.
-    """
-    out = []
-    plain = False
-    for exp, c in terms.items():
-        if isinstance(c, QComplex):
-            out.append((exp, *c.as_ints()))
-        elif scalar_is_exact(c):
-            out.append((exp, c.numerator, 0, c.denominator))
-            plain = True
-        else:
-            return None
-    return out, plain
+def _triples(poly: LaurentPolynomial) -> list:
+    """[(exponent, x, y, d)] of an exact polynomial's terms."""
+    return [(exp, *c.as_ints()) for exp, c in poly._terms.items()]
 
 
 def _product_triples(g: list, h: list) -> dict:
@@ -192,8 +176,10 @@ class LaurentPolynomial:
         return self._norm
 
     def is_exact(self) -> bool:
-        """Every coefficient is exact in the sense of scalars.is_exact."""
-        return all(scalar_is_exact(c) for c in self._terms.values())
+        """Coefficients are QComplex; one coefficient tells, and zero is exact."""
+        for c in self._terms.values():
+            return isinstance(c, QComplex)
+        return True
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPolynomial):
@@ -243,9 +229,8 @@ class LaurentPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, LaurentPolynomial):
-            pair = _exact_pair(self, other)
-            if pair is not None:
-                return _exact_sum([], [pair], False)
+            if self.is_exact() and other.is_exact():
+                return _exact_sum([], [(_triples(self), _triples(other))], False)
             return LaurentPolynomial(
                 _term_products(self._terms, other._terms),
                 prune_scale=lambda: self.max_norm() * other.max_norm(),
@@ -319,22 +304,6 @@ class LaurentPolynomial:
         return LaurentPolynomial(acc, prune_scale=self.max_norm)
 
 
-def _exact_pair(g: LaurentPolynomial, h: LaurentPolynomial) -> tuple | None:
-    """Triple lists of g and h when their product can take the exact kernel.
-
-    Both must be exact, and one must hold only QComplex coefficients: every
-    term product is then a QComplex, as it is in the operator loop, which
-    keeps a product of two plain rationals an int or Fraction.
-    """
-    g_exact = _exact_triples(g._terms)
-    if g_exact is None:
-        return None
-    h_exact = _exact_triples(h._terms)
-    if h_exact is None or (g_exact[1] and h_exact[1]):
-        return None
-    return g_exact[0], h_exact[0]
-
-
 def _exact_sum(base: list, pairs: list, subtract: bool) -> LaurentPolynomial:
     """The exact kernel: base triples +- the products of the triple-list pairs.
 
@@ -370,8 +339,11 @@ def _exact_sum(base: list, pairs: list, subtract: bool) -> LaurentPolynomial:
     return poly
 
 
-def _floating(poly: LaurentPolynomial) -> bool:
-    return set(map(type, poly._terms.values())) <= {float, complex}
+def _as_complex(poly: LaurentPolynomial) -> LaurentPolynomial:
+    """poly itself when floating or zero, else its unpruned complex copy."""
+    if poly._terms and poly.is_exact():
+        return LaurentPolynomial({e: complex(c) for e, c in poly._terms.items()}, prune_scale=0.0)
+    return poly
 
 
 def _kept(terms: dict, sizes: dict, threshold: float) -> tuple:
@@ -421,23 +393,13 @@ def _float_sum(base: LaurentPolynomial, products: list, subtract: bool) -> Laure
 def multiply_add(base: LaurentPolynomial, products: list, subtract: bool = False) -> LaurentPolynomial:
     """base + g*h + ... over the (g, h) pairs of products, or base - g*h - ...
 
-    The exact kernel runs when base holds only QComplex coefficients and
-    every pair can take it.  The floating kernel runs when base holds only
-    float or complex coefficients and every pair has such a factor.  Other
-    operands take the operator chain, `+` or `-` after each `*`, in the
-    order given.
+    The exact kernel runs when every operand is exact; otherwise the floating
+    kernel runs on the operands read as complex.
     """
-    exact = _exact_triples(base._terms)
-    if exact is not None and not exact[1]:
-        pairs = [_exact_pair(g, h) for g, h in products]
-        if None not in pairs:
-            return _exact_sum(exact[0], pairs, subtract)
-    if _floating(base) and all(_floating(g) or _floating(h) for g, h in products):
-        return _float_sum(base, products, subtract)
-    acc = base
-    for g, h in products:
-        acc = acc - g * h if subtract else acc + g * h
-    return acc
+    if base.is_exact() and all(g.is_exact() and h.is_exact() for g, h in products):
+        return _exact_sum(_triples(base), [(_triples(g), _triples(h)) for g, h in products], subtract)
+    pairs = [(_as_complex(g), _as_complex(h)) for g, h in products]
+    return _float_sum(_as_complex(base), pairs, subtract)
 
 
 def _linear_quotient(coeffs: dict, root):

@@ -1,15 +1,15 @@
 """Coefficient scalars: floating complex plus an exact Gaussian-rational type.
 
-Polynomial coefficients come in two flavours.  The default is the builtin
-``complex``.  For exact runs the coefficients are ``QComplex`` values: a
-Gaussian rational stored as three Python ints (x, y, d) for (x + y*i)/d,
-always reduced, with d > 0 and gcd(x, y, d) = 1.  That form is canonical,
-so equality compares the three ints, and every operation is plain int
-arithmetic followed by one three-argument ``math.gcd``; no ``Fraction`` is
-built on the arithmetic path.  ``.re`` and ``.im`` still hand out
-``Fraction`` values.  Arithmetic between a QComplex and a float or complex
-degrades to ``complex``, the same convention ``Fraction`` uses with
-``float``.
+A polynomial holds one coefficient kind (see :mod:`gleason.laurent`): the
+builtin ``complex`` when any coefficient is a float or complex, else
+``QComplex``, to which an int or ``Fraction`` coefficient is converted.  A
+QComplex is a Gaussian rational stored as three Python ints (x, y, d) for
+(x + y*i)/d, always reduced, with d > 0 and gcd(x, y, d) = 1.  That form is
+canonical, so equality compares the three ints, and every operation is plain
+int arithmetic followed by one three-argument ``math.gcd``; no ``Fraction``
+is built on the arithmetic path.  ``.re`` and ``.im`` still hand out
+``Fraction`` values.  Scalar arithmetic between a QComplex and a float or
+complex degrades to ``complex``, as ``Fraction`` does with ``float``.
 """
 
 from __future__ import annotations

@@ -36,10 +36,8 @@ def symmetric_decompose(f: LaurentPolynomial, order: int) -> SymmetricSystem:
         i = a % order
         j = b % order
         buckets[(i, j)][(a - i, b - j)] = c
-    # routing moves f's own coefficients: only floating ones need a prune scale
-    scale = 0.0 if f.is_exact() else f.max_norm()
     components = {
-        key: LaurentPolynomial(terms, prune_scale=scale)
+        key: LaurentPolynomial(terms, prune_scale=f.max_norm)
         for key, terms in buckets.items()
     }
     return SymmetricSystem(order=order, components=components)

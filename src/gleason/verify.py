@@ -19,11 +19,13 @@ one table of them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .domains import CuspDomain, poly_bounded, sample
+from .errors import InputError
 from .laurent import LaurentPolynomial, multiply_add
 
 if TYPE_CHECKING:
@@ -138,6 +140,8 @@ def verify(
     residual = symbolic_residual(f, f1, f2, p)
     coeff_max = residual.max_norm()
     f_norm = f.one_norm()
+    if not math.isfinite(f_norm):
+        raise InputError("the coefficient sum of f is out of the float range")
     scale = 1.0 + f_norm
     symbolic_zero = residual.is_zero or float(coeff_max) <= NOISE_REL * scale
 

@@ -302,8 +302,9 @@ def chain_multiply_add(base: LaurentPolynomial, products, subtract: bool = False
     Each product and each sum is formed coefficient by coefficient with the
     scalars' own * and +, and exact zeros are dropped after every product and
     every sum, as the operator chain f + g*h + ... drops them.  Returns the
-    term map in the chain's order; a product of two plain rationals stays
-    int or Fraction, as scalar arithmetic keeps it.
+    term map in the chain's order.  On exact operands every coefficient is a
+    QComplex, since a polynomial holds one coefficient kind, so the map is
+    all QComplex too.
     """
     acc = dict(base.terms)
     for g, h in products:

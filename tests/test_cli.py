@@ -324,6 +324,21 @@ def test_exact_coefficient_beyond_the_float_range_is_exit_two(capsys):
     assert err == "error: a coefficient's modulus is out of the float range\n"
 
 
+@pytest.mark.parametrize("mode", [[], ["--exact"]], ids=["float", "exact"])
+def test_coefficient_sum_beyond_the_float_range_is_exit_two(capsys, mode):
+    # each modulus is 10^308, but the report's sup_f_upper would add them to inf
+    big = "1" + "0" * 308
+    code, out, err = run_cli(
+        capsys,
+        "solve", *mode, "--samples", "0", "--k", "1", "--l", "1",
+        "--p1", "1/2", "--p2", "3/4", "--subtract-value",
+        "--f", f"{big}*z2 + {big}*z2^2 - {big}*z1 - {big}*z1^2",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: the coefficient sum of f is out of the float range\n"
+
+
 TINY = "0." + "0" * 400 + "1"
 
 

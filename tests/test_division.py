@@ -172,6 +172,20 @@ def test_split_cut_identity_and_exponents(m, n):
         assert (v1, v2) == split_polynomial(cut, p)
 
 
+@pytest.mark.parametrize("m,n", [(0, 1), (1, 1), (2, 3)])
+@pytest.mark.parametrize(
+    "p, kind",
+    [((0.5 + 0.25j, 0.75 - 0.5j), complex), ((0.5, 0.75), complex), ((QComplex(1, 2), QComplex(3)), QComplex)],
+    ids=["complex", "float", "exact"],
+)
+def test_splits_take_the_kind_of_the_base_point(m, n, p, kind):
+    # the float kernel then meets no exact operand to convert, V2 = 1 included
+    lin1 = LaurentPolynomial.monomial(1, 0) - LaurentPolynomial.constant(p[0])
+    for part in (*split_ratio(2, 1, p), *split_cut(m, n, p), lin1):
+        assert {type(c) for c in part.terms.values()} <= {kind}
+        assert part.is_exact() == (kind is QComplex or part.is_zero)  # V1 = 0 when m = 0
+
+
 # -- split_polynomial ---------------------------------------------------------
 
 

@@ -12,14 +12,11 @@ from gleason import LaurentPolynomial, QComplex
 from gleason.errors import EvaluationDomainError, NotDivisibleError
 from gleason.laurent import (
     PRUNE_REL,
-    _exact_pair,
-    _exact_triples,
-    _floating,
     divide_univariate,
     multiply_add,
     shift_divide_z1,
 )
-from gleason.scalars import is_exact, powi
+from gleason.scalars import powi
 
 from conftest import (
     chain_multiply_add,
@@ -107,6 +104,30 @@ def test_is_exact_agrees_with_the_scalar_test():
     assert not LaurentPolynomial({(0, 0): QComplex(1), (1, 0): 0.5j}).is_exact()
 
 
+# int, Fraction, QComplex, float and complex coefficients in any mixture
+any_coeffs = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+    st.builds(QComplex, st.fractions(min_value=-3, max_value=3, max_denominator=5)),
+    st.floats(-3.0, 3.0),
+    st.complex_numbers(max_magnitude=3.0),
+)
+
+
+@given(st.dictionaries(exps, any_coeffs, max_size=6), st.one_of(st.none(), st.floats(0.0, 10.0)))
+def test_every_polynomial_has_one_coefficient_kind(terms, scale):
+    f = LaurentPolynomial(terms, prune_scale=scale)
+    floating = any(isinstance(c, (float, complex)) for c in terms.values())
+    kinds = {type(c) for c in f.terms.values()}
+    assert kinds <= ({complex} if floating else {QComplex})
+    assert f.is_exact() == (not floating or f.is_zero)
+    # values survive the conversion; only floating dust below the scale goes
+    for exp, c in f.terms.items():
+        assert c == (complex(terms[exp]) if floating else terms[exp])
+    if not floating:
+        assert f.terms.keys() == {e for e, c in terms.items() if c}
+
+
 # -- the exact multiply-accumulate kernel ---------------------------------------
 
 # small values over a few exponents, so that sums collide and often cancel;
@@ -133,10 +154,11 @@ def _typed_terms(terms) -> list:
     return [(exp, type(c), c) for exp, c in terms.items()]
 
 
-@given(st.one_of(exact_polys, float_polys))
-def test_kernel_dispatch_is_the_exactness_test(f):
-    assert (_exact_triples(f.terms) is not None) == f.is_exact()
-    assert f.is_exact() == all(is_exact(c) for c in f.terms.values())
+@given(st.one_of(exact_polys, float_polys), st.one_of(exact_polys, float_polys))
+def test_kernel_dispatch_is_the_exactness_test(g, h):
+    # the exact kernel builds QComplex coefficients, the floating one complex
+    kinds = {type(c) for c in multiply_add(g, [(g, h)]).terms.values()}
+    assert kinds <= ({QComplex} if g.is_exact() and h.is_exact() else {complex})
 
 
 @given(exact_polys, exact_polys)
@@ -145,21 +167,10 @@ def test_exact_product_matches_the_dict_loop(g, h):
     assert _typed_terms((g * h).terms) == _typed_terms(expected)
 
 
-@given(
-    qcomplex_polys,
-    st.lists(st.tuples(exact_polys, qcomplex_polys), max_size=3),
-    st.booleans(),
-)
-def test_multiply_add_matches_the_dict_loop(base, products, subtract):
-    # one all-QComplex factor per product and an all-QComplex base: the kernel runs
-    assert all(_exact_pair(g, h) is not None for g, h in products)
-    expected = chain_multiply_add(base, products, subtract)
-    assert _typed_terms(multiply_add(base, products, subtract).terms) == _typed_terms(expected)
-
-
 @given(exact_polys, st.lists(st.tuples(exact_polys, exact_polys), max_size=3), st.booleans())
-def test_multiply_add_keeps_plain_rationals_plain(base, products, subtract):
-    # a plain base or a product of two plain factors takes the operator chain
+def test_multiply_add_matches_the_dict_loop(base, products, subtract):
+    # int and Fraction coefficients are QComplex by construction, so every
+    # term product is a QComplex, as in the dict loop
     expected = chain_multiply_add(base, products, subtract)
     assert _typed_terms(multiply_add(base, products, subtract).terms) == _typed_terms(expected)
 
@@ -182,9 +193,23 @@ def test_multiply_add_appends_an_exponent_that_cancels_and_comes_back():
 
 
 @given(float_polys, float_polys, float_polys, st.booleans())
+# an exact pair in a floating call: (5/3 i)^2 rounds differently from -25/9
+@example(
+    LaurentPolynomial.constant(1.0),
+    LaurentPolynomial.constant(QComplex(0, Fraction(5, 3))),
+    LaurentPolynomial.constant(QComplex(0, Fraction(5, 3))),
+    False,
+)
 def test_multiply_add_on_floats_is_the_operator_chain(base, g, h, subtract):
-    chained = base - g * h - h * g if subtract else base + g * h + h * g
     got = multiply_add(base, [(g, h), (h, g)], subtract)
+    if not all(q.is_exact() for q in (base, g, h)):
+        # the floating kernel reads every operand as complex, also an exact
+        # base or an exact pair, which the chain would keep exact
+        base, g, h = (
+            LaurentPolynomial({e: complex(c) for e, c in q.terms.items()}, prune_scale=0.0)
+            for q in (base, g, h)
+        )
+    chained = base - g * h - h * g if subtract else base + g * h + h * g
     assert _typed_terms(got.terms) == _typed_terms(chained.terms)
 
 
@@ -203,7 +228,7 @@ wide_floats = st.builds(
     st.integers(-20, 20),
 )
 wide_polys = st.dictionaries(small_exps, wide_floats, max_size=5).map(LaurentPolynomial)
-# second factors may hold int and QComplex coefficients, as split_cut's V1 does
+# a second factor without a float draw is exact: the kernel reads it as complex
 second_factors = st.dictionaries(
     small_exps, st.one_of(wide_floats, st.integers(-2, 2), st.builds(QComplex, small_fracs)), max_size=3
 ).map(LaurentPolynomial)
@@ -241,7 +266,6 @@ def test_float_multiply_add_is_the_operator_chain_bit_for_bit(base, products, su
         # the first product again with the other sign: its terms cancel to exactly 0
         g, h = products[0]
         products = products + [(g, -1 * h)]
-    assert _floating(base) and all(_floating(g) for g, _ in products)  # the kernel runs
     got = multiply_add(base, products, subtract)
     assert _bits(got) == _bits(_operator_chain(base, products, subtract))
 
@@ -337,13 +361,6 @@ def test_carried_max_norm_is_the_max_of_the_moduli(terms, other, scale, scalar, 
         _assert_norm_carried(f)
         for h in (f + g, f - g, g - f, -f, f * g, f * scalar, scalar * f, f.substitute_z1(value)):
             _assert_norm_carried(h)
-
-
-def test_split_cut_style_int_next_to_complex_keeps_its_type():
-    # split_cut's running product starts at int 1; max() would return that int
-    f = LaurentPolynomial({(1, 1): 1, (0, 1): 1.0 + 0j, (0, 0): 0.5j})
-    assert _same_bits(f.max_norm(), 1)
-    assert _same_bits((f * 2.0).max_norm(), 2.0)
 
 
 def test_nan_first_carries_nan_like_max():
