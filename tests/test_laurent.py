@@ -175,6 +175,21 @@ def test_multiply_add_matches_the_dict_loop(base, products, subtract):
     assert _typed_terms(multiply_add(base, products, subtract).terms) == _typed_terms(expected)
 
 
+plain_polys = st.dictionaries(
+    small_exps, st.one_of(st.integers(-2, 2), small_fracs), max_size=5
+).map(LaurentPolynomial)
+
+
+@given(plain_polys, st.lists(st.tuples(plain_polys, plain_polys), max_size=3), st.booleans())
+def test_multiply_add_keeps_plain_rationals_plain(base, products, subtract):
+    # int and Fraction operands run the exact kernel and stay real rationals
+    got = multiply_add(base, products, subtract)
+    expected = chain_multiply_add(base, products, subtract)
+    assert _typed_terms(got.terms) == _typed_terms(expected)
+    assert got.is_exact()
+    assert all(c.im == 0 for c in got.terms.values())
+
+
 @given(qcomplex_polys, qcomplex_polys, qcomplex_polys, st.booleans())
 def test_multiply_add_cancels_to_zero(g, h, k, subtract):
     # base = g*h + g*k, minus both products again, cancels term by term
