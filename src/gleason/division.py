@@ -12,8 +12,7 @@ in terms of (z1 - p1) and (z2 - p2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .errors import ConeError, InternalContractError, NonvanishingError
 from .laurent import (
     LaurentPolynomial,
@@ -24,7 +23,7 @@ from .laurent import (
 from .scalars import negligible, powi
 
 
-@dataclass(frozen=True)
+@record
 class MonomialPair:
     """Exponent data of the ratio monomial z1^k z2^(-l) and cut monomial z1^m z2^n."""
 

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from ._record import record
 from .division import MonomialPair
 from .errors import InfeasibleSplitError, InputError
 from .laurent import LaurentPolynomial
@@ -43,7 +43,7 @@ def _abs2(q):
     return z.real * z.real + z.imag * z.imag
 
 
-@dataclass(frozen=True)
+@record
 class CuspDomain:
     k: int
     l: int
@@ -112,7 +112,7 @@ class CuspDomain:
         return self.cut_n * y + self.cut_m * x <= self.cut_n * self.cut_r
 
 
-@dataclass(frozen=True)
+@record
 class BoundednessCertificate:
     bounded: bool
     violations: tuple[tuple[int, int], ...]
@@ -213,7 +213,7 @@ def sample(
 # logarithmic boundary data and the separating line
 
 
-@dataclass(frozen=True)
+@record
 class LogBoundary:
     """Polyline graph of a convex region's boundary with strict-convexity flags."""
 
@@ -273,7 +273,7 @@ class LogBoundary:
         return cls(points=tuple(points), strict=tuple(flags))
 
 
-@dataclass(frozen=True)
+@record
 class SplitLine:
     """Separating line y = (-m/n) x + r with safety margin delta."""
 

@@ -12,8 +12,7 @@ stays in Gaussian-rational arithmetic on exact input, for every (k, l).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .division import (
     MonomialPair,
     split_component,
@@ -35,7 +34,7 @@ MODE_STRIP = "omega2_local"
 _MODES = (MODE_INTERIOR, MODE_AXIS, MODE_STRIP)
 
 
-@dataclass(frozen=True)
+@record
 class GleasonProblem:
     """Validated problem data: a bounded f on the domain, vanishing at p."""
 
@@ -59,7 +58,7 @@ class GleasonProblem:
             )
 
 
-@dataclass(frozen=True)
+@record
 class GleasonSolution:
     problem: GleasonProblem
     f1: LaurentPolynomial

@@ -13,13 +13,12 @@ components over the N-th roots of unity lives in the test suite
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .errors import InputError
 from .laurent import LaurentPolynomial
 
 
-@dataclass(frozen=True)
+@record
 class SymmetricSystem:
     """All N^2 symmetric components of a polynomial."""
 

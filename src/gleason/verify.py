@@ -20,10 +20,10 @@ one table of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
+from ._record import record
 from .domains import CuspDomain, poly_bounded, sample
 from .errors import InputError
 from .laurent import LaurentPolynomial, multiply_add
@@ -36,7 +36,7 @@ IDENTITY_TOL_REL = 1e-9
 NOISE_REL = 1e-12
 
 
-@dataclass(frozen=True)
+@record
 class VerificationReport:
     residual_max: float
     residual_argmax: tuple
@@ -89,8 +89,9 @@ def eval_on_arrays(f: LaurentPolynomial, q1, q2, powers: tuple | None = None) ->
 def _sample_arrays(domain: CuspDomain, count: int, seed: int) -> tuple:
     """Read-only (q1, q2) complex arrays of `sample(domain, count, seed)`.
 
-    Equal keys draw equal streams (`CuspDomain` is a frozen dataclass), so the
-    arrays are kept: 32 keys of count x 32 bytes each.
+    Equal keys draw equal streams (`CuspDomain` is a frozen record, equal and
+    hashed over its fields), so the arrays are kept: 32 keys of count x 32
+    bytes each.
     """
     import numpy as np
 

@@ -1,6 +1,5 @@
 """Residual checks, sampled sup norms, and the averaging oracle."""
 
-import dataclasses
 import importlib
 import json
 import os
@@ -280,10 +279,10 @@ def test_sample_arrays_are_shared_between_equal_keys():
 @pytest.mark.parametrize("key", [
     (STRIP, 40, 8),
     (STRIP, 41, 7),
-    (dataclasses.replace(STRIP, kind="hartogs_full"), 40, 7),
-    (dataclasses.replace(STRIP, lower=0.4), 40, 7),
-    (dataclasses.replace(STRIP, upper=2.5), 40, 7),
-    (dataclasses.replace(STRIP, cut_r=-1.0), 40, 7),
+    (CuspDomain(1, 1, "hartogs_full", 0.5, 2.0, 1, 2, -0.25), 40, 7),
+    (CuspDomain(1, 1, "strip_omega2", 0.4, 2.0, 1, 2, -0.25), 40, 7),
+    (CuspDomain(1, 1, "strip_omega2", 0.5, 2.5, 1, 2, -0.25), 40, 7),
+    (CuspDomain(1, 1, "strip_omega2", 0.5, 2.0, 1, 2, -1.0), 40, 7),
 ])
 def test_sample_arrays_differ_between_keys(key):
     q1, q2 = _sample_arrays(STRIP, 40, 7)
@@ -392,22 +391,24 @@ def test_verify_on_a_cold_cache_equals_verify_on_a_warm_one(cold_cache):
 _NUMPY_PROBE = """
 import json, sys
 from fractions import Fraction
+heavy = ("dataclasses", "inspect", "numpy")
 seen = {}
-import gleason
-seen["import"] = "numpy" in sys.modules
-from gleason.cli import main
-main(["info", "--k", "2", "--l", "3"])
-seen["info"] = "numpy" in sys.modules
+import gleason.cli
+seen["import"] = [name for name in heavy if name in sys.modules]
+gleason.cli.main(["info", "--k", "2", "--l", "3"])
+seen["info"] = [name for name in heavy if name in sys.modules]
 f = gleason.parse_poly("z1^2*z2^-1 - 1/2", exact=True)
 p = (gleason.QComplex(Fraction(1, 2)), gleason.QComplex(Fraction(1, 2)))
 assert gleason.solve(gleason.CuspDomain.hartogs(2, 1), f, p, samples=0).report.passed
-seen["solve"] = "numpy" in sys.modules
+seen["solve"] = [name for name in heavy if name in sys.modules]
 print(json.dumps(seen))
 """
 
 
 def test_unsampled_work_leaves_numpy_unimported():
-    # numpy is loaded only by the functions that evaluate on sample arrays
+    # numpy is loaded only by the functions that evaluate on sample arrays, and
+    # nothing loads dataclasses or the inspect module it imports, about 13 ms
+    # of a cold command-line call
     src = str(Path(gleason.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     run = subprocess.run(
@@ -416,4 +417,4 @@ def test_unsampled_work_leaves_numpy_unimported():
     )
     assert run.returncode == 0, run.stderr
     seen = json.loads(run.stdout.splitlines()[-1])
-    assert seen == {"import": False, "info": False, "solve": False}
+    assert seen == {"import": [], "info": [], "solve": []}
