@@ -7,7 +7,12 @@ cut by z1*z2.  Sampling is off, so every recorded byte comes from the
 polynomial pipeline.  tests/data/golden_solve.txt holds, per instance, the
 input and either f1 and f2 or the class of the exception the solve raised.
 
-Regenerate the file with ``PYTHONPATH=src python tests/test_golden.py`` only
+The exact instances are solved a second time with sampling on, and
+tests/data/golden_exact_sampled.txt holds their machine reports.  The sampled
+figures are float sums over the terms of f1, f2 and the residual in stored
+order, so this file pins the term order of the exact kernels.
+
+Regenerate both files with ``PYTHONPATH=src python tests/test_golden.py`` only
 when an output change is intended.
 """
 
@@ -19,7 +24,15 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from gleason import CuspDomain, GleasonError, QComplex, format_poly, format_scalar, solve
+from gleason import (
+    CuspDomain,
+    GleasonError,
+    QComplex,
+    emit_report,
+    format_poly,
+    format_scalar,
+    solve,
+)
 
 from conftest import (
     rand_bounded_poly,
@@ -29,6 +42,8 @@ from conftest import (
 )
 
 GOLDEN = Path(__file__).parent / "data" / "golden_solve.txt"
+GOLDEN_SAMPLED = Path(__file__).parent / "data" / "golden_exact_sampled.txt"
+SAMPLES = 200
 
 ORDER_PAIRS = [(1, 1), (2, 1), (3, 2), (4, 1), (5, 1), (6, 1)]
 AXIS_PAIRS = [(1, 1), (2, 3), (3, 1)]
@@ -114,9 +129,29 @@ def _records() -> list[list[str]]:
     return [_record(i, *inst) for i, inst in enumerate(_instances())]
 
 
-def _golden_records() -> list[list[str]]:
-    blocks = GOLDEN.read_text(encoding="utf-8").strip("\n").split("\n\n")
+def _sampled_records() -> list[list[str]]:
+    """Machine reports of the exact instances solved with sampling on."""
+    out = []
+    for index, (label, domain, f, p) in enumerate(_instances()):
+        if not label.startswith("exact "):
+            continue
+        lines = [f"[{index:02d}] {label}"]
+        try:
+            sol = solve(domain, f, p, samples=SAMPLES)
+        except GleasonError as err:
+            out.append(lines + [f"raises {type(err).__name__}"])
+            continue
+        out.append(lines + emit_report(sol, "machine").split("\n"))
+    return out
+
+
+def _golden_records(path: Path = GOLDEN) -> list[list[str]]:
+    blocks = path.read_text(encoding="utf-8").strip("\n").split("\n\n")
     return [block.split("\n") for block in blocks]
+
+
+def _write(path: Path, records: list[list[str]]) -> None:
+    path.write_text("\n\n".join("\n".join(r) for r in records) + "\n", encoding="utf-8")
 
 
 def test_golden_solve_outputs():
@@ -136,6 +171,25 @@ def test_golden_covers_every_branch_and_outcome():
         assert f"interior D({k}," in text
 
 
+def test_golden_exact_sampled_reports():
+    want = _golden_records(GOLDEN_SAMPLED)
+    got = _sampled_records()
+    assert len(got) == len(want)
+    changed = [g[0] for g, w in zip(got, want) if g != w]
+    assert not changed, f"{len(changed)} of {len(want)} reports changed: {changed}"
+
+
+def test_golden_exact_sampled_covers_every_branch_and_order():
+    text = GOLDEN_SAMPLED.read_text(encoding="utf-8")
+    for mode in ("mode=p1_nonzero", "mode=p1_zero", "mode=omega2_local"):
+        assert mode in text
+    for k, _l in ORDER_PAIRS:
+        assert f"exact interior D({k}," in text
+    # sampled figures are recorded, not the zeros of an unsampled solve
+    assert "sup_f1_sampled=0\n" not in text
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text("\n\n".join("\n".join(r) for r in _records()) + "\n", encoding="utf-8")
+    _write(GOLDEN, _records())
+    _write(GOLDEN_SAMPLED, _sampled_records())
