@@ -16,6 +16,7 @@ from ._record import record
 from .errors import ConeError, InternalContractError, NonvanishingError
 from .laurent import (
     LaurentPolynomial,
+    _exact_poly,
     _linear_quotient,
     divide_univariate,
     shift_divide_z1,
@@ -57,7 +58,13 @@ def to_ratio_cut(f: LaurentPolynomial, pair: MonomialPair) -> LaurentPolynomial:
                 f"exponent ({a}, {b}) is not divisible by the symmetry order {order}"
             )
         acc[((a * pair.n - b * pair.m) // order, (a * pair.l + b * pair.k) // order)] = c
-    g = LaurentPolynomial(acc, prune_scale=f.max_norm)
+    # Relabelling keeps exact terms canonical.  Deciding the kind by the
+    # carried norm, which every floating polynomial has, costs a float solve
+    # no call.
+    if f._norm is None:
+        g = _exact_poly(acc)
+    else:
+        g = LaurentPolynomial(acc, prune_scale=f.max_norm)
     for alpha, _beta in g.exponents():
         if alpha < 0:
             raise ConeError(
@@ -74,13 +81,13 @@ def from_ratio_cut(
     u^alpha v^beta = z1^(ak+bm) z2^(-al+bn).
     """
     i, j = shift
-    return LaurentPolynomial(
-        {
-            (alpha * pair.k + beta * pair.m + i, -alpha * pair.l + beta * pair.n + j): c
-            for (alpha, beta), c in g.terms.items()
-        },
-        prune_scale=g.max_norm,
-    )
+    terms = {
+        (alpha * pair.k + beta * pair.m + i, -alpha * pair.l + beta * pair.n + j): c
+        for (alpha, beta), c in g.terms.items()
+    }
+    if g._norm is None:  # exact, as in to_ratio_cut
+        return _exact_poly(terms)
+    return LaurentPolynomial(terms, prune_scale=g.max_norm)
 
 
 def split_ratio(k: int, l: int, p: tuple) -> tuple[LaurentPolynomial, LaurentPolynomial]:

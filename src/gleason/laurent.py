@@ -22,14 +22,16 @@ order are the chain's.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from types import MappingProxyType
 
 from .errors import EvaluationDomainError, NotDivisibleError
-from .scalars import QComplex, _reduced, negligible, powi
+from .scalars import QComplex, _gauss_power, _raw, _reduced, negligible, powi
 from .scalars import is_exact as scalar_is_exact
 
 PRUNE_REL = 1e-14
+_ZERO = _raw(0, 0, 1)
 
 
 def _canonical(terms, prune_scale: float | Callable[[], float] | None) -> tuple:
@@ -46,7 +48,7 @@ def _canonical(terms, prune_scale: float | Callable[[], float] | None) -> tuple:
     for exp, c in terms.items():
         # QComplex first: an exact coefficient then costs one type check
         if isinstance(c, QComplex):
-            if c:
+            if c._x or c._y:
                 out[exp] = c
         elif isinstance(c, (float, complex)):
             break
@@ -74,7 +76,79 @@ def _canonical(terms, prune_scale: float | Callable[[], float] | None) -> tuple:
 
 def _triples(poly: LaurentPolynomial) -> list:
     """[(exponent, x, y, d)] of an exact polynomial's terms."""
-    return [(exp, *c.as_ints()) for exp, c in poly._terms.items()]
+    return [(exp, c._x, c._y, c._d) for exp, c in poly._terms.items()]
+
+
+def _exact_poly(terms: dict) -> LaurentPolynomial:
+    """A polynomial of a map that is canonical already: nonzero QComplex terms.
+
+    Its norm is None until asked for, while a floating polynomial always
+    carries one, so ``poly._norm is None`` tells an exact polynomial.
+    """
+    poly = object.__new__(LaurentPolynomial)
+    poly._terms, poly._norm = terms, None
+    return poly
+
+
+def _nonvanishing(terms: dict, z1_zero: bool, z2_zero: bool) -> dict:
+    """The terms that survive at a zero coordinate; a negative exponent there raises."""
+    out = {}
+    for (a, b), c in terms.items():
+        if z1_zero and a != 0:
+            if a < 0:
+                raise EvaluationDomainError("negative z1-exponent evaluated at z1 = 0")
+            continue
+        if z2_zero and b != 0:
+            if b < 0:
+                raise EvaluationDomainError("negative z2-exponent evaluated at z2 = 0")
+            continue
+        out[(a, b)] = c
+    return out
+
+
+def _power_numerators(q: QComplex, exponents: list) -> tuple:
+    """Gaussian-integer numerators of q**e over one common denominator.
+
+    With q = (x + y*i)/d and n = x*x + y*y, q**e is (x + y*i)**e / d**e for
+    e >= 0 and (d*x - d*y*i)**-e / n**-e for e < 0, so d**hi * n**lo, for
+    the largest positive exponent hi and the largest negative one -lo, is a
+    common denominator.  Returns ({e: (re, im)}, that denominator).
+    """
+    x, y, d = q._x, q._y, q._d
+    hi = max(0, max(exponents))
+    lo = -min(0, min(exponents))
+    n = x * x + y * y if lo else 1
+    out: dict = {}
+    for e in exponents:
+        if e in out:
+            continue
+        if e > 0:
+            u, v = _gauss_power(x, y, e)
+            s = d ** (hi - e) * n**lo
+        elif e:
+            u, v = _gauss_power(d * x, -d * y, -e)
+            s = d**hi * n ** (lo + e)
+        else:
+            u, v, s = 1, 0, d**hi * n**lo
+        out[e] = (u * s, v * s)
+    return out, d**hi * n**lo
+
+
+def _exact_value(terms: dict, q1: QComplex, q2: QComplex) -> QComplex:
+    """Sum of c * q1**a * q2**b over one common denominator, reduced once."""
+    pow1, den1 = _power_numerators(q1, [a for a, _ in terms])
+    pow2, den2 = _power_numerators(q2, [b for _, b in terms])
+    den = math.lcm(*[c._d for c in terms.values()])
+    x = y = 0
+    for (a, b), c in terms.items():
+        s = den // c._d
+        u, v = c._x * s, c._y * s
+        g, h = pow1[a]
+        u, v = u * g - v * h, u * h + v * g
+        g, h = pow2[b]
+        x += u * g - v * h
+        y += u * h + v * g
+    return _reduced(x, y, den * den1 * den2)
 
 
 def _product_triples(g: list, h: list) -> dict:
@@ -230,7 +304,7 @@ class LaurentPolynomial:
     def __mul__(self, other):
         if isinstance(other, LaurentPolynomial):
             if self.is_exact() and other.is_exact():
-                return _exact_sum([], [(_triples(self), _triples(other))], False)
+                return _exact_sum([], [_product_triples(_triples(self), _triples(other))], False)
             return LaurentPolynomial(
                 _term_products(self._terms, other._terms),
                 prune_scale=lambda: self.max_norm() * other.max_norm(),
@@ -252,26 +326,18 @@ class LaurentPolynomial:
         """Value at (q1, q2); exact when coefficients and point are exact.
 
         A zero coordinate is allowed only if the polynomial has no negative
-        exponent in that variable.
+        exponent in that variable.  On exact terms at a QComplex point the
+        sum is formed over one common denominator and reduced once.
         """
-        q1_zero = not q1
-        q2_zero = not q2
+        terms = self._terms
+        if not q1 or not q2:
+            terms = _nonvanishing(terms, not q1, not q2)
+        if type(q1) is QComplex and type(q2) is QComplex and self.is_exact():
+            return _exact_value(terms, q1, q2) if terms else 0
         pow1: dict = {}
         pow2: dict = {}
         total = 0
-        for (a, b), c in self._terms.items():
-            if q1_zero and a != 0:
-                if a < 0:
-                    raise EvaluationDomainError(
-                        "negative z1-exponent evaluated at z1 = 0"
-                    )
-                continue
-            if q2_zero and b != 0:
-                if b < 0:
-                    raise EvaluationDomainError(
-                        "negative z2-exponent evaluated at z2 = 0"
-                    )
-                continue
+        for (a, b), c in terms.items():
             term = c
             if a:
                 if a not in pow1:
@@ -285,17 +351,19 @@ class LaurentPolynomial:
         return total
 
     def substitute_z1(self, value) -> "LaurentPolynomial":
-        """Partial evaluation z1 := value, leaving a polynomial in z2."""
-        value_zero = not value
+        """Partial evaluation z1 := value, leaving a polynomial in z2.
+
+        On exact terms and a QComplex value each z2 exponent's sum is formed
+        over one common denominator and reduced once.
+        """
+        terms = self._terms
+        if not value:
+            terms = _nonvanishing(terms, True, False)
+        if type(value) is QComplex and self.is_exact():
+            return _exact_substitute(terms, value)
         powers: dict = {}
         acc: dict = {}
-        for (a, b), c in self._terms.items():
-            if value_zero and a != 0:
-                if a < 0:
-                    raise EvaluationDomainError(
-                        "negative z1-exponent evaluated at z1 = 0"
-                    )
-                continue
+        for (a, b), c in terms.items():
             if a:
                 if a not in powers:
                     powers[a] = powi(value, a)
@@ -304,17 +372,52 @@ class LaurentPolynomial:
         return LaurentPolynomial(acc, prune_scale=self.max_norm)
 
 
-def _exact_sum(base: list, pairs: list, subtract: bool) -> LaurentPolynomial:
-    """The exact kernel: base triples +- the products of the triple-list pairs.
+def _exact_substitute(terms: dict, value: QComplex) -> LaurentPolynomial:
+    """The exact substitute_z1: one reduction per z2 exponent.
 
-    The sum is formed in one map of unreduced triples and each coefficient is
-    reduced once.  A product's cancelled exponents are skipped and an
-    exponent whose sum cancels is dropped, so the terms come out in the order
-    of the operator chain, which drops exact zeros after every `*` and `+`.
+    Each term c * value**a is one unreduced triple, from a table of the
+    powers' numerators and denominators; the terms of one z2 exponent are
+    added as triples.
+    """
+    x0, y0, d0 = value._x, value._y, value._d
+    powers: dict = {0: (1, 0, 1)}
+    acc: dict = {}
+    for (a, b), c in terms.items():
+        power = powers.get(a)
+        if power is None:
+            if a > 0:
+                power = (*_gauss_power(x0, y0, a), d0**a)
+            else:
+                power = (*_gauss_power(d0 * x0, -d0 * y0, -a), (x0 * x0 + y0 * y0) ** -a)
+            powers[a] = power
+        u, v, w = power
+        x, y, d = c._x * u - c._y * v, c._x * v + c._y * u, c._d * w
+        old = acc.get(b)
+        if old is None:
+            acc[b] = (x, y, d)
+        else:
+            u, v, w = old
+            if w == d:
+                acc[b] = (u + x, v + y, d)
+            else:
+                acc[b] = (u * d + x * w, v * d + y * w, w * d)
+    return _exact_poly({(0, b): _reduced(x, y, d) for b, (x, y, d) in acc.items() if x or y})
+
+
+def _exact_sum(base: list, products, subtract: bool) -> LaurentPolynomial:
+    """The exact kernel: base triples +- the unreduced product maps.
+
+    Each product map is exponent -> (x, y, d) in the order the operator loop
+    meets the exponents, as `_product_triples` and `_linear_products` build
+    it.  The sum is formed in one map of unreduced triples and each
+    coefficient is reduced once.  A product's cancelled exponents are skipped
+    and an exponent whose sum cancels is dropped, so the terms come out in
+    the order of the operator chain, which drops exact zeros after every `*`
+    and `+`.
     """
     acc = {exp: (x, y, d) for exp, x, y, d in base}
-    for pair in pairs:
-        for exp, (x, y, d) in _product_triples(*pair).items():
+    for product in products:
+        for exp, (x, y, d) in product.items():
             if not (x or y):
                 continue
             if subtract:
@@ -332,11 +435,60 @@ def _exact_sum(base: list, pairs: list, subtract: bool) -> LaurentPolynomial:
                 acc[exp] = (u, v, w)
             else:
                 del acc[exp]
-    # nonzero reduced exact terms are canonical already: skip _canonical
-    poly = object.__new__(LaurentPolynomial)
-    poly._terms = {exp: _reduced(x, y, d) for exp, (x, y, d) in acc.items()}
-    poly._norm = None
-    return poly
+    return _exact_poly({exp: _reduced(x, y, d) for exp, (x, y, d) in acc.items()})
+
+
+def _linear_products(g: LaurentPolynomial, shift: tuple, root: QComplex) -> dict:
+    """exponent -> unreduced (x, y, d) of g * (z^shift - root) for exact g.
+
+    The map is `_product_triples` of g and the linear polynomial, whose terms
+    are z^shift, then -root when root is nonzero: the same exponents in the
+    same order with the same ints, but neither the linear polynomial nor the
+    general product loop is formed.
+    """
+    i, j = shift
+    rx, ry, rd = -root._x, -root._y, root._d
+    acc: dict = {}
+    get = acc.get
+    for (a, b), c in g._terms.items():
+        x1, y1, d1 = c._x, c._y, c._d
+        exp = (a + i, b + j)
+        old = get(exp)
+        if old is None:
+            acc[exp] = (x1, y1, d1)
+        else:
+            u, v, w = old
+            if w == d1:
+                acc[exp] = (u + x1, v + y1, d1)
+            else:
+                acc[exp] = (u * d1 + x1 * w, v * d1 + y1 * w, w * d1)
+        if not (rx or ry):
+            continue
+        exp = (a, b)
+        x = x1 * rx - y1 * ry
+        y = x1 * ry + y1 * rx
+        d = d1 * rd
+        old = get(exp)
+        if old is None:
+            acc[exp] = (x, y, d)
+        else:
+            u, v, w = old
+            if w == d:
+                acc[exp] = (u + x, v + y, d)
+            else:
+                acc[exp] = (u * d + x * w, v * d + y * w, w * d)
+    return acc
+
+
+def subtract_linear_multiples(base: LaurentPolynomial, parts: list) -> LaurentPolynomial:
+    """base - g*(z^shift - root) - ... over the (g, shift, root) parts.
+
+    Every polynomial must be exact and every root a QComplex.  Coefficients
+    and term order are those of multiply_add(base, [(g, z^shift - root),
+    ...], subtract=True).
+    """
+    products = [_linear_products(g, shift, root) for g, shift, root in parts]
+    return _exact_sum(_triples(base), products, True)
 
 
 def _as_complex(poly: LaurentPolynomial) -> LaurentPolynomial:
@@ -397,7 +549,8 @@ def multiply_add(base: LaurentPolynomial, products: list, subtract: bool = False
     kernel runs on the operands read as complex.
     """
     if base.is_exact() and all(g.is_exact() and h.is_exact() for g, h in products):
-        return _exact_sum(_triples(base), [(_triples(g), _triples(h)) for g, h in products], subtract)
+        pairs = (_product_triples(_triples(g), _triples(h)) for g, h in products)
+        return _exact_sum(_triples(base), pairs, subtract)
     pairs = [(_as_complex(g), _as_complex(h)) for g, h in products]
     return _float_sum(_as_complex(base), pairs, subtract)
 
@@ -414,12 +567,47 @@ def _linear_quotient(coeffs: dict, root):
     if not coeffs:
         return {}, 0
     low = min(0, min(coeffs))
+    if type(root) is QComplex and all(
+        type(c) is QComplex or (type(c) is int and not c) for c in coeffs.values()
+    ):
+        return _exact_quotient(coeffs, root, low)
     carry = 0
     quotient: dict = {}
     for d in range(max(coeffs), low, -1):
         carry = coeffs.get(d, 0) + root * carry
         quotient[d - 1] = carry
     return quotient, coeffs.get(low, 0) + root * carry
+
+
+def _exact_quotient(coeffs: dict, root: QComplex, low: int) -> tuple:
+    """The exact Horner walk of _linear_quotient, one reduction per coefficient.
+
+    coeffs holds QComplex values and int zeros.  Each step forms
+    c + root * carry from the reduced carry as one unreduced triple and
+    reduces it once; a zero carry passes the coefficient on as it is.
+    """
+    rx, ry, rd = root._x, root._y, root._d
+    get = coeffs.get
+    carry = _ZERO
+    quotient: dict = {}
+    for d in range(max(coeffs), low - 1, -1):
+        c = get(d)
+        x, y = carry._x, carry._y
+        if x or y:
+            w = carry._d * rd
+            x, y = x * rx - y * ry, x * ry + y * rx
+            if type(c) is QComplex:
+                e = c._d
+                if e == w:
+                    x, y = x + c._x, y + c._y
+                else:
+                    x, y, w = x * e + c._x * w, y * e + c._y * w, w * e
+            carry = _reduced(x, y, w)
+        else:
+            carry = c if type(c) is QComplex else _ZERO
+        if d == low:
+            return quotient, carry
+        quotient[d - 1] = carry
 
 
 def divide_univariate(f: LaurentPolynomial, root) -> LaurentPolynomial:
@@ -462,12 +650,16 @@ def shift_divide_z1(f: LaurentPolynomial, p1) -> LaurentPolynomial:
     for (a, b), c in f.terms.items():
         slices.setdefault(b, {})[a] = c
 
+    exact = type(p1) is QComplex and f.is_exact()
     out: dict = {}
     for b, sl in slices.items():
-        value = 0
-        for a, c in sl.items():
-            value = value + c * powi(p1, a)
-        sl[0] = sl.get(0, 0) - value
+        # Without a pole the constant term reaches only the remainder, so an
+        # exact slice skips computing slice(p1).
+        if not exact or min(sl) < 0:
+            value = 0
+            for a, c in sl.items():
+                value = value + c * powi(p1, a)
+            sl[0] = sl.get(0, 0) - value
         # The remainder is (slice - slice(p1))(p1) = 0 up to roundoff; discard.
         quotient, _remainder = _linear_quotient(sl, p1)
         for d, c in quotient.items():

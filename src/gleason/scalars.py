@@ -163,15 +163,7 @@ class QComplex:
 
     def _power(self, exponent: int) -> "QComplex":
         """self**exponent for exponent >= 1: a Gaussian-integer power, reduced once."""
-        x, y = 1, 0
-        a, b = self._x, self._y
-        n = exponent
-        while n:
-            if n & 1:
-                x, y = x * a - y * b, x * b + y * a
-            n >>= 1
-            if n:
-                a, b = a * a - b * b, 2 * a * b
+        x, y = _gauss_power(self._x, self._y, exponent)
         return _reduced(x, y, self._d**exponent)
 
     # -- comparison ----------------------------------------------------
@@ -200,6 +192,18 @@ _EXACT_TYPES = (QComplex,) + _EXACT_PARTS
 _new = object.__new__
 
 
+def _gauss_power(a: int, b: int, n: int) -> tuple[int, int]:
+    """(a + b*i)**n as (re, im) ints, by binary squaring."""
+    x, y = 1, 0
+    while n:
+        if n & 1:
+            x, y = x * a - y * b, x * b + y * a
+        n >>= 1
+        if n:
+            a, b = a * a - b * b, 2 * a * b
+    return x, y
+
+
 def _raw(x: int, y: int, d: int) -> QComplex:
     """QComplex from ints already in reduced form."""
     q = _new(QComplex)
@@ -208,10 +212,20 @@ def _raw(x: int, y: int, d: int) -> QComplex:
 
 
 def _reduced(x: int, y: int, d: int) -> QComplex:
-    """QComplex for (x + y*i)/d with d > 0, divided through by gcd(x, y, d)."""
-    g = math.gcd(x, y, d)
-    if g != 1:
-        x, y, d = x // g, y // g, d // g
+    """QComplex for (x + y*i)/d with d > 0, divided through by gcd(x, y, d).
+
+    When d is a power of two, as for every value lifted from floats, the gcd
+    is the lowest set bit of x | y | d and the division is a shift.
+    """
+    if d & (d - 1):
+        g = math.gcd(x, y, d)
+        if g != 1:
+            x, y, d = x // g, y // g, d // g
+    else:
+        low = x | y | d
+        shift = (low & -low).bit_length() - 1
+        if shift:
+            x, y, d = x >> shift, y >> shift, d >> shift
     q = _new(QComplex)
     q._x, q._y, q._d = x, y, d
     return q

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from ._record import record
 from .errors import InputError
-from .laurent import LaurentPolynomial
+from .laurent import LaurentPolynomial, _exact_poly
 
 
 @record
@@ -35,10 +35,13 @@ def symmetric_decompose(f: LaurentPolynomial, order: int) -> SymmetricSystem:
         i = a % order
         j = b % order
         buckets[(i, j)][(a - i, b - j)] = c
-    components = {
-        key: LaurentPolynomial(terms, prune_scale=f.max_norm)
-        for key, terms in buckets.items()
-    }
+    if f.is_exact():  # routing keeps canonical terms canonical
+        components = {key: _exact_poly(terms) for key, terms in buckets.items()}
+    else:
+        components = {
+            key: LaurentPolynomial(terms, prune_scale=f.max_norm)
+            for key, terms in buckets.items()
+        }
     return SymmetricSystem(order=order, components=components)
 
 

@@ -26,7 +26,8 @@ from typing import TYPE_CHECKING
 from ._record import record
 from .domains import CuspDomain, poly_bounded, sample
 from .errors import InputError
-from .laurent import LaurentPolynomial, multiply_add
+from .laurent import LaurentPolynomial, multiply_add, subtract_linear_multiples
+from .scalars import QComplex
 
 if TYPE_CHECKING:
     import numpy as np
@@ -120,7 +121,13 @@ def symbolic_residual(
     f2: LaurentPolynomial,
     p: tuple,
 ) -> LaurentPolynomial:
-    """f - f1*(z1-p1) - f2*(z2-p2) as a polynomial; zero iff the identity holds."""
+    """f - f1*(z1-p1) - f2*(z2-p2) as a polynomial; zero iff the identity holds.
+
+    Exact operands take the shift kernel, which forms neither linear factor.
+    """
+    p1, p2 = p
+    if type(p1) is QComplex and type(p2) is QComplex and f.is_exact() and f1.is_exact() and f2.is_exact():
+        return subtract_linear_multiples(f, [(f1, (1, 0), p1), (f2, (0, 1), p2)])
     lin1 = LaurentPolynomial.monomial(1, 0) - LaurentPolynomial.constant(p[0])
     lin2 = LaurentPolynomial.monomial(0, 1) - LaurentPolynomial.constant(p[1])
     return multiply_add(f, [(f1, lin1), (f2, lin2)], subtract=True)
