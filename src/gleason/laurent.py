@@ -18,6 +18,15 @@ its gcd once; exact `*` runs there too.  Otherwise it reads the operands as
 complex and rounds and prunes term by term where the operator chain does,
 but touches only the terms a product hits.  Either way coefficients and term
 order are the chain's.
+
+The other exact kernels work the same way, on exact terms with a QComplex
+point or root, and reduce once per coefficient they store or return: `eval`
+sums over one common denominator, `substitute_z1` sums each z2 exponent's
+terms as triples, the Horner walk behind the divisions forms each step from
+the reduced carry, and `subtract_linear_multiples`, the symbolic residual,
+shifts the factors' terms instead of multiplying by z1 - p1 and z2 - p2.
+Values, and so printed outputs and term order, are those of the operator
+loops they replace.
 """
 
 from __future__ import annotations
@@ -353,8 +362,8 @@ class LaurentPolynomial:
     def substitute_z1(self, value) -> "LaurentPolynomial":
         """Partial evaluation z1 := value, leaving a polynomial in z2.
 
-        On exact terms and a QComplex value each z2 exponent's sum is formed
-        over one common denominator and reduced once.
+        On exact terms and a QComplex value each z2 exponent's terms are
+        summed as unreduced triples and reduced once.
         """
         terms = self._terms
         if not value:

@@ -6,8 +6,12 @@ builtin ``complex`` when any coefficient is a float or complex, else
 QComplex is a Gaussian rational stored as three Python ints (x, y, d) for
 (x + y*i)/d, always reduced, with d > 0 and gcd(x, y, d) = 1.  That form is
 canonical, so equality compares the three ints, and every operation is plain
-int arithmetic followed by one three-argument ``math.gcd``; no ``Fraction``
-is built on the arithmetic path.  ``.re`` and ``.im`` still hand out
+int arithmetic followed by one reduction; no ``Fraction`` is built on the
+arithmetic path.  The reduction is one three-argument ``math.gcd``, except
+for a power-of-two denominator, as every value lifted from floats has, whose
+gcd is the lowest set bit of x | y | d.  The polynomial kernels of
+:mod:`gleason.laurent` carry unreduced (x, y, d) triples and reduce only the
+coefficients they store or return.  ``.re`` and ``.im`` still hand out
 ``Fraction`` values.  Scalar arithmetic between a QComplex and a float or
 complex degrades to ``complex``, as ``Fraction`` does with ``float``.
 """
@@ -218,7 +222,7 @@ def _reduced(x: int, y: int, d: int) -> QComplex:
     is the lowest set bit of x | y | d and the division is a shift.
     """
     if d & (d - 1):
-        g = math.gcd(x, y, d)
+        g = math.gcd(d, x, y)  # math.gcd skips the rest once the gcd is 1
         if g != 1:
             x, y, d = x // g, y // g, d // g
     else:
