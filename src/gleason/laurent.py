@@ -659,12 +659,11 @@ def shift_divide_z1(f: LaurentPolynomial, p1) -> LaurentPolynomial:
     for (a, b), c in f.terms.items():
         slices.setdefault(b, {})[a] = c
 
-    exact = type(p1) is QComplex and f.is_exact()
     out: dict = {}
     for b, sl in slices.items():
-        # Without a pole the constant term reaches only the remainder, so an
-        # exact slice skips computing slice(p1).
-        if not exact or min(sl) < 0:
+        # Without a pole the constant term reaches only the remainder, which
+        # is discarded, so slice(p1) is needed only for a slice with a pole.
+        if min(sl) < 0:
             value = 0
             for a, c in sl.items():
                 value = value + c * powi(p1, a)
