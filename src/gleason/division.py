@@ -58,9 +58,9 @@ def to_ratio_cut(f: LaurentPolynomial, pair: MonomialPair) -> LaurentPolynomial:
                 f"exponent ({a}, {b}) is not divisible by the symmetry order {order}"
             )
         acc[((a * pair.n - b * pair.m) // order, (a * pair.l + b * pair.k) // order)] = c
-    # Relabelling keeps exact terms canonical.  Deciding the kind by the
-    # carried norm, which every floating polynomial has, costs a float solve
-    # no call.
+    # Relabelling keeps exact terms canonical, so an exact source skips
+    # _canonical.  Every floating polynomial carries its norm, so a missing
+    # norm tells the kind without a call on the float path.
     if f._norm is None:
         g = _exact_poly(acc)
     else:

@@ -126,10 +126,10 @@ def symbolic_residual(
     Exact operands take the shift kernel, which forms neither linear factor.
     """
     p1, p2 = p
-    if type(p1) is QComplex and type(p2) is QComplex and f.is_exact() and f1.is_exact() and f2.is_exact():
+    if type(p1) is QComplex and type(p2) is QComplex and all(g.is_exact() for g in (f, f1, f2)):
         return subtract_linear_multiples(f, [(f1, (1, 0), p1), (f2, (0, 1), p2)])
-    lin1 = LaurentPolynomial.monomial(1, 0) - LaurentPolynomial.constant(p[0])
-    lin2 = LaurentPolynomial.monomial(0, 1) - LaurentPolynomial.constant(p[1])
+    lin1 = LaurentPolynomial.monomial(1, 0) - LaurentPolynomial.constant(p1)
+    lin2 = LaurentPolynomial.monomial(0, 1) - LaurentPolynomial.constant(p2)
     return multiply_add(f, [(f1, lin1), (f2, lin2)], subtract=True)
 
 

@@ -131,7 +131,9 @@ def test_eval_cancels_to_an_exact_zero():
 @example(LaurentPolynomial({(1, 2): QComplex(1), (0, 2): QComplex(-2)}), QComplex(2))
 @example(LaurentPolynomial({(-1, 0): QComplex(1)}), QComplex(0))
 def test_substitute_z1_matches_the_operator_loop(f, value):
-    outcome = _same_outcome(lambda: _items(f.substitute_z1(value)), lambda: ref_substitute_z1(f, value))
+    outcome = _same_outcome(
+        lambda: _items(f.substitute_z1(value)), lambda: ref_substitute_z1(f, value)
+    )
     if outcome is not None:
         got, want = outcome
         assert [e for e, _ in got] == [e for e, _ in want]
