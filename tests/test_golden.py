@@ -7,13 +7,17 @@ cut by z1*z2.  Sampling is off, so every recorded byte comes from the
 polynomial pipeline.  tests/data/golden_solve.txt holds, per instance, the
 input and either f1 and f2 or the class of the exception the solve raised.
 
-The exact instances are solved a second time with sampling on, and
-tests/data/golden_exact_sampled.txt holds their machine reports.  The sampled
-figures are float sums over the terms of f1, f2 and the residual in stored
-order, so this file pins the term order of the exact kernels.
+Every instance is solved a second time with sampling on.
+tests/data/golden_exact_sampled.txt holds the machine reports of the exact
+ones: the sampled figures are float sums over the terms of f1, f2 and the
+residual in stored order, so this file pins the term order of the exact
+kernels.  tests/data/golden_float_sampled.txt holds the machine reports of
+the float ones, each with the residual's largest coefficient modulus, so it
+pins the float residual polynomial: its coefficients and, through the
+sampled residual, their order.
 
-Regenerate both files with ``PYTHONPATH=src python tests/test_golden.py`` only
-when an output change is intended.
+Regenerate the three files with ``PYTHONPATH=src python tests/test_golden.py``
+only when an output change is intended.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from gleason import (
     format_scalar,
     solve,
 )
+from gleason.exprio import format_float
 
 from conftest import (
     rand_bounded_poly,
@@ -43,6 +48,7 @@ from conftest import (
 
 GOLDEN = Path(__file__).parent / "data" / "golden_solve.txt"
 GOLDEN_SAMPLED = Path(__file__).parent / "data" / "golden_exact_sampled.txt"
+GOLDEN_FLOAT_SAMPLED = Path(__file__).parent / "data" / "golden_float_sampled.txt"
 SAMPLES = 200
 
 ORDER_PAIRS = [(1, 1), (2, 1), (3, 2), (4, 1), (5, 1), (6, 1)]
@@ -129,11 +135,15 @@ def _records() -> list[list[str]]:
     return [_record(i, *inst) for i, inst in enumerate(_instances())]
 
 
-def _sampled_records() -> list[list[str]]:
-    """Machine reports of the exact instances solved with sampling on."""
+def _sampled_records(kind: str = "exact") -> list[list[str]]:
+    """Machine reports of the instances of one kind solved with sampling on.
+
+    A float report also records the symbolic residual's largest coefficient
+    modulus, which the machine report leaves out.
+    """
     out = []
     for index, (label, domain, f, p) in enumerate(_instances()):
-        if not label.startswith("exact "):
+        if not label.startswith(f"{kind} "):
             continue
         lines = [f"[{index:02d}] {label}"]
         try:
@@ -141,6 +151,8 @@ def _sampled_records() -> list[list[str]]:
         except GleasonError as err:
             out.append(lines + [f"raises {type(err).__name__}"])
             continue
+        if kind == "float":
+            lines.append(f"residual_coeff_max={format_float(sol.report.residual_coeff_max)}")
         out.append(lines + emit_report(sol, "machine").split("\n"))
     return out
 
@@ -189,7 +201,24 @@ def test_golden_exact_sampled_covers_every_branch_and_order():
     assert "sup_f1_sampled=0\n" not in text
 
 
+def test_golden_float_sampled_reports():
+    want = _golden_records(GOLDEN_FLOAT_SAMPLED)
+    got = _sampled_records("float")
+    assert len(got) == len(want)
+    changed = [g[0] for g, w in zip(got, want) if g != w]
+    assert not changed, f"{len(changed)} of {len(want)} reports changed: {changed}"
+
+
+def test_golden_float_sampled_covers_every_branch():
+    text = GOLDEN_FLOAT_SAMPLED.read_text(encoding="utf-8")
+    for tag in ("mode=p1_nonzero", "mode=p1_zero", "mode=omega2_local", "float deep D(",
+                "float deep strip", "residual_coeff_max="):
+        assert tag in text
+    assert "sup_f1_sampled=0\n" not in text
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     _write(GOLDEN, _records())
     _write(GOLDEN_SAMPLED, _sampled_records())
+    _write(GOLDEN_FLOAT_SAMPLED, _sampled_records("float"))
