@@ -16,6 +16,7 @@ from ._record import record
 from .errors import ConeError, InternalContractError, NonvanishingError
 from .laurent import (
     LaurentPolynomial,
+    _carried,
     _exact_poly,
     _linear_quotient,
     divide_univariate,
@@ -60,11 +61,9 @@ def to_ratio_cut(f: LaurentPolynomial, pair: MonomialPair) -> LaurentPolynomial:
         acc[((a * pair.n - b * pair.m) // order, (a * pair.l + b * pair.k) // order)] = c
     # Relabelling keeps exact terms canonical, so an exact source skips
     # _canonical.  Every floating polynomial carries its norm, so a missing
-    # norm tells the kind without a call on the float path.
-    if f._norm is None:
-        g = _exact_poly(acc)
-    else:
-        g = LaurentPolynomial(acc, prune_scale=f.max_norm)
+    # norm tells the kind without a call on the float path; the relabelled
+    # map has the same moduli in the same order, so it carries that norm.
+    g = _exact_poly(acc) if f._norm is None else _carried(acc, f._norm)
     for alpha, _beta in g.exponents():
         if alpha < 0:
             raise ConeError(
@@ -83,11 +82,19 @@ def from_ratio_cut(
     i, j = shift
     terms = {
         (alpha * pair.k + beta * pair.m + i, -alpha * pair.l + beta * pair.n + j): c
-        for (alpha, beta), c in g.terms.items()
+        for (alpha, beta), c in g._terms.items()
     }
     if g._norm is None:  # exact, as in to_ratio_cut
         return _exact_poly(terms)
-    return LaurentPolynomial(terms, prune_scale=g.max_norm)
+    # floating g keeps its terms and norm unless the prune at PRUNE_REL * |g|,
+    # after the one g was built with, drops one of them
+    return _carried(terms, g._norm)
+
+
+def ratio_cut_point(pair: MonomialPair, p: tuple) -> tuple:
+    """(u(p), v(p)): the ratio monomial z1^k z2^(-l) and the cut z1^m z2^n at p."""
+    p1, p2 = p
+    return powi(p1, pair.k) * powi(p2, -pair.l), powi(p1, pair.m) * powi(p2, pair.n)
 
 
 def split_ratio(k: int, l: int, p: tuple) -> tuple[LaurentPolynomial, LaurentPolynomial]:
@@ -155,6 +162,7 @@ def split_component(
     comp: LaurentPolynomial,
     pair: MonomialPair,
     p: tuple,
+    uv: tuple | None = None,
 ) -> tuple[LaurentPolynomial, LaurentPolynomial]:
     """Split z1^i z2^j * comp against (u - u(p)) and (v - v(p)).
 
@@ -164,13 +172,13 @@ def split_component(
         z1^i z2^j comp = g1 * (u - u(p)) + g2 * (v - v(p)),
 
     where u, v are the ratio and cut monomials and p is off the coordinate
-    axes.  Dividing the fiber
-    projection by (v - v(p)) must be exact; a residue there means the
-    vanishing precondition was violated and raises InternalContractError.
+    axes.  uv is ratio_cut_point(pair, p), computed here when not given, so
+    that a caller splitting every component at one p forms it once.
+    Dividing the fiber projection by (v - v(p)) must be exact; a residue
+    there means the vanishing precondition was violated and raises
+    InternalContractError.
     """
-    p1, p2 = p
-    u_p = powi(p1, pair.k) * powi(p2, -pair.l)
-    v_p = powi(p1, pair.m) * powi(p2, pair.n)
+    u_p, v_p = ratio_cut_point(pair, p) if uv is None else uv
     g = to_ratio_cut(comp, pair)
     g_proj = g.substitute_z1(u_p)  # fiber projection: u := u(p)
 

@@ -16,17 +16,23 @@ exact it reads each coefficient as Gaussian-integer ints (x, y, d) for
 (x + y*i)/d, keeps each exponent's sum unreduced and divides it through by
 its gcd once; exact `*` runs there too.  Otherwise it reads the operands as
 complex and rounds and prunes term by term where the operator chain does,
-but touches only the terms a product hits.  Either way coefficients and term
-order are the chain's.
+but touches only the terms a product hits, and multiplies by a factor of one
+or two terms in a flat loop.  Either way coefficients and term order are the
+chain's.
+
+`subtract_linear_multiples`, the symbolic residual, forms
+``base - sum g*(z^shift - root)`` by shifting the factors' terms, in either
+kind, without building z - root or running the general product loop: exact
+operands take unreduced triples, floating ones the products with the chain's
+z - root read as complex, pruned and summed by the floating kernel.
 
 The other exact kernels work the same way, on exact terms with a QComplex
 point or root, and reduce once per coefficient they store or return: `eval`
 sums over one common denominator, `substitute_z1` sums each z2 exponent's
-terms as triples, the Horner walk behind the divisions forms each step from
-the reduced carry, and `subtract_linear_multiples`, the symbolic residual,
-shifts the factors' terms instead of multiplying by z1 - p1 and z2 - p2.
-Values, and so printed outputs and term order, are those of the operator
-loops they replace.
+terms as triples and the Horner walk behind the divisions forms each step
+from the reduced carry.  A relabelled floating polynomial keeps its map and
+norm when its prune would drop nothing.  Values, and so printed outputs, term
+order and carried norms, are those of the operator loops they replace.
 """
 
 from __future__ import annotations
@@ -97,6 +103,26 @@ def _exact_poly(terms: dict) -> LaurentPolynomial:
     poly = object.__new__(LaurentPolynomial)
     poly._terms, poly._norm = terms, None
     return poly
+
+
+def _carried(terms: dict, norm: float) -> LaurentPolynomial:
+    """LaurentPolynomial(terms, prune_scale=norm) for a map whose moduli's max,
+    taken in order as max() takes it, is norm, as a relabelled floating
+    polynomial's are.
+
+    When every coefficient is complex with modulus above PRUNE_REL * norm,
+    the prune drops nothing and the norm stays, so the map is kept as it is.
+    """
+    threshold = PRUNE_REL * norm
+    for c in terms.values():
+        if type(c) is not complex or not abs(c) > threshold:
+            break
+    else:
+        if terms:
+            poly = object.__new__(LaurentPolynomial)
+            poly._terms, poly._norm = terms, norm
+            return poly
+    return LaurentPolynomial(terms, prune_scale=norm)
 
 
 def _nonvanishing(terms: dict, z1_zero: bool, z2_zero: bool) -> dict:
@@ -217,10 +243,6 @@ class LaurentPolynomial:
     @classmethod
     def constant(cls, c) -> "LaurentPolynomial":
         return cls({(0, 0): c})
-
-    @classmethod
-    def monomial(cls, a: int, b: int, c=1) -> "LaurentPolynomial":
-        return cls({(a, b): c})
 
     # -- inspection ------------------------------------------------------
 
@@ -489,15 +511,74 @@ def _linear_products(g: LaurentPolynomial, shift: tuple, root: QComplex) -> dict
     return acc
 
 
+def _linear_root(root):
+    """The root of z^shift - root as the operator chain's polynomial holds it.
+
+    The chain forms monomial(*shift) - constant(root).  An exact nonzero root
+    stays a QComplex root of an exact polynomial; a floating root is a complex
+    one, and so is the polynomial, unless constant(root) prunes it (0 and
+    infinite moduli), which leaves the exact z^shift and the root QComplex 0.
+    """
+    if isinstance(root, (float, complex)):
+        c = root if type(root) is complex else complex(root)
+        if c == 0 or abs(c) <= PRUNE_REL * max(0.0, abs(root)):
+            return _ZERO
+        return c
+    if isinstance(root, QComplex):
+        return root
+    return QComplex(root) if root else _ZERO
+
+
+def _float_linear(shift: tuple, root) -> tuple:
+    """(terms, max norm) of the chain's z^shift - root read as complex.
+
+    root is a `_linear_root`.  An exact polynomial is read as its unpruned
+    complex copy.  A floating one holds 1 and 0 + (-root), pruned at
+    PRUNE_REL * max(1, |root|), so that z^shift itself goes when |root| is
+    at least 1e14 and the root when it is below 1e-14.
+    """
+    if type(root) is QComplex:
+        sizes = {shift: 1.0}
+        terms = {shift: 1 + 0j}
+        if root:
+            c = complex(-root)
+            if c != 0:
+                terms[(0, 0)], sizes[(0, 0)] = c, abs(c)
+        return terms, max(sizes.values())
+    c = 0 + (-root)
+    threshold = PRUNE_REL * max(1.0, abs(-root))
+    terms, sizes = {}, []
+    if not 1.0 <= threshold:
+        terms[shift] = 1 + 0j
+        sizes.append(1.0)
+    if not (c == 0 or (size := abs(c)) <= threshold):
+        terms[(0, 0)] = c
+        sizes.append(size)
+    return terms, max(sizes)
+
+
 def subtract_linear_multiples(base: LaurentPolynomial, parts: list) -> LaurentPolynomial:
     """base - g*(z^shift - root) - ... over the (g, shift, root) parts.
 
-    Every polynomial must be exact and every root a QComplex.  Coefficients
-    and term order are those of multiply_add(base, [(g, z^shift - root),
-    ...], subtract=True).
+    Coefficients, term order and the carried norm are those of
+    multiply_add(base, [(g, z^shift - root), ...], subtract=True) with each
+    linear factor formed as monomial(*shift) - constant(root), for shifts
+    other than (0, 0); neither the linear polynomials nor the general
+    product loop is formed.  The exact kernel runs when base, every g and
+    every linear factor are exact, the floating one otherwise.
     """
-    products = [_linear_products(g, shift, root) for g, shift, root in parts]
-    return _exact_sum(_triples(base), products, True)
+    roots = [_linear_root(root) for _, _, root in parts]
+    if base.is_exact() and all(
+        g.is_exact() and type(r) is QComplex for (g, _, _), r in zip(parts, roots)
+    ):
+        products = [_linear_products(g, shift, r) for (g, shift, _), r in zip(parts, roots)]
+        return _exact_sum(_triples(base), products, True)
+    products = []
+    for (g, shift, _), root in zip(parts, roots):
+        g = _as_complex(g)
+        terms, norm = _float_linear(shift, root)
+        products.append(_float_product(g, terms, norm))
+    return _float_sum(_as_complex(base), products, True)
 
 
 def _as_complex(poly: LaurentPolynomial) -> LaurentPolynomial:
@@ -505,6 +586,37 @@ def _as_complex(poly: LaurentPolynomial) -> LaurentPolynomial:
     if poly._terms and poly.is_exact():
         return LaurentPolynomial({e: complex(c) for e, c in poly._terms.items()}, prune_scale=0.0)
     return poly
+
+
+def _float_product(g: LaurentPolynomial, h: dict, h_norm: float) -> tuple:
+    """(g*h as an unpruned map, |g| * |h|) for a floating or empty g.
+
+    The map is `_term_products`': the same exponents in the same order, each
+    the sum 0 + c1*c2 + ... of the same products.  A factor of one or two
+    terms is multiplied in a flat loop, not in the nested one.
+    """
+    terms = g._terms
+    if not (terms and h):
+        return {}, 0.0
+    if len(h) > 2:
+        if len(terms) == 1:
+            ((a1, b1), c1), = terms.items()
+            prod = {(a1 + a2, b1 + b2): 0 + c1 * c2 for (a2, b2), c2 in h.items()}
+        else:
+            prod = _term_products(terms, h)
+    elif len(h) == 1:
+        ((a2, b2), c2), = h.items()
+        prod = {(a1 + a2, b1 + b2): 0 + c1 * c2 for (a1, b1), c1 in terms.items()}
+    else:
+        ((a2, b2), c2), ((a3, b3), c3) = h.items()
+        prod = {}
+        get = prod.get
+        for (a1, b1), c1 in terms.items():
+            exp = (a1 + a2, b1 + b2)
+            prod[exp] = get(exp, 0) + c1 * c2
+            exp = (a1 + a3, b1 + b3)
+            prod[exp] = get(exp, 0) + c1 * c3
+    return prod, g._norm * h_norm
 
 
 def _kept(terms: dict, sizes: dict, threshold: float) -> tuple:
@@ -516,19 +628,22 @@ def _kept(terms: dict, sizes: dict, threshold: float) -> tuple:
 
 
 def _float_sum(base: LaurentPolynomial, products: list, subtract: bool) -> LaurentPolynomial:
-    """The floating kernel, in one map updated in place.  As the chain does, it
-    prunes each product at PRUNE_REL * |g| * |h|, a negated one again at
-    PRUNE_REL * |g*h| and each sum at PRUNE_REL * max(|acc|, |g*h|).  Each kept
-    term's modulus, kept beside it, exceeds the last sum threshold, so untouched
-    terms are checked again only when that threshold rises."""
+    """The floating kernel, in one map updated in place.
+
+    products holds (product map, factor norm) pairs, as `_float_product`
+    forms them.  As the chain does, it prunes each product at PRUNE_REL times
+    its factor norm |g| * |h|, a negated one again at PRUNE_REL * |g*h| and
+    each sum at PRUNE_REL * max(|acc|, |g*h|).  Each kept term's modulus, kept
+    beside it, exceeds the last sum threshold, so untouched terms are checked
+    again only when that threshold rises.
+    """
     acc = dict(base._terms)
     sizes = {exp: abs(c) for exp, c in acc.items()}
     norm, last = base.max_norm(), float("nan")  # base has met no sum threshold
-    for g, h in products:
-        prod = _term_products(g._terms, h._terms)
+    for prod, factor_norm in products:
         kept = {e: abs(c) for e, c in prod.items()}
         if prod:  # the chain takes no factor norm for an empty product
-            prod, kept = _kept(prod, kept, PRUNE_REL * (g.max_norm() * h.max_norm()))
+            prod, kept = _kept(prod, kept, PRUNE_REL * factor_norm)
         if subtract and kept:
             prod, kept = _kept(prod, kept, PRUNE_REL * max(kept.values()))
         prod_norm = max(kept.values()) if kept else 0.0
@@ -560,7 +675,10 @@ def multiply_add(base: LaurentPolynomial, products: list, subtract: bool = False
     if base.is_exact() and all(g.is_exact() and h.is_exact() for g, h in products):
         pairs = (_product_triples(_triples(g), _triples(h)) for g, h in products)
         return _exact_sum(_triples(base), pairs, subtract)
-    pairs = [(_as_complex(g), _as_complex(h)) for g, h in products]
+    pairs = []
+    for g, h in products:
+        g, h = _as_complex(g), _as_complex(h)
+        pairs.append(_float_product(g, h._terms, h._norm))
     return _float_sum(_as_complex(base), pairs, subtract)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from ._record import record
 from .division import (
     MonomialPair,
+    ratio_cut_point,
     split_component,
     split_cut,
     split_polynomial,
@@ -108,12 +109,13 @@ def _pipeline_parts(f: LaurentPolynomial, p: tuple, pair: MonomialPair):
     V1, V2 = split_cut(pair.m, pair.n, p)
 
     system = symmetric_decompose(f - P, order)
+    uv = ratio_cut_point(pair, p)
     terms1 = []
     terms2 = []
     for (i, j), comp in system.components.items():
         if comp.is_zero:
             continue
-        g1, g2 = split_component(i, j, comp, pair, p)
+        g1, g2 = split_component(i, j, comp, pair, p, uv)
         terms1 += [(g1, R1), (g2, V1)]
         terms2 += [(g1, R2), (g2, V2)]
     return multiply_add(P1, terms1), multiply_add(P2, terms2)

@@ -37,9 +37,9 @@ def symmetric_decompose(f: LaurentPolynomial, order: int) -> SymmetricSystem:
         buckets[(i, j)][(a - i, b - j)] = c
     if f.is_exact():  # routing keeps canonical terms canonical
         components = {key: _exact_poly(terms) for key, terms in buckets.items()}
-    else:
+    else:  # an empty bucket is the exact zero its construction would give
         components = {
-            key: LaurentPolynomial(terms, prune_scale=f.max_norm)
+            key: LaurentPolynomial(terms, prune_scale=f.max_norm) if terms else _exact_poly(terms)
             for key, terms in buckets.items()
         }
     return SymmetricSystem(order=order, components=components)
@@ -60,7 +60,8 @@ def correction_polynomial(
     if not p1 or not p2:
         raise InputError("correction polynomial requires a base point off the axes")
     system = symmetric_decompose(f, order)
+    # an empty component's value, 0, would be dropped as an exact zero
     return LaurentPolynomial(
-        {key: comp.eval(p1, p2) for key, comp in system.components.items()},
+        {key: comp.eval(p1, p2) for key, comp in system.components.items() if comp._terms},
         prune_scale=lambda: f.max_norm() or 1.0,
     )

@@ -26,8 +26,7 @@ from typing import TYPE_CHECKING
 from ._record import record
 from .domains import CuspDomain, poly_bounded, sample
 from .errors import InputError
-from .laurent import LaurentPolynomial, multiply_add, subtract_linear_multiples
-from .scalars import QComplex
+from .laurent import LaurentPolynomial, subtract_linear_multiples
 
 if TYPE_CHECKING:
     import numpy as np
@@ -123,14 +122,10 @@ def symbolic_residual(
 ) -> LaurentPolynomial:
     """f - f1*(z1-p1) - f2*(z2-p2) as a polynomial; zero iff the identity holds.
 
-    Exact operands take the shift kernel, which forms neither linear factor.
+    The shift kernel forms it without building z1 - p1 or z2 - p2.
     """
     p1, p2 = p
-    if type(p1) is QComplex and type(p2) is QComplex and all(g.is_exact() for g in (f, f1, f2)):
-        return subtract_linear_multiples(f, [(f1, (1, 0), p1), (f2, (0, 1), p2)])
-    lin1 = LaurentPolynomial.monomial(1, 0) - LaurentPolynomial.constant(p1)
-    lin2 = LaurentPolynomial.monomial(0, 1) - LaurentPolynomial.constant(p2)
-    return multiply_add(f, [(f1, lin1), (f2, lin2)], subtract=True)
+    return subtract_linear_multiples(f, [(f1, (1, 0), p1), (f2, (0, 1), p2)])
 
 
 def verify(

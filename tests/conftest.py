@@ -158,6 +158,11 @@ def rand_laurent(
     return LaurentPolynomial(out)
 
 
+def monomial(a: int, b: int, c=1) -> LaurentPolynomial:
+    """The one-term polynomial c * z1^a * z2^b."""
+    return LaurentPolynomial({(a, b): c})
+
+
 def monomial_bounded(domain: CuspDomain, a: int, b: int) -> bool:
     """Recession-cone test of one monomial: a*gx + b*gy <= 0 for every generator."""
     return all(a * gx + b * gy <= 0 for gx, gy in domain.recession_generators)
@@ -275,7 +280,7 @@ def recombine(system) -> LaurentPolynomial:
     """sum z1^i z2^j f_ij over the components of a symmetric decomposition of f."""
     total = LaurentPolynomial.zero()
     for (i, j), comp in system.components.items():
-        total = total + LaurentPolynomial.monomial(i, j) * comp
+        total = total + monomial(i, j) * comp
     return total
 
 

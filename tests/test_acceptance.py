@@ -44,6 +44,7 @@ from conftest import (
     averaged_component_on_arrays,
     fiber_values,
     log_coordinates,
+    monomial,
     monomial_bounded,
     rand_bounded_poly,
     rand_interior_point,
@@ -127,7 +128,7 @@ def test_02_axis_branch_bound():
 
 def test_03_sign_regression():
     domain = CuspDomain.hartogs(1, 1)
-    f = LaurentPolynomial.monomial(1, 0)
+    f = monomial(1, 0)
     p2 = QComplex(Fraction(1, 2))
     p = (QComplex(0), p2)
     sol = solve(domain, f, p, samples=0)
@@ -194,7 +195,7 @@ def test_05_division_identities():
         p = (rand_qcomplex(rng, nonzero=True), rand_qcomplex(rng, nonzero=True))
         r1, r2 = split_ratio(k, l, p)
         lin1, lin2 = _lin_factors(p)
-        target = LaurentPolynomial.monomial(k, -l) - LaurentPolynomial.constant(
+        target = monomial(k, -l) - LaurentPolynomial.constant(
             powi(p[0], k) * powi(p[1], -l)
         )
         assert r1 * lin1 + r2 * lin2 == target
@@ -228,7 +229,7 @@ def test_05_division_identities():
             cut_lin = LaurentPolynomial(
                 {(m, n): QComplex(1), (0, 0): -v_p}
             )
-            target = LaurentPolynomial.monomial(i, j) * comp
+            target = monomial(i, j) * comp
             assert g1 * ratio_lin + g2 * cut_lin == target
             for out in (g1, g2):
                 for a, b in out.exponents():

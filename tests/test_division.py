@@ -5,6 +5,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gleason import (
     CuspDomain,
@@ -15,6 +16,7 @@ from gleason import (
 from gleason.division import (
     MonomialPair,
     from_ratio_cut,
+    ratio_cut_point,
     split_component,
     split_cut,
     split_polynomial,
@@ -22,11 +24,13 @@ from gleason.division import (
     to_ratio_cut,
 )
 from gleason.errors import ConeError, InternalContractError, NonvanishingError
+from gleason.laurent import PRUNE_REL
 from gleason.scalars import powi
 
 from conftest import (
     fiber_values,
     max_coeff_distance,
+    monomial,
     monomial_bounded,
     rand_laurent,
     rand_qcomplex,
@@ -67,9 +71,9 @@ def test_fiber_data_values():
 
 def test_to_ratio_cut_examples():
     pair = MonomialPair(1, 1, 0, 1)  # order 1
-    form = to_ratio_cut(LaurentPolynomial.monomial(1, -1), pair)
+    form = to_ratio_cut(monomial(1, -1), pair)
     assert dict(form.terms) == {(1, 0): 1}
-    form = to_ratio_cut(LaurentPolynomial.monomial(1, 1), pair)
+    form = to_ratio_cut(monomial(1, 1), pair)
     assert dict(form.terms) == {(1, 2): 1}
     form = to_ratio_cut(LaurentPolynomial.constant(5), pair)
     assert dict(form.terms) == {(0, 0): 5}
@@ -77,11 +81,11 @@ def test_to_ratio_cut_examples():
 
 def test_to_ratio_cut_rejects_bad_exponents():
     with pytest.raises(InternalContractError):
-        to_ratio_cut(LaurentPolynomial.monomial(1, 0), MonomialPair(2, 1, 0, 1))
+        to_ratio_cut(monomial(1, 0), MonomialPair(2, 1, 0, 1))
     with pytest.raises(ConeError):
-        to_ratio_cut(LaurentPolynomial.monomial(-1, 0), MonomialPair(1, 1, 0, 1))
+        to_ratio_cut(monomial(-1, 0), MonomialPair(1, 1, 0, 1))
     with pytest.raises(ConeError):
-        to_ratio_cut(LaurentPolynomial.monomial(0, 2), MonomialPair(1, 1, 1, 1))
+        to_ratio_cut(monomial(0, 2), MonomialPair(1, 1, 1, 1))
 
 
 @pytest.mark.parametrize("k,l,m,n", PARAM_TUPLES)
@@ -96,6 +100,100 @@ def test_round_trip_through_ratio_cut(k, l, m, n):
     # note: arbitrary (alpha, beta) maps land in a lattice of index order,
     # not order^2, so the reverse round trip only holds for images like the
     # ones above; starting from random forms would hit the divisibility check
+
+
+# -- the relabels' prunes ------------------------------------------------------------
+
+
+def _state(f: LaurentPolynomial) -> tuple:
+    """Terms in order with their coefficients' reprs, and the norm as stored."""
+    return [(e, repr(c)) for e, c in f.terms.items()], repr(f._norm)
+
+
+def _chain_to_ratio_cut(f: LaurentPolynomial, pair: MonomialPair) -> LaurentPolynomial:
+    order = pair.order
+    return LaurentPolynomial(
+        {((a * pair.n - b * pair.m) // order, (a * pair.l + b * pair.k) // order): c
+         for (a, b), c in f.terms.items()},
+        prune_scale=f.max_norm,
+    )
+
+
+def _chain_from_ratio_cut(g: LaurentPolynomial, pair: MonomialPair, shift: tuple) -> LaurentPolynomial:
+    i, j = shift
+    return LaurentPolynomial(
+        {(a * pair.k + b * pair.m + i, -a * pair.l + b * pair.n + j): c for (a, b), c in g.terms.items()},
+        prune_scale=g.max_norm,
+    )
+
+
+# moduli over 40 decades, infinities and NaN, and exact coefficients; built at
+# a prune scale below their own, so that the relabels' prunes at the norm drop
+# terms, or at NaN, which prunes nothing
+relabel_coeffs = st.one_of(
+    st.builds(lambda c, k: c * 10.0**k, st.complex_numbers(max_magnitude=1.0, allow_nan=False,
+                                                          allow_infinity=False), st.integers(-20, 20)),
+    st.sampled_from([complex(math.inf, 0.0), complex(math.nan, 0.0), complex(1.0, -math.inf)]),
+    st.builds(QComplex, st.fractions(-3, 3, max_denominator=4)),
+)
+relabel_scales = st.one_of(st.none(), st.floats(0.0, 1e3), st.just(math.nan))
+relabel_pairs = st.sampled_from([MonomialPair(1, 1, 0, 1), MonomialPair(2, 1, 0, 1), MonomialPair(3, 2, 0, 1)])
+
+
+@given(
+    st.dictionaries(st.tuples(st.integers(0, 3), st.integers(-2, 2)), relabel_coeffs, max_size=5),
+    relabel_scales,
+    relabel_pairs,
+)
+def test_to_ratio_cut_prunes_as_its_construction(exponents, scale, pair):
+    order = pair.order
+    f = LaurentPolynomial(
+        {(order * a, order * b): c for (a, b), c in exponents.items()}, prune_scale=scale
+    )
+    got = to_ratio_cut(f, pair)
+    assert _state(got) == _state(_chain_to_ratio_cut(f, pair))
+
+
+@given(
+    st.dictionaries(st.tuples(st.integers(0, 3), st.integers(-2, 2)), relabel_coeffs, max_size=5),
+    relabel_scales,
+    relabel_pairs,
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+)
+def test_from_ratio_cut_prunes_as_a_second_construction(terms, scale, pair, shift):
+    g = LaurentPolynomial(terms, prune_scale=scale)
+    got = from_ratio_cut(g, pair, shift)
+    assert _state(got) == _state(_chain_from_ratio_cut(g, pair, shift))
+
+
+@pytest.mark.parametrize("step", [-1, 0, 1], ids=["below", "at", "above"])
+def test_relabels_prune_at_the_boundary(step):
+    # built at scale 1, g keeps a term beside PRUNE_REL * |g|; a relabel's
+    # prune at |g| drops it iff it sits at or below that threshold
+    at = PRUNE_REL * 4.0
+    x = complex({-1: math.nextafter(at, 0.0), 0: at, 1: math.nextafter(at, 1.0)}[step])
+    pair = MonomialPair(2, 1, 0, 1)
+    f = LaurentPolynomial({(0, 0): 4.0 + 0j, (2, 0): x}, prune_scale=1.0)
+    g = LaurentPolynomial({(0, 0): 4.0 + 0j, (1, 0): x}, prune_scale=1.0)
+    assert len(f) == len(g) == 2
+    form = to_ratio_cut(f, pair)
+    assert _state(form) == _state(_chain_to_ratio_cut(f, pair))
+    assert (len(form) == 2) == (step > 0)
+    back = from_ratio_cut(g, pair, (1, 0))
+    assert _state(back) == _state(_chain_from_ratio_cut(g, pair, (1, 0)))
+    assert (len(back) == 2) == (step > 0)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_split_component_takes_the_ratio_cut_point(exact):
+    rng = random.Random(5)
+    pair = MonomialPair(2, 1, 0, 1)
+    p = _exact_point(rng) if exact else (0.3 + 0.2j, 0.8 - 0.1j)
+    assert ratio_cut_point(pair, p) == fiber_values(pair, p)
+    h = rand_symmetric_component(rng, 2, 1, 0, 1, terms=6, exact=exact)
+    comp = h - LaurentPolynomial.constant(h.eval(*p))
+    given_point = split_component(1, 0, comp, pair, p, ratio_cut_point(pair, p))
+    assert [_state(g) for g in given_point] == [_state(g) for g in split_component(1, 0, comp, pair, p)]
 
 
 def test_project_to_fiber_examples():
@@ -180,7 +278,7 @@ def test_split_cut_identity_and_exponents(m, n):
 )
 def test_splits_take_the_kind_of_the_base_point(m, n, p, kind):
     # the float kernel then meets no exact operand to convert, V2 = 1 included
-    lin1 = LaurentPolynomial.monomial(1, 0) - LaurentPolynomial.constant(p[0])
+    lin1 = monomial(1, 0) - LaurentPolynomial.constant(p[0])
     for part in (*split_ratio(2, 1, p), *split_cut(m, n, p), lin1):
         assert {type(c) for c in part.terms.values()} <= {kind}
         assert part.is_exact() == (kind is QComplex or part.is_zero)  # V1 = 0 when m = 0
@@ -196,7 +294,7 @@ def test_split_polynomial_examples():
 
     prod = LaurentPolynomial({(1, 1): QComplex(1), (0, 0): -p[0] * p[1]})
     p1_part, p2_part = split_polynomial(prod, p)
-    assert p1_part == LaurentPolynomial.monomial(0, 1)
+    assert p1_part == monomial(0, 1)
     assert p2_part == LaurentPolynomial.constant(p[0])
 
     lin1 = LaurentPolynomial({(1, 0): QComplex(1), (0, 0): -p[0]})
@@ -277,7 +375,7 @@ def test_split_component_reexpands_and_stays_in_cone(k, l, m, n):
         comp = h - LaurentPolynomial.constant(h.eval(*p))
         f1, f2 = split_component(i, j, comp, pair, p)
         ratio_lin, cut_lin = _linear_factors(pair, p)
-        target = LaurentPolynomial.monomial(i, j) * comp
+        target = monomial(i, j) * comp
         assert f1 * ratio_lin + f2 * cut_lin == target
         for out in (f1, f2):
             for a, b in out.exponents():
@@ -303,7 +401,7 @@ def test_split_component_float_mode():
     f1, f2 = split_component(1, 0, comp, pair, p)
     ratio_lin, cut_lin = _linear_factors(pair, p)
     rebuilt = f1 * ratio_lin + f2 * cut_lin
-    target = LaurentPolynomial.monomial(1, 0) * comp
+    target = monomial(1, 0) * comp
     assert max_coeff_distance(rebuilt, target) <= 1e-10 * (1 + comp.one_norm())
 
 

@@ -12,15 +12,19 @@ from gleason import LaurentPolynomial, QComplex
 from gleason.errors import EvaluationDomainError, NotDivisibleError
 from gleason.laurent import (
     PRUNE_REL,
+    _float_product,
+    _term_products,
     divide_univariate,
     multiply_add,
     shift_divide_z1,
+    subtract_linear_multiples,
 )
 from gleason.scalars import powi
 
 from conftest import (
     chain_multiply_add,
     max_coeff_distance,
+    monomial,
     rand_laurent,
     rand_qcomplex,
     root_of_unity,
@@ -80,7 +84,7 @@ def test_eval_at_axis_zero():
 
 
 def test_scalar_arithmetic_and_equality():
-    f = LaurentPolynomial.monomial(1, 0)
+    f = monomial(1, 0)
     g = f * 2 + 1
     assert g == LaurentPolynomial({(1, 0): 2, (0, 0): 1})
     assert (g - g).is_zero
@@ -97,10 +101,10 @@ def test_norms_and_exactness():
 
 def test_is_exact_agrees_with_the_scalar_test():
     # an int or Fraction coefficient is exact, as scalars.is_exact says
-    assert LaurentPolynomial.monomial(1, 0).is_exact()
-    assert LaurentPolynomial.monomial(1, 0, Fraction(1, 3)).is_exact()
+    assert monomial(1, 0).is_exact()
+    assert monomial(1, 0, Fraction(1, 3)).is_exact()
     assert LaurentPolynomial.zero().is_exact()
-    assert not LaurentPolynomial.monomial(1, 0, 1.0).is_exact()
+    assert not monomial(1, 0, 1.0).is_exact()
     assert not LaurentPolynomial({(0, 0): QComplex(1), (1, 0): 0.5j}).is_exact()
 
 
@@ -269,10 +273,10 @@ def _bits(f: LaurentPolynomial) -> tuple:
     st.booleans(),
     st.booleans(),
 )
-@example(LaurentPolynomial.zero(), [(LaurentPolynomial.zero(), LaurentPolynomial.monomial(1, 0))], False, False)
+@example(LaurentPolynomial.zero(), [(LaurentPolynomial.zero(), monomial(1, 0))], False, False)
 @example(
     LaurentPolynomial({(0, 0): 1e-3j}),
-    [(LaurentPolynomial.constant(2.0 + 1j), LaurentPolynomial.monomial(1, 0, QComplex(1, 2)))],
+    [(LaurentPolynomial.constant(2.0 + 1j), monomial(1, 0, QComplex(1, 2)))],
     True,
     True,
 )
@@ -339,6 +343,116 @@ def test_float_multiply_add_prunes_where_the_chain_prunes(case):
         assert (a, 0) in multiply_add(base, products[:-1], subtract).terms
     else:
         assert got.terms[(a, 0)] == coefficient
+
+
+# -- the floating shift kernel and the flat products -----------------------------
+
+# infinities and NaN beside the wide floats: a floating map keeps them at a
+# fixed prune scale (built without one, an infinity sets the scale and goes)
+nonfinite = st.sampled_from(
+    [complex(math.inf, 0.0), complex(0.0, -math.inf), complex(math.nan, 0.0), complex(1.0, math.nan)]
+)
+edge_polys = st.dictionaries(
+    small_exps, st.one_of(wide_floats, nonfinite), max_size=4
+).map(lambda terms: LaurentPolynomial(terms, prune_scale=1.0))
+residual_factors = st.one_of(wide_polys, edge_polys, exact_polys)
+# roots the chain's z - root treats apart: zeros of either sign, moduli at and
+# beside 1e-14 and 1e14, where the root or z itself is pruned, the subnormal
+# minimum, infinities and NaN, and exact roots of every scalar type
+edge_roots = st.sampled_from(
+    [0.0, -0.0, 0j, complex(-0.0, -0.0), 5e-324, PRUNE_REL, math.nextafter(PRUNE_REL, 1.0),
+     3e-15j, 1e14, math.nextafter(1e14, 0.0), complex(0.0, 2e15), math.inf, complex(0.0, -math.inf),
+     math.nan, complex(math.nan, 1.0), 0, 3, Fraction(-1, 3), QComplex(0), QComplex(1, -2)]
+)
+roots = st.one_of(edge_roots, wide_floats, st.builds(QComplex, small_fracs, small_fracs))
+
+
+def _complex_copy(f: LaurentPolynomial) -> LaurentPolynomial:
+    """f read as complex, unpruned, as the floating kernels read an exact operand."""
+    return LaurentPolynomial({e: complex(c) for e, c in f.terms.items()}, prune_scale=0.0)
+
+
+def _chain_residual(f, f1, f2, p):
+    """f - f1*(z1-p1) - f2*(z2-p2) by the operator chain, with z - root formed as
+    monomial - constant(root); once any operand is floating, every exact one is
+    read as its complex copy, as the floating kernel reads it."""
+    lin1 = monomial(1, 0) - LaurentPolynomial.constant(p[0])
+    lin2 = monomial(0, 1) - LaurentPolynomial.constant(p[1])
+    ops = [f, f1, lin1, f2, lin2]
+    if not all(q.is_exact() for q in ops):
+        ops = [_complex_copy(q) for q in ops]
+    f, f1, lin1, f2, lin2 = ops
+    return _operator_chain(f, [(f1, lin1), (f2, lin2)], True)
+
+
+def _outcome(compute):
+    """_bits of the result, or the class and message of the exception raised."""
+    try:
+        return _bits(compute())
+    except (ArithmeticError, ValueError) as err:
+        return type(err).__name__, str(err)
+
+
+@settings(max_examples=400)
+@given(residual_factors, residual_factors, residual_factors, roots, roots)
+# the axis branch: p1 = 0 leaves the exact z1, read as complex beside float f2
+@example(
+    LaurentPolynomial({(0, 1): 1.5 + 0j}),
+    LaurentPolynomial({(0, 0): 2.0 - 1j}),
+    LaurentPolynomial({(0, 0): 1.5 + 0j}),
+    0j,
+    0.5 + 0.25j,
+)
+# an infinite coefficient times the chain's 1 + 0j picks up a NaN part
+@example(
+    LaurentPolynomial.zero(),
+    LaurentPolynomial({(0, 0): complex(math.inf, 0.0)}, prune_scale=1.0),
+    LaurentPolynomial.zero(),
+    0.5,
+    QComplex(1, 2),
+)
+def test_float_residual_is_the_operator_chain_bit_for_bit(f, f1, f2, p1, p2):
+    got = _outcome(lambda: subtract_linear_multiples(f, [(f1, (1, 0), p1), (f2, (0, 1), p2)]))
+    assert got == _outcome(lambda: _chain_residual(f, f1, f2, (p1, p2)))
+
+
+@pytest.mark.parametrize("root", [PRUNE_REL, math.nextafter(PRUNE_REL, 1.0), 1e14, 0.0])
+def test_float_residual_linear_factor_at_its_prune_boundaries(root):
+    # |p1| <= 1e-14 * max(1, |p1|) drops the root; |p1| >= 1e14 drops z1 itself
+    f1 = LaurentPolynomial.constant(1.0)
+    got = subtract_linear_multiples(LaurentPolynomial.zero(), [(f1, (1, 0), root)])
+    want = _chain_residual(LaurentPolynomial.zero(), f1, LaurentPolynomial.zero(), (root, 1.0))
+    assert _bits(got) == _bits(want)
+    assert ((1, 0) in got.terms) == (root < 1e14)
+    assert ((0, 0) in got.terms) == (root > PRUNE_REL)
+
+
+one_term = st.dictionaries(small_exps, st.one_of(wide_floats, nonfinite), min_size=1, max_size=1)
+few_terms = st.dictionaries(small_exps, st.one_of(wide_floats, nonfinite), max_size=4)
+
+
+def _factor(terms) -> LaurentPolynomial:
+    return LaurentPolynomial(terms, prune_scale=1.0)
+
+
+@given(st.one_of(one_term, few_terms), st.one_of(one_term, few_terms))
+def test_float_product_is_the_general_product_loop(g, h):
+    g, h = _factor(g), _factor(h)
+    prod, factor_norm = _float_product(g, h._terms, h._norm)
+    want = _term_products(g._terms, h._terms)
+    assert [(e, repr(c)) for e, c in prod.items()] == [(e, repr(c)) for e, c in want.items()]
+    if want:
+        assert _same_bits(factor_norm, g.max_norm() * h.max_norm())
+
+
+@given(few_terms, st.lists(st.tuples(st.one_of(one_term, few_terms), one_term), max_size=4), st.booleans())
+def test_one_term_products_are_the_operator_chain_bit_for_bit(base, products, subtract):
+    # one-term factors on either side, as V1 and V2 are, and infinite or NaN
+    # coefficients, which the chain's products turn into NaN parts
+    products = [(_factor(g), _factor(h)) if i % 2 else (_factor(h), _factor(g)) for i, (g, h) in enumerate(products)]
+    base = _factor(base)
+    got = _outcome(lambda: multiply_add(base, products, subtract))
+    assert got == _outcome(lambda: _operator_chain(base, products, subtract))
 
 
 # float coefficients over many magnitudes, so that pruning happens, plus NaN

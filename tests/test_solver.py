@@ -22,6 +22,7 @@ from gleason.verify import symbolic_residual
 
 from conftest import (
     max_coeff_distance,
+    monomial,
     rand_bounded_poly,
     rand_interior_point,
     sampled_sup,
@@ -76,11 +77,11 @@ def test_interior_ratio_solve():
 
 def test_axis_solve_with_corrected_sign():
     domain = CuspDomain.hartogs(1, 1)
-    f = LaurentPolynomial.monomial(1, 0)
+    f = monomial(1, 0)
     sol = solve(domain, f, (0, 0.5), samples=2000, seed=42)
     assert sol.mode == MODE_AXIS
-    assert sol.f1 == LaurentPolynomial.monomial(0, 1, 2.0)
-    assert sol.f2 == LaurentPolynomial.monomial(1, 0, -2.0)
+    assert sol.f1 == monomial(0, 1, 2.0)
+    assert sol.f2 == monomial(1, 0, -2.0)
     assert sol.report.residual_max == 0.0
     assert sol.report.bound_rhs == pytest.approx(8.0)  # 2^2 * 1 / 0.5
     assert sol.report.sup_f1_sampled <= 2.0 <= sol.report.bound_rhs
@@ -128,7 +129,7 @@ def test_axis_sign_regression(l):
     residual = symbolic_residual(f, sol.f1, bad, (QComplex(0), p2))
     f0 = LaurentPolynomial({e: c for e, c in f.terms.items() if e[0] == 0})
     pl = powi(p2, l)
-    expected = (f - f0) * (LaurentPolynomial.constant(pl) - LaurentPolynomial.monomial(0, l)) * (QComplex(2) / pl)
+    expected = (f - f0) * (LaurentPolynomial.constant(pl) - monomial(0, l)) * (QComplex(2) / pl)
     assert residual == expected
     if not (f - f0).is_zero:
         assert residual.max_norm() >= 1.0 or not residual.is_zero
@@ -231,7 +232,7 @@ def test_low_degree_input_short_circuits_to_polynomial_split():
     p = (QComplex(Fraction(1, 3)), QComplex(Fraction(1, 2)))
     f = LaurentPolynomial({(1, 1): QComplex(1), (0, 0): -p[0] * p[1]})
     sol = solve(domain, f, p, samples=0)
-    assert sol.f1 == LaurentPolynomial.monomial(0, 1)
+    assert sol.f1 == monomial(0, 1)
     assert sol.f2 == LaurentPolynomial.constant(p[0])
     _check_exact(sol, f, p)
 
@@ -264,7 +265,7 @@ def test_solver_linearity_in_exact_mode():
 def test_base_point_outside_domain():
     domain = CuspDomain.hartogs(1, 1)
     with pytest.raises(InputError):
-        solve(domain, LaurentPolynomial.monomial(1, 0), (0.9, 0.5))
+        solve(domain, monomial(1, 0), (0.9, 0.5))
 
 
 def test_unbounded_function_rejected_with_certificate():
@@ -278,7 +279,7 @@ def test_unbounded_function_rejected_with_certificate():
 def test_nonvanishing_function_rejected_with_value():
     domain = CuspDomain.hartogs(1, 1)
     with pytest.raises(NonvanishingError) as info:
-        solve(domain, LaurentPolynomial.monomial(0, 1), (0.25, 0.5))
+        solve(domain, monomial(0, 1), (0.25, 0.5))
     assert info.value.value == pytest.approx(0.5)
 
 
@@ -352,34 +353,50 @@ def test_exact_pipeline_takes_no_float_modulus(monkeypatch, domain):
     ids=["interior-3-2", "interior-5-1", "strip-cut-z1z2"],
 )
 def test_float_pipeline_takes_the_float_kernel(monkeypatch, domain):
-    # the recombination and the residual accumulate in the floating kernel:
-    # inside multiply_add, the operator chain's * and + must never run
-    depth = []
+    # the recombination accumulates in the floating multiply_add kernel and the
+    # residual in the shift kernel: inside either, the operator chain's * and +
+    # must never run, and the residual never takes the general product loop
+    laurent = importlib.import_module("gleason.laurent")
+    inside = []
     calls = []
 
-    def tracked(base, products, subtract=False):
-        calls.append(len(products))
-        depth.append(1)
-        try:
-            return multiply_add(base, products, subtract)
-        finally:
-            depth.pop()
+    def track(kernel, name):
+        def tracked(base, products, *args):
+            calls.append((name, len(products)))
+            inside.append(name)
+            try:
+                return kernel(base, products, *args)
+            finally:
+                inside.pop()
 
-    def refuse(name):
-        op = getattr(LaurentPolynomial, name)
+        return tracked
 
-        def guarded(self, other):
-            if depth:
-                raise AssertionError(f"multiply_add fell back to LaurentPolynomial.{name}")
-            return op(self, other)
+    def refuse(owner, name, where):
+        op = getattr(owner, name)
+
+        def guarded(*args):
+            if inside and inside[-1] in where:
+                raise AssertionError(f"{inside[-1]} fell back to {name}")
+            return op(*args)
 
         return guarded
 
     # gleason.verify is also the name of a function: import the modules by path
-    for module in ("gleason.solver", "gleason.verify"):
-        monkeypatch.setattr(importlib.import_module(module), "multiply_add", tracked)
+    solver, verify = (importlib.import_module(m) for m in ("gleason.solver", "gleason.verify"))
+    monkeypatch.setattr(solver, "multiply_add", track(multiply_add, "multiply_add"))
+    monkeypatch.setattr(
+        verify,
+        "subtract_linear_multiples",
+        track(laurent.subtract_linear_multiples, "subtract_linear_multiples"),
+    )
+    both = ("multiply_add", "subtract_linear_multiples")
     for name in ("__mul__", "__add__"):
-        monkeypatch.setattr(LaurentPolynomial, name, refuse(name))
+        monkeypatch.setattr(LaurentPolynomial, name, refuse(LaurentPolynomial, name, both))
+    monkeypatch.setattr(
+        laurent,
+        "_term_products",
+        refuse(laurent, "_term_products", ("subtract_linear_multiples",)),
+    )
     rng = random.Random(31)
     for _ in range(4):
         if domain.kind == "hartogs_full":
@@ -391,5 +408,9 @@ def test_float_pipeline_takes_the_float_kernel(monkeypatch, domain):
         f1, f2 = _pipeline_parts(f, p, domain.pair)
         residual = symbolic_residual(f, f1, f2, p)
         assert residual.max_norm() <= 1e-9 * (1 + f.one_norm())
-    # two recombinations and one residual per instance, each with products
-    assert len(calls) == 12 and all(calls)
+        assert all(type(c) is complex for c in residual.terms.values())
+    # per instance two recombinations, each with products, then one residual
+    # with its two linear parts
+    assert [name for name, _ in calls] == 4 * ["multiply_add", "multiply_add", "subtract_linear_multiples"]
+    assert all(n for name, n in calls if name == "multiply_add")
+    assert [n for name, n in calls if name == "subtract_linear_multiples"] == [2, 2, 2, 2]

@@ -1,8 +1,10 @@
 """Root-of-unity symmetrization and the interpolating correction polynomial."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gleason import (
     CuspDomain,
@@ -18,6 +20,7 @@ from gleason.scalars import powi
 from conftest import (
     averaged_component,
     max_coeff_distance,
+    monomial,
     rand_bounded_poly,
     rand_complex,
     rand_laurent,
@@ -29,7 +32,7 @@ from conftest import (
 
 
 def test_decompose_routing_examples():
-    sys2 = symmetric_decompose(LaurentPolynomial.monomial(1, 0), 2)
+    sys2 = symmetric_decompose(monomial(1, 0), 2)
     assert sys2.components[(1, 0)] == LaurentPolynomial.constant(1)
     assert all(
         sys2.components[(i, j)].is_zero for i in range(2) for j in range(2) if (i, j) != (1, 0)
@@ -38,8 +41,8 @@ def test_decompose_routing_examples():
     const = symmetric_decompose(LaurentPolynomial.constant(7), 5)
     assert const.components[(0, 0)] == LaurentPolynomial.constant(7)
 
-    ratio = symmetric_decompose(LaurentPolynomial.monomial(1, -1), 2)
-    assert ratio.components[(1, 1)] == LaurentPolynomial.monomial(0, -2)
+    ratio = symmetric_decompose(monomial(1, -1), 2)
+    assert ratio.components[(1, 1)] == monomial(0, -2)
 
 
 def test_decompose_order_validation():
@@ -98,7 +101,7 @@ def test_boundedness_transfers_to_components():
         order = k  # the solver's symmetrization order on this domain
         system = symmetric_decompose(f, order)
         for (i, j), comp in system.components.items():
-            piece = LaurentPolynomial.monomial(i, j) * comp
+            piece = monomial(i, j) * comp
             assert poly_bounded(domain, piece).bounded
 
 
@@ -115,8 +118,8 @@ def test_correction_order_one_is_value():
 
 def test_correction_fixes_low_degree_polynomials():
     p = (QComplex(1, 1), QComplex(2))
-    assert correction_polynomial(LaurentPolynomial.monomial(1, 0), p, 2) == (
-        LaurentPolynomial.monomial(1, 0)
+    assert correction_polynomial(monomial(1, 0), p, 2) == (
+        monomial(1, 0)
     )
 
 
@@ -174,8 +177,64 @@ def test_components_of_corrected_function_vanish_float_order_three():
 
 
 def test_correction_requires_off_axis_point():
-    f = LaurentPolynomial.monomial(1, 0)
+    f = monomial(1, 0)
     with pytest.raises(InputError):
         correction_polynomial(f, (0, 0.5), 2)
     with pytest.raises(InputError):
         correction_polynomial(f, (0.5, 0), 2)
+
+
+# -- empty components ------------------------------------------------------------
+
+# few terms over a wide exponent range, so that most buckets are empty; moduli
+# over 40 decades, infinities and NaN, and exact coefficients
+bucket_coeffs = st.one_of(
+    st.builds(lambda c, k: c * 10.0**k, st.complex_numbers(max_magnitude=1.0, allow_nan=False,
+                                                          allow_infinity=False), st.integers(-20, 20)),
+    st.sampled_from([complex(math.inf, 0.0), complex(math.nan, 0.0)]),
+    st.builds(QComplex, st.fractions(-3, 3, max_denominator=4)),
+)
+bucket_polys = st.builds(
+    lambda terms, scale: LaurentPolynomial(terms, prune_scale=scale),
+    st.dictionaries(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), bucket_coeffs, max_size=4),
+    st.one_of(st.none(), st.floats(0.0, 1e3)),
+)
+
+
+def _state(f: LaurentPolynomial) -> tuple:
+    """Terms in order with their coefficients' reprs, and the norm as stored."""
+    return [(e, repr(c)) for e, c in f.terms.items()], repr(f._norm)
+
+
+@given(bucket_polys, st.integers(1, 4))
+def test_each_component_is_its_bucket_construction(f, order):
+    components = symmetric_decompose(f, order).components
+    assert list(components) == [(i, j) for i in range(order) for j in range(order)]
+    buckets = {key: {} for key in components}
+    for (a, b), c in f.terms.items():
+        buckets[(a % order, b % order)][(a - a % order, b - b % order)] = c
+    for key, comp in components.items():
+        assert _state(comp) == _state(LaurentPolynomial(buckets[key], prune_scale=f.max_norm))
+    # an empty bucket is an exact zero of its own: a norm cached on one leaves
+    # the others exact
+    empty = [comp for key, comp in components.items() if not buckets[key]]
+    assert all(comp.is_zero and comp._norm is None for comp in empty)
+    for comp in empty:
+        comp.max_norm()
+        assert sum(other._norm is None for other in empty) == len(empty) - 1
+        comp._norm = None
+
+
+@given(
+    bucket_polys,
+    st.integers(1, 4),
+    st.sampled_from([(0.5 + 0.25j, -0.75 + 0.5j), (QComplex(1, 2), QComplex(-1, 3)), (2.0, QComplex(1))]),
+)
+def test_correction_skips_the_empty_components(f, order, p):
+    got = correction_polynomial(f, p, order)
+    components = symmetric_decompose(f, order).components
+    want = LaurentPolynomial(
+        {key: comp.eval(*p) for key, comp in components.items()},
+        prune_scale=lambda: f.max_norm() or 1.0,
+    )
+    assert _state(got) == _state(want)

@@ -33,6 +33,7 @@ from conftest import (
     averaged_component,
     averaged_component_on_arrays,
     chain_multiply_add,
+    monomial,
     rand_bounded_poly,
     rand_interior_point,
     rand_laurent,
@@ -77,7 +78,7 @@ def test_perturbation_is_detected(delta):
     domain = CuspDomain.hartogs(1, 1)
     p = (0.25, 0.5)
     f, f1, f2 = _exact_pair_for_linear(p)
-    f1_bad = f1 + LaurentPolynomial.monomial(1, 0, delta)
+    f1_bad = f1 + monomial(1, 0, delta)
     rep = verify(domain, f, f1_bad, f2, p, samples=2000, seed=42)
     assert not rep.symbolic_residual_zero
     assert rep.residual_max > rep.identity_tol
@@ -92,7 +93,7 @@ def test_unbounded_part_flagged():
     domain = CuspDomain.hartogs(1, 1)
     p = (0.25, 0.5)
     # f2 = z2^-1 is not bounded on the domain; identity holds for f built to match
-    f2 = LaurentPolynomial.monomial(0, -1)
+    f2 = monomial(0, -1)
     f1 = LaurentPolynomial.zero()
     lin2 = LaurentPolynomial({(0, 1): 1, (0, 0): -p[1]})
     f = f2 * lin2
@@ -123,10 +124,10 @@ def test_symbolic_residual_polynomial():
 
 
 def _linear_factors(p):
-    """z1 - p1 and z2 - p2, built as symbolic_residual builds them."""
+    """z1 - p1 and z2 - p2, formed by the operator chain."""
     return (
-        LaurentPolynomial.monomial(1, 0) - LaurentPolynomial.constant(p[0]),
-        LaurentPolynomial.monomial(0, 1) - LaurentPolynomial.constant(p[1]),
+        monomial(1, 0) - LaurentPolynomial.constant(p[0]),
+        monomial(0, 1) - LaurentPolynomial.constant(p[1]),
     )
 
 
@@ -154,7 +155,7 @@ def test_perturbed_exact_solution_is_refuted(seed):
     sol = solve(domain, f, p, samples=0)
     assert sol.report.passed and symbolic_residual(f, sol.f1, sol.f2, p).is_zero
     exp = next(iter(sol.f1.exponents()))
-    third = LaurentPolynomial.monomial(*exp, QComplex(Fraction(1, 3)))
+    third = monomial(*exp, QComplex(Fraction(1, 3)))
     bad_f1 = sol.f1 + third
     res = symbolic_residual(f, bad_f1, sol.f2, p)
     lin1, _ = _linear_factors(p)
@@ -175,13 +176,13 @@ def test_sampled_sup_constant():
 
 def test_sampled_sup_z2_approaches_one():
     domain = CuspDomain.hartogs(1, 1)
-    value = sampled_sup(LaurentPolynomial.monomial(0, 1), domain, 2000, seed=42)
+    value = sampled_sup(monomial(0, 1), domain, 2000, seed=42)
     assert 0.95 < value < 1.0
 
 
 def test_sampled_sup_bounded_ratio_monomial():
     domain = CuspDomain.hartogs(1, 1)
-    value = sampled_sup(LaurentPolynomial.monomial(1, -1), domain, 2000, seed=42)
+    value = sampled_sup(monomial(1, -1), domain, 2000, seed=42)
     assert value <= 1 + 1e-9
 
 
@@ -228,7 +229,7 @@ def test_eval_on_arrays_zero_polynomial():
 
 
 def test_averaged_component_hand_value():
-    f = LaurentPolynomial.monomial(1, 0)
+    f = monomial(1, 0)
     assert averaged_component(f, 2, 1, 0, 1.0, 1.0) == pytest.approx(1.0)
     for i, j in [(0, 0), (0, 1), (1, 1)]:
         assert averaged_component(f, 2, i, j, 1.0, 1.0) == pytest.approx(0.0)
