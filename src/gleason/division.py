@@ -161,24 +161,23 @@ def split_component(
     j: int,
     comp: LaurentPolynomial,
     pair: MonomialPair,
-    p: tuple,
-    uv: tuple | None = None,
+    uv: tuple,
 ) -> tuple[LaurentPolynomial, LaurentPolynomial]:
     """Split z1^i z2^j * comp against (u - u(p)) and (v - v(p)).
 
-    comp must be symmetric of order pair.order and z1^i z2^j * comp must
-    vanish at p.  Returns (g1, g2) with
+    uv is (u(p), v(p)) = ratio_cut_point(pair, p), the ratio and cut
+    monomials u, v at a base point p off the coordinate axes, so that a
+    caller splitting every component at one p forms them once.  comp must be
+    symmetric of order pair.order and z1^i z2^j * comp must vanish at p.
+    Returns (g1, g2) with
 
-        z1^i z2^j comp = g1 * (u - u(p)) + g2 * (v - v(p)),
+        z1^i z2^j comp = g1 * (u - u(p)) + g2 * (v - v(p)).
 
-    where u, v are the ratio and cut monomials and p is off the coordinate
-    axes.  uv is ratio_cut_point(pair, p), computed here when not given, so
-    that a caller splitting every component at one p forms it once.
     Dividing the fiber projection by (v - v(p)) must be exact; a residue
     there means the vanishing precondition was violated and raises
     InternalContractError.
     """
-    u_p, v_p = ratio_cut_point(pair, p) if uv is None else uv
+    u_p, v_p = uv
     g = to_ratio_cut(comp, pair)
     g_proj = g.substitute_z1(u_p)  # fiber projection: u := u(p)
 

@@ -535,7 +535,7 @@ def _float_linear(shift: tuple, root) -> tuple:
     root is a `_linear_root`.  An exact polynomial is read as its unpruned
     complex copy.  A floating one holds 1 and 0 + (-root), pruned at
     PRUNE_REL * max(1, |root|), so that z^shift itself goes when |root| is
-    at least 1e14 and the root when it is below 1e-14.
+    at least 1e14 and the root when |root| is at most 1e-14.
     """
     if type(root) is QComplex:
         sizes = {shift: 1.0}
@@ -589,7 +589,8 @@ def _as_complex(poly: LaurentPolynomial) -> LaurentPolynomial:
 
 
 def _float_product(g: LaurentPolynomial, h: dict, h_norm: float) -> tuple:
-    """(g*h as an unpruned map, |g| * |h|) for a floating or empty g.
+    """(g*h as an unpruned map, |g| * |h|) for a floating or empty g and a
+    floating term map h of max norm h_norm.
 
     The map is `_term_products`': the same exponents in the same order, each
     the sum 0 + c1*c2 + ... of the same products.  A factor of one or two

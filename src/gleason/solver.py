@@ -115,7 +115,7 @@ def _pipeline_parts(f: LaurentPolynomial, p: tuple, pair: MonomialPair):
     for (i, j), comp in system.components.items():
         if comp.is_zero:
             continue
-        g1, g2 = split_component(i, j, comp, pair, p, uv)
+        g1, g2 = split_component(i, j, comp, pair, uv)
         terms1 += [(g1, R1), (g2, V1)]
         terms2 += [(g1, R2), (g2, V2)]
     return multiply_add(P1, terms1), multiply_add(P2, terms2)

@@ -31,6 +31,7 @@ from gleason import (
 )
 from gleason.division import (
     MonomialPair,
+    ratio_cut_point,
     split_component,
     split_polynomial,
     split_ratio,
@@ -222,7 +223,7 @@ def test_05_division_identities():
             i, j = rng.randrange(order), rng.randrange(order)
             h = rand_symmetric_component(rng, k, l, m, n, terms=6, exact=True)
             comp = subtract_value_at(h, p)
-            g1, g2 = split_component(i, j, comp, pair, p)
+            g1, g2 = split_component(i, j, comp, pair, ratio_cut_point(pair, p))
             ratio_lin = LaurentPolynomial(
                 {(k, -l): QComplex(1), (0, 0): -u_p}
             )

@@ -60,11 +60,11 @@ def test_fiber_data_values():
     p = (QComplex(2), QComplex(3))
     u_p, v_p = QComplex(4) / 3, QComplex(6)
     ratio_cubed = LaurentPolynomial({(6, -3): QComplex(1), (0, 0): -(u_p**3)})
-    g1, g2 = split_component(0, 0, ratio_cubed, pair, p)
+    g1, g2 = split_component(0, 0, ratio_cubed, pair, ratio_cut_point(pair, p))
     assert g1 == LaurentPolynomial({(4, -2): QComplex(1), (2, -1): u_p, (0, 0): u_p**2})
     assert g2.is_zero
     cut_cubed = LaurentPolynomial({(3, 3): QComplex(1), (0, 0): -(v_p**3)})
-    g1, g2 = split_component(0, 0, cut_cubed, pair, p)
+    g1, g2 = split_component(0, 0, cut_cubed, pair, ratio_cut_point(pair, p))
     assert g1.is_zero
     assert g2 == LaurentPolynomial({(2, 2): QComplex(1), (1, 1): v_p, (0, 0): v_p**2})
 
@@ -182,18 +182,6 @@ def test_relabels_prune_at_the_boundary(step):
     back = from_ratio_cut(g, pair, (1, 0))
     assert _state(back) == _state(_chain_from_ratio_cut(g, pair, (1, 0)))
     assert (len(back) == 2) == (step > 0)
-
-
-@pytest.mark.parametrize("exact", [True, False])
-def test_split_component_takes_the_ratio_cut_point(exact):
-    rng = random.Random(5)
-    pair = MonomialPair(2, 1, 0, 1)
-    p = _exact_point(rng) if exact else (0.3 + 0.2j, 0.8 - 0.1j)
-    assert ratio_cut_point(pair, p) == fiber_values(pair, p)
-    h = rand_symmetric_component(rng, 2, 1, 0, 1, terms=6, exact=exact)
-    comp = h - LaurentPolynomial.constant(h.eval(*p))
-    given_point = split_component(1, 0, comp, pair, p, ratio_cut_point(pair, p))
-    assert [_state(g) for g in given_point] == [_state(g) for g in split_component(1, 0, comp, pair, p)]
 
 
 def test_project_to_fiber_examples():
@@ -352,13 +340,13 @@ def test_split_component_examples():
     p = _exact_point(rng)
     ratio_lin, cut_lin = _linear_factors(pair, p)
 
-    f1, f2 = split_component(0, 0, ratio_lin, pair, p)
+    f1, f2 = split_component(0, 0, ratio_lin, pair, ratio_cut_point(pair, p))
     assert f1 == LaurentPolynomial.constant(QComplex(1)) and f2.is_zero
 
-    f1, f2 = split_component(0, 0, cut_lin, pair, p)
+    f1, f2 = split_component(0, 0, cut_lin, pair, ratio_cut_point(pair, p))
     assert f1.is_zero and f2 == LaurentPolynomial.constant(QComplex(1))
 
-    f1, f2 = split_component(0, 0, ratio_lin * cut_lin, pair, p)
+    f1, f2 = split_component(0, 0, ratio_lin * cut_lin, pair, ratio_cut_point(pair, p))
     assert f1 == cut_lin and f2.is_zero
 
 
@@ -373,7 +361,7 @@ def test_split_component_reexpands_and_stays_in_cone(k, l, m, n):
         i, j = rng.randrange(order), rng.randrange(order)
         h = rand_symmetric_component(rng, k, l, m, n, terms=6, exact=True)
         comp = h - LaurentPolynomial.constant(h.eval(*p))
-        f1, f2 = split_component(i, j, comp, pair, p)
+        f1, f2 = split_component(i, j, comp, pair, ratio_cut_point(pair, p))
         ratio_lin, cut_lin = _linear_factors(pair, p)
         target = monomial(i, j) * comp
         assert f1 * ratio_lin + f2 * cut_lin == target
@@ -389,7 +377,7 @@ def test_split_component_detects_nonvanishing_input():
     pair = MonomialPair(1, 1, 0, 1)
     p = (QComplex(1), QComplex(2))
     with pytest.raises(InternalContractError):
-        split_component(0, 0, LaurentPolynomial.constant(QComplex(1)), pair, p)
+        split_component(0, 0, LaurentPolynomial.constant(QComplex(1)), pair, ratio_cut_point(pair, p))
 
 
 def test_split_component_float_mode():
@@ -398,7 +386,7 @@ def test_split_component_float_mode():
     p = (0.3 + 0.2j, 0.8 - 0.1j)
     h = rand_symmetric_component(rng, 2, 1, 0, 1, terms=6, exact=False)
     comp = h - LaurentPolynomial.constant(h.eval(*p))
-    f1, f2 = split_component(1, 0, comp, pair, p)
+    f1, f2 = split_component(1, 0, comp, pair, ratio_cut_point(pair, p))
     ratio_lin, cut_lin = _linear_factors(pair, p)
     rebuilt = f1 * ratio_lin + f2 * cut_lin
     target = monomial(1, 0) * comp
