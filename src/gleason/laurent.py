@@ -538,23 +538,9 @@ def _float_linear(shift: tuple, root) -> tuple:
     at least 1e14 and the root when |root| is at most 1e-14.
     """
     if type(root) is QComplex:
-        sizes = {shift: 1.0}
-        terms = {shift: 1 + 0j}
-        if root:
-            c = complex(-root)
-            if c != 0:
-                terms[(0, 0)], sizes[(0, 0)] = c, abs(c)
-        return terms, max(sizes.values())
-    c = 0 + (-root)
-    threshold = PRUNE_REL * max(1.0, abs(-root))
-    terms, sizes = {}, []
-    if not 1.0 <= threshold:
-        terms[shift] = 1 + 0j
-        sizes.append(1.0)
-    if not (c == 0 or (size := abs(c)) <= threshold):
-        terms[(0, 0)] = c
-        sizes.append(size)
-    return terms, max(sizes)
+        terms = {shift: 1 + 0j, (0, 0): complex(-root)} if root else {shift: 1 + 0j}
+        return _canonical(terms, 0.0)
+    return _canonical({shift: 1 + 0j, (0, 0): 0 + (-root)}, max(1.0, abs(root)))
 
 
 def subtract_linear_multiples(base: LaurentPolynomial, parts: list) -> LaurentPolynomial:
