@@ -553,17 +553,14 @@ def subtract_linear_multiples(base: LaurentPolynomial, parts: list) -> LaurentPo
     product loop is formed.  The exact kernel runs when base, every g and
     every linear factor are exact, the floating one otherwise.
     """
-    roots = [_linear_root(root) for _, _, root in parts]
-    if base.is_exact() and all(
-        g.is_exact() and type(r) is QComplex for (g, _, _), r in zip(parts, roots)
-    ):
-        products = [_linear_products(g, shift, r) for (g, shift, _), r in zip(parts, roots)]
+    parts = [(g, shift, _linear_root(root)) for g, shift, root in parts]
+    if base.is_exact() and all(g.is_exact() and type(r) is QComplex for g, _, r in parts):
+        products = [_linear_products(g, shift, r) for g, shift, r in parts]
         return _exact_sum(_triples(base), products, True)
     products = []
-    for (g, shift, _), root in zip(parts, roots):
+    for g, shift, root in parts:
         g = _as_complex(g)
-        terms, norm = _float_linear(shift, root)
-        products.append(_float_product(g, terms, norm))
+        products.append(_float_product(g, *_float_linear(shift, root)))
     return _float_sum(_as_complex(base), products, True)
 
 
