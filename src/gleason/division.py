@@ -6,8 +6,9 @@ Symmetric components (exponents divisible by N = k*n + l*m) rewrite exactly
 in the variables (u, v); a (u, v) form is an ordinary LaurentPolynomial whose
 exponent pairs are (ratio, cut) exponents.  Dividing by (u - u(p)) and
 (v - v(p)) there gives the bounded building blocks that the solver
-recombines; split_ratio and split_cut write u - u(p) and v - v(p) themselves
-in terms of (z1 - p1) and (z2 - p2).
+recombines, keyed back in z-exponents as they are found; split_ratio and
+split_cut write u - u(p) and v - v(p) themselves in terms of (z1 - p1) and
+(z2 - p2).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from ._record import record
 from .errors import ConeError, InternalContractError, NonvanishingError
 from .laurent import (
     LaurentPolynomial,
+    _canonical,
     _carried,
     _exact_poly,
     _linear_quotient,
@@ -70,25 +72,6 @@ def to_ratio_cut(f: LaurentPolynomial, pair: MonomialPair) -> LaurentPolynomial:
                 f"ratio exponent {alpha} is negative: outside the ratio cone"
             )
     return g
-
-
-def from_ratio_cut(
-    g: LaurentPolynomial, pair: MonomialPair, shift: tuple[int, int] = (0, 0)
-) -> LaurentPolynomial:
-    """Expand a (u, v) form back to z-exponents, times z1^i z2^j for shift (i, j).
-
-    u^alpha v^beta = z1^(ak+bm) z2^(-al+bn).
-    """
-    i, j = shift
-    terms = {
-        (alpha * pair.k + beta * pair.m + i, -alpha * pair.l + beta * pair.n + j): c
-        for (alpha, beta), c in g._terms.items()
-    }
-    if g._norm is None:  # exact, as in to_ratio_cut
-        return _exact_poly(terms)
-    # floating g keeps its terms and norm unless the prune at PRUNE_REL * |g|,
-    # after the one g was built with, drops one of them
-    return _carried(terms, g._norm)
 
 
 def ratio_cut_point(pair: MonomialPair, p: tuple) -> tuple:
@@ -173,11 +156,15 @@ def split_component(
 
         z1^i z2^j comp = g1 * (u - u(p)) + g2 * (v - v(p)).
 
-    Dividing the fiber projection by (v - v(p)) must be exact; a residue
-    there means the vanishing precondition was violated and raises
-    InternalContractError.
+    The quotients are found in (ratio, cut) exponents, and each quotient term
+    is written at once under its z-exponent, u^alpha v^beta times z1^i z2^j
+    being z1^(alpha*k + beta*m + i) z2^(-alpha*l + beta*n + j); no (u, v)
+    part is built.  Dividing the fiber projection by (v - v(p)) must be
+    exact; a residue there means the vanishing precondition was violated and
+    raises InternalContractError.
     """
     u_p, v_p = uv
+    k, l, m, n = pair.k, pair.l, pair.m, pair.n
     g = to_ratio_cut(comp, pair)
     g_proj = g.substitute_z1(u_p)  # fiber projection: u := u(p)
 
@@ -190,9 +177,9 @@ def split_component(
     for beta, sl in slices.items():
         sl[0] = sl.get(0, 0) - g_proj.coefficient(0, beta)
         quotient, _rem = _linear_quotient(sl, u_p)
+        a0, b0 = beta * m + i, beta * n + j
         for alpha, c in quotient.items():
-            ratio_terms[(alpha, beta)] = c
-    part_ratio = LaurentPolynomial(ratio_terms, prune_scale=g.max_norm)
+            ratio_terms[(alpha * k + a0, b0 - alpha * l)] = c
 
     # Cut direction: divide the fiber projection by (v - v(p)).
     quotient, rem = _linear_quotient(
@@ -200,8 +187,17 @@ def split_component(
     )
     if not negligible(rem, lambda: max(g_proj.one_norm(), comp.one_norm())):
         raise InternalContractError("fiber projection does not vanish at the base point")
-    part_cut = LaurentPolynomial(
-        {(0, beta): c for beta, c in quotient.items()}, prune_scale=g_proj.max_norm
-    )
+    cut_terms = {(beta * m + i, beta * n + j): c for beta, c in quotient.items()}
 
-    return from_ratio_cut(part_ratio, pair, (i, j)), from_ratio_cut(part_cut, pair, (i, j))
+    return _part(ratio_terms, g.max_norm), _part(cut_terms, g_proj.max_norm)
+
+
+def _part(terms: dict, scale) -> LaurentPolynomial:
+    """A split_component part from its quotient map keyed in z-exponents.
+
+    Built at scale, then carried, as the (u, v) quotient built at scale and
+    relabelled was: the relabel maps keys one to one in order, so terms,
+    order and norm agree.  A map of exact zeros alone, or none, is exact.
+    """
+    terms, norm = _canonical(terms, scale)
+    return _exact_poly(terms) if norm is None else _carried(terms, norm)

@@ -16,9 +16,10 @@ exact it reads each coefficient as Gaussian-integer ints (x, y, d) for
 (x + y*i)/d, keeps each exponent's sum unreduced and divides it through by
 its gcd once; exact `*` runs there too.  Otherwise it reads the operands as
 complex and rounds and prunes term by term where the operator chain does,
-but touches only the terms a product hits, and multiplies by a factor of one
-or two terms in a flat loop.  Either way coefficients and term order are the
-chain's.
+but touches only the terms a product hits, multiplies by a factor of one or
+two terms in a flat loop and reads a product's moduli in one list, rebuilding
+the product only when one of its prunes drops a term.  Either way
+coefficients and term order are the chain's.
 
 `subtract_linear_multiples`, the symbolic residual, forms
 ``base - sum g*(z^shift - root)`` by shifting the factors' terms, in either
@@ -617,20 +618,27 @@ def _float_sum(base: LaurentPolynomial, products: list, subtract: bool) -> Laure
     products holds (product map, factor norm) pairs, as `_float_product`
     forms them.  As the chain does, it prunes each product at PRUNE_REL times
     its factor norm |g| * |h|, a negated one again at PRUNE_REL * |g*h| and
-    each sum at PRUNE_REL * max(|acc|, |g*h|).  Each kept term's modulus, kept
-    beside it, exceeds the last sum threshold, so untouched terms are checked
-    again only when that threshold rises.
+    each sum at PRUNE_REL * max(|acc|, |g*h|).  A product's moduli are taken
+    in one list, in its order; the min and max of that list are the ones the
+    prunes compare, so a product whose smallest modulus exceeds both product
+    thresholds is added as it is, and only one that loses a term is rebuilt.
+    Each kept term's modulus, kept beside it, exceeds the last sum threshold,
+    so untouched terms are checked again only when that threshold rises.
     """
     acc = dict(base._terms)
     sizes = {exp: abs(c) for exp, c in acc.items()}
     norm, last = base.max_norm(), float("nan")  # base has met no sum threshold
     for prod, factor_norm in products:
-        kept = {e: abs(c) for e, c in prod.items()}
+        prod_norm = 0.0
         if prod:  # the chain takes no factor norm for an empty product
-            prod, kept = _kept(prod, kept, PRUNE_REL * factor_norm)
-        if subtract and kept:
-            prod, kept = _kept(prod, kept, PRUNE_REL * max(kept.values()))
-        prod_norm = max(kept.values()) if kept else 0.0
+            moduli = list(map(abs, prod.values()))
+            low, prod_norm = min(moduli), max(moduli)
+            floor = PRUNE_REL * factor_norm
+            if not (low > floor and (not subtract or low > PRUNE_REL * prod_norm)):
+                prod, kept = _kept(prod, dict(zip(prod, moduli)), floor)
+                if subtract and kept:
+                    prod, kept = _kept(prod, kept, PRUNE_REL * max(kept.values()))
+                prod_norm = max(kept.values()) if kept else 0.0
         threshold = PRUNE_REL * (prod_norm if prod_norm > norm else norm)  # max()'s ties
         for exp, c in prod.items():
             c = acc.get(exp, 0) + (-c if subtract else c)

@@ -81,6 +81,11 @@ def eval_on_arrays(f: LaurentPolynomial, q1, q2, powers: tuple | None = None) ->
             pow1[a] = q1**a
         if b not in pow2:
             pow2[b] = q2**b
+        # Keep the scalar on the left.  Complex multiply in numpy's SIMD loops
+        # need not be bitwise commutative (numpy 2.4 with AVX-512: c * x and
+        # x * c differ in the last bit on about a third of the samples), and
+        # `x *= c` computes x * c.  np.multiply(c, x, out=buf) followed by an
+        # in-place buf *= q2**b keeps these bits, but was no faster.
         out += complex(c) * pow1[a] * pow2[b]
     return out
 

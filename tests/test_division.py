@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gleason import (
     CuspDomain,
@@ -15,7 +15,6 @@ from gleason import (
 )
 from gleason.division import (
     MonomialPair,
-    from_ratio_cut,
     ratio_cut_point,
     split_component,
     split_cut,
@@ -24,8 +23,8 @@ from gleason.division import (
     to_ratio_cut,
 )
 from gleason.errors import ConeError, InternalContractError, NonvanishingError
-from gleason.laurent import PRUNE_REL
-from gleason.scalars import powi
+from gleason.laurent import PRUNE_REL, _carried, _exact_poly, _linear_quotient
+from gleason.scalars import negligible, powi
 
 from conftest import (
     fiber_values,
@@ -96,7 +95,7 @@ def test_round_trip_through_ratio_cut(k, l, m, n):
         f = rand_symmetric_component(rng, k, l, m, n, terms=6, exact=True)
         form = to_ratio_cut(f, pair)
         assert all(alpha >= 0 for alpha, _ in form.terms)
-        assert from_ratio_cut(form, pair) == f
+        assert _from_ratio_cut(form, pair) == f
     # note: arbitrary (alpha, beta) maps land in a lattice of index order,
     # not order^2, so the reverse round trip only holds for images like the
     # ones above; starting from random forms would hit the divisibility check
@@ -117,6 +116,22 @@ def _chain_to_ratio_cut(f: LaurentPolynomial, pair: MonomialPair) -> LaurentPoly
          for (a, b), c in f.terms.items()},
         prune_scale=f.max_norm,
     )
+
+
+def _from_ratio_cut(g: LaurentPolynomial, pair: MonomialPair, shift: tuple = (0, 0)) -> LaurentPolynomial:
+    """A (u, v) form back in z-exponents, times z1^i z2^j for shift (i, j).
+
+    u^alpha v^beta = z1^(alpha*k + beta*m) z2^(-alpha*l + beta*n).  An exact g
+    is relabelled as it is; a floating g keeps its terms and norm unless the
+    prune at PRUNE_REL * |g|, after the one g was built with, drops one of
+    them.  split_component's parts are its (u, v) quotients relabelled so.
+    """
+    i, j = shift
+    terms = {
+        (alpha * pair.k + beta * pair.m + i, -alpha * pair.l + beta * pair.n + j): c
+        for (alpha, beta), c in g.terms.items()
+    }
+    return _exact_poly(terms) if g._norm is None else _carried(terms, g._norm)
 
 
 def _chain_from_ratio_cut(g: LaurentPolynomial, pair: MonomialPair, shift: tuple) -> LaurentPolynomial:
@@ -162,7 +177,7 @@ def test_to_ratio_cut_prunes_as_its_construction(exponents, scale, pair):
 )
 def test_from_ratio_cut_prunes_as_a_second_construction(terms, scale, pair, shift):
     g = LaurentPolynomial(terms, prune_scale=scale)
-    got = from_ratio_cut(g, pair, shift)
+    got = _from_ratio_cut(g, pair, shift)
     assert _state(got) == _state(_chain_from_ratio_cut(g, pair, shift))
 
 
@@ -179,7 +194,7 @@ def test_relabels_prune_at_the_boundary(step):
     form = to_ratio_cut(f, pair)
     assert _state(form) == _state(_chain_to_ratio_cut(f, pair))
     assert (len(form) == 2) == (step > 0)
-    back = from_ratio_cut(g, pair, (1, 0))
+    back = _from_ratio_cut(g, pair, (1, 0))
     assert _state(back) == _state(_chain_from_ratio_cut(g, pair, (1, 0)))
     assert (len(back) == 2) == (step > 0)
 
@@ -204,7 +219,7 @@ def test_project_to_fiber_collapses_ratio_direction():
     assert all(alpha == 0 for alpha, _ in proj.terms)
     # substituting the ratio value is evaluation along the fiber
     value = sum(c * powi(v_p, beta) for (_, beta), c in proj.terms.items())
-    f = from_ratio_cut(g, pair)
+    f = _from_ratio_cut(g, pair)
     assert f.eval(*p) == value
 
 
@@ -391,6 +406,138 @@ def test_split_component_float_mode():
     rebuilt = f1 * ratio_lin + f2 * cut_lin
     target = monomial(1, 0) * comp
     assert max_coeff_distance(rebuilt, target) <= 1e-10 * (1 + comp.one_norm())
+
+
+# -- split_component against the (u, v) chain ------------------------------------
+
+
+def _chain_split_component(i, j, comp, pair, uv):
+    """split_component as it was built: each quotient as a (u, v) form,
+    LaurentPolynomial(..., prune_scale=...) in (ratio, cut) exponents, then
+    relabelled to z-exponents by _from_ratio_cut."""
+    u_p, v_p = uv
+    g = to_ratio_cut(comp, pair)
+    g_proj = g.substitute_z1(u_p)
+    slices: dict = {}
+    for (alpha, beta), c in g.terms.items():
+        slices.setdefault(beta, {})[alpha] = c
+    ratio_terms: dict = {}
+    for beta, sl in slices.items():
+        sl[0] = sl.get(0, 0) - g_proj.coefficient(0, beta)
+        quotient, _rem = _linear_quotient(sl, u_p)
+        for alpha, c in quotient.items():
+            ratio_terms[(alpha, beta)] = c
+    part_ratio = LaurentPolynomial(ratio_terms, prune_scale=g.max_norm)
+    quotient, rem = _linear_quotient({beta: c for (_, beta), c in g_proj.terms.items()}, v_p)
+    if not negligible(rem, lambda: max(g_proj.one_norm(), comp.one_norm())):
+        raise InternalContractError("fiber projection does not vanish at the base point")
+    part_cut = LaurentPolynomial({(0, beta): c for beta, c in quotient.items()}, prune_scale=g_proj.max_norm)
+    return _from_ratio_cut(part_ratio, pair, (i, j)), _from_ratio_cut(part_cut, pair, (i, j))
+
+
+def _split_outcome(split, *args):
+    """_state of both parts, or the class and message of the exception raised."""
+    try:
+        return [_state(part) for part in split(*args)]
+    except (InternalContractError, ArithmeticError, ValueError) as err:
+        return type(err).__name__, str(err)
+
+
+split_pairs = st.sampled_from(
+    [MonomialPair(1, 1, 0, 1), MonomialPair(2, 1, 0, 1), MonomialPair(3, 2, 0, 1), MonomialPair(1, 1, 1, 1)]
+)
+# moduli over 40 decades, so that the parts' prunes at |g| and at their own
+# norms drop terms; exact coefficients; and points of either kind whose ratio
+# and cut values spread over many decades
+split_coeffs = st.one_of(
+    st.builds(lambda c, k: c * 10.0**k, st.complex_numbers(max_magnitude=1.0, allow_nan=False,
+                                                          allow_infinity=False), st.integers(-20, 20)),
+    st.builds(QComplex, st.fractions(-3, 3, max_denominator=4)),
+)
+split_points = st.one_of(
+    st.tuples(*[st.builds(lambda r, t: r * cmath.exp(1j * t), st.floats(1e-3, 1e3), st.floats(0, 6.3))] * 2),
+    st.tuples(*[st.builds(QComplex, st.fractions(-3, 3, max_denominator=5).filter(bool),
+                          st.fractions(-3, 3, max_denominator=5))] * 2),
+)
+
+
+@settings(max_examples=300)
+@given(
+    st.dictionaries(st.tuples(st.integers(0, 3), st.integers(-2, 2)), split_coeffs, min_size=1, max_size=5),
+    split_pairs,
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    split_points,
+    st.booleans(),
+)
+def test_split_component_is_the_ratio_cut_chain(units, pair, shift, p, vanish):
+    order = pair.order
+    # exponents in (N*Z)^2 inside the ratio cone a*n >= b*m
+    h = LaurentPolynomial(
+        {(order * a, order * b): c for (a, b), c in units.items() if a * pair.n >= b * pair.m}
+    )
+    comp = h - LaurentPolynomial.constant(h.eval(*p)) if vanish else h
+    args = (*shift, comp, pair, ratio_cut_point(pair, p))
+    assert _split_outcome(split_component, *args) == _split_outcome(_chain_split_component, *args)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_split_component_parts_of_exact_zeros_are_exact_zeros(exact):
+    # comp in the cut alone leaves the ratio quotients empty, and a constant
+    # fiber projection leaves the cut quotient empty: both parts are the
+    # exact zero, never a floating one
+    pair = MonomialPair(2, 1, 0, 1)
+    p = (QComplex(1, 2), QComplex(3)) if exact else (0.3 + 0.2j, 0.8 - 0.1j)
+    uv = ratio_cut_point(pair, p)
+    one = QComplex(1) if exact else 1.0 + 0j
+    cut_lin = LaurentPolynomial({(0, 2): one, (0, 0): -uv[1] ** 2})  # v^2 - v(p)^2
+    g1, g2 = split_component(1, 0, cut_lin, pair, uv)
+    assert g1.is_zero and g1._norm is None
+    assert [_state(g1), _state(g2)] == [_state(part) for part in _chain_split_component(1, 0, cut_lin, pair, uv)]
+    zero = LaurentPolynomial({(0, 0): one - one})
+    for part in split_component(0, 1, zero, pair, uv):
+        assert part.is_zero and part._norm is None
+
+
+@pytest.mark.parametrize("step", [-1, 0, 1], ids=["below", "at", "above"])
+@pytest.mark.parametrize("part", ["ratio", "cut"])
+def test_split_component_parts_prune_at_the_boundary(step, part):
+    # u = z1/z2 and v = z2; a quotient term x comes out exactly, beside
+    # PRUNE_REL * 4, where 4 is the scale its part is built at (|g| for the
+    # ratio part, |g_proj| for the cut part), while x survives every prune
+    # before: it stays iff it sits above that threshold
+    x = {-1: math.nextafter(PRUNE_REL * 4.0, 0.0), 0: PRUNE_REL * 4.0,
+         1: math.nextafter(PRUNE_REL * 4.0, 1.0)}[step]
+    pair = MonomialPair(1, 1, 0, 1)
+    if part == "ratio":
+        # u(p) = 1/4; g = 4u - 1 + v(-4x u^2 + 2x u), |g| = 4, so the ratio
+        # quotient of the v-slice is -4x u + (2x - x)
+        p, comp = (0.25 + 0j, 1.0 + 0j), {(1, -1): 4.0, (0, 0): -1.0, (2, -1): -4 * x, (1, 0): 2 * x}
+    else:
+        # u(p) = 2, v(p) = 1; g = -2uv + x v^2 + 2u, |g| = 2, so the fiber
+        # projection -4v + x v^2 + 4 has norm 4 and its quotient is
+        # x v + (x - 4), whose norm, below 4, prunes no more
+        p, comp = (2.0 + 0j, 1.0 + 0j), {(1, 0): -2.0, (0, 2): x, (1, -1): 2.0}
+    comp = LaurentPolynomial({e: complex(c) for e, c in comp.items()})
+    args = (0, 0, comp, pair, ratio_cut_point(pair, p))
+    got, want = split_component(*args), _chain_split_component(*args)
+    assert [_state(g) for g in got] == [_state(g) for g in want]
+    assert ((0, 1) in got[part == "cut"].terms) == (step > 0)
+
+
+@pytest.mark.parametrize("x, kept", [(1e-12, False), (1e-10, True)])
+def test_split_component_ratio_part_prunes_at_its_own_norm(x, kept):
+    # u(p) = 32, v(p) = 1; g = u^3 - 32 u^2 v + x u v^2 has |g| = 32, its
+    # ratio quotient 1024 + 32u + u^2 - (1024 + 32u) v + x v^2 has norm 1024
+    # and its fiber projection norm 32768.  Built at |g|, the part keeps x;
+    # the prune at its own norm then drops 1e-12 and keeps 1e-10, which a
+    # part built at |g_proj| would drop too
+    pair = MonomialPair(1, 1, 0, 1)
+    comp = LaurentPolynomial({(3, -3): 1.0 + 0j, (2, -1): -32.0 + 0j, (1, 1): complex(x)})
+    args = (0, 0, comp, pair, ratio_cut_point(pair, (32.0 + 0j, 1.0 + 0j)))
+    got, want = split_component(*args), _chain_split_component(*args)
+    assert [_state(g) for g in got] == [_state(g) for g in want]
+    assert got[0].max_norm() == 1024.0
+    assert ((0, 2) in got[0].terms) == kept
 
 
 def test_branch_evaluations_agree_with_fiber_projection():

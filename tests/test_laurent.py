@@ -345,6 +345,52 @@ def test_float_multiply_add_prunes_where_the_chain_prunes(case):
         assert got.terms[(a, 0)] == coefficient
 
 
+# (1 + z)^2 = 1 + 2z + z^2 has norm 2 > |g| * |h| = 1, so a term
+# 2e-14 * scale passes the product's prune at 1e-14 and meets the negated
+# product's at 1e-14 * 2, the product's max, below, at or above it
+def _wide_square(scale: float) -> list:
+    g = _poly((0, 1.0), (1, 1.0))
+    return [(g, _poly((0, 1.0), (1, 1.0), (5, PRUNE_REL * 2.0 * scale)))]
+
+
+NAN = complex(math.nan, 0.0)
+PRODUCT_SIZE_CASES = {
+    "smallest below 1e-14 of max": _wide_square(math.nextafter(1.0, 0.0)),
+    "smallest at 1e-14 of max": _wide_square(1.0),
+    "smallest above 1e-14 of max": _wide_square(math.nextafter(1.0, 2.0)),
+    # min() and max() of [nan, ...] are NaN and of [..., nan] are not, and
+    # the product's factor norm follows g's carried norm the same way
+    "NaN first": [(LaurentPolynomial({(0, 0): NAN, (1, 0): 1.0 + 0j, (2, 0): 1e-20 + 0j}, prune_scale=0.0), ONE)],
+    "NaN later": [(LaurentPolynomial({(1, 0): 1.0 + 0j, (2, 0): 1e-20 + 0j, (0, 0): NAN}, prune_scale=0.0), ONE)],
+    "NaN later, nothing pruned": [(LaurentPolynomial({(1, 0): 1.0 + 0j, (0, 0): NAN}, prune_scale=0.0), ONE)],
+}
+
+
+@pytest.mark.parametrize("subtract", [True, False], ids=["subtract", "add"])
+@pytest.mark.parametrize("products", PRODUCT_SIZE_CASES.values(), ids=PRODUCT_SIZE_CASES.keys())
+def test_float_sum_reads_a_product_s_sizes_as_the_chain(products, subtract):
+    base = _poly((0, 1.0), (2, 1e-6), (5, 1e-10))
+    got = multiply_add(base, products, subtract)
+    want = _operator_chain(base, products, subtract)
+    assert _bits(got) == _bits(want) and repr(got._norm) == repr(want._norm)
+
+
+def test_float_sum_size_cases_reach_each_branch():
+    # the negated product's prune drops the (5, 0) term exactly when it sits
+    # at or below 1e-14 of the product's max; dropped, it leaves the base's
+    # 1e-10 there as it is
+    base = _poly((0, 1.0), (5, 1e-10))
+    for key, dropped in [("below", True), ("at", True), ("above", False)]:
+        products = PRODUCT_SIZE_CASES[f"smallest {key} 1e-14 of max"]
+        assert (multiply_add(base, products, True).terms[(5, 0)] == 1e-10) == dropped
+        assert multiply_add(base, products, False).terms[(5, 0)] != 1e-10
+    # with NaN first nothing is pruned and the 1e-20 term reaches the base's
+    # 1e-6; later, it goes at 1e-14 * |g| * |h|
+    base = _poly((0, 1.0), (2, 1e-6))
+    assert multiply_add(base, PRODUCT_SIZE_CASES["NaN first"], True).terms[(2, 0)] != 1e-6
+    assert multiply_add(base, PRODUCT_SIZE_CASES["NaN later"], True).terms[(2, 0)] == 1e-6
+
+
 # -- the floating shift kernel and the flat products -----------------------------
 
 # infinities and NaN beside the wide floats: a floating map keeps them at a
