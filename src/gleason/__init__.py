@@ -16,7 +16,6 @@ from .domains import (
     split_line,
 )
 from .errors import (
-    ConeError,
     EvaluationDomainError,
     ExponentOverflowError,
     GleasonError,
@@ -45,7 +44,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundednessCertificate",
-    "ConeError",
     "CuspDomain",
     "EvaluationDomainError",
     "ExponentOverflowError",

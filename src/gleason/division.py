@@ -14,7 +14,7 @@ split_cut write u - u(p) and v - v(p) themselves in terms of (z1 - p1) and
 from __future__ import annotations
 
 from ._record import record
-from .errors import ConeError, InternalContractError, NonvanishingError
+from .errors import InternalContractError, NonvanishingError
 from .laurent import (
     LaurentPolynomial,
     _canonical,
@@ -50,8 +50,9 @@ def to_ratio_cut(f: LaurentPolynomial, pair: MonomialPair) -> LaurentPolynomial:
 
     Returns the (u, v) form as a LaurentPolynomial whose exponent pairs are
     (ratio, cut) exponents.  Every exponent pair of f must be divisible by
-    pair.order in both variables; a negative resulting ratio exponent means
-    f is outside the ratio-polynomial cone and raises ConeError.
+    pair.order in both variables.  Either exponent may come out negative: on
+    a strip the ratio u is bounded above and away from 0, so every power of
+    it is bounded there.
     """
     order = pair.order
     acc: dict = {}
@@ -65,13 +66,7 @@ def to_ratio_cut(f: LaurentPolynomial, pair: MonomialPair) -> LaurentPolynomial:
     # _canonical.  Every floating polynomial carries its norm, so a missing
     # norm tells the kind without a call on the float path; the relabelled
     # map has the same moduli in the same order, so it carries that norm.
-    g = _exact_poly(acc) if f._norm is None else _carried(acc, f._norm)
-    for alpha, _beta in g.exponents():
-        if alpha < 0:
-            raise ConeError(
-                f"ratio exponent {alpha} is negative: outside the ratio cone"
-            )
-    return g
+    return _exact_poly(acc) if f._norm is None else _carried(acc, f._norm)
 
 
 def ratio_cut_point(pair: MonomialPair, p: tuple) -> tuple:
@@ -169,7 +164,8 @@ def split_component(
     g_proj = g.substitute_z1(u_p)  # fiber projection: u := u(p)
 
     # Ratio direction: divide (g - g_proj) by (u - u(p)) slice by slice in
-    # the cut exponent.  Each slice is an honest polynomial in u.
+    # the cut exponent.  A slice may hold negative powers of u; the division
+    # clears that pole first.
     slices: dict = {}
     for (alpha, beta), c in g.terms.items():
         slices.setdefault(beta, {})[alpha] = c

@@ -51,10 +51,6 @@ class UnboundedError(GleasonError):
         self.certificate = certificate
 
 
-class ConeError(GleasonError):
-    """A monomial falls outside the ratio-polynomial cone (negative ratio exponent)."""
-
-
 class InfeasibleSplitError(GleasonError):
     """No separating line with small rational slope fits the boundary data."""
 

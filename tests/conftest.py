@@ -202,7 +202,10 @@ def rand_symmetric_component(
     exact: bool = False,
 ) -> LaurentPolynomial:
     """Random component: exponents in (N*Z)^2, inside both the domain cone
-    (a*l + b*k >= 0, plus a >= 0 when m = 0) and the ratio cone (a*n >= b*m)."""
+    (a*l + b*k >= 0, plus a >= 0 when m = 0) and the ratio cone (a*n >= b*m).
+
+    The solver needs no ratio cone; the filter only keeps the seeded instances
+    drawn from here, which tests pin, unchanged."""
     order = k * n + l * m
     out: dict = {}
     drawn = 0
@@ -233,6 +236,9 @@ def strip_cone_poly(
 
     Exponents satisfy the strip cone a*l + b*k >= 0 and, after routing to the
     symmetric component, the ratio cone (a - a mod N)*n >= (b - b mod N)*m.
+    Every polynomial in the strip cone is solvable; the ratio-cone filter only
+    keeps the seeded instances drawn from here, which tests pin, unchanged.
+    tests/test_strip_outside_cone.py draws the ones outside it.
     """
     order = k * n + l * m
     out: dict = {}

@@ -22,7 +22,7 @@ from gleason.division import (
     split_ratio,
     to_ratio_cut,
 )
-from gleason.errors import ConeError, InternalContractError, NonvanishingError
+from gleason.errors import InternalContractError, NonvanishingError
 from gleason.laurent import PRUNE_REL, _carried, _exact_poly, _linear_quotient
 from gleason.scalars import negligible, powi
 
@@ -79,12 +79,15 @@ def test_to_ratio_cut_examples():
 
 
 def test_to_ratio_cut_rejects_bad_exponents():
+    # an exponent off the symmetry lattice breaks the caller's routing
     with pytest.raises(InternalContractError):
         to_ratio_cut(monomial(1, 0), MonomialPair(2, 1, 0, 1))
-    with pytest.raises(ConeError):
-        to_ratio_cut(monomial(-1, 0), MonomialPair(1, 1, 0, 1))
-    with pytest.raises(ConeError):
-        to_ratio_cut(monomial(0, 2), MonomialPair(1, 1, 1, 1))
+
+
+def test_to_ratio_cut_relabels_negative_ratio_exponents():
+    # z1^-1 = u^-1 v^-1 for u = z1/z2, v = z2; z2^2 = u^-1 v for v = z1*z2
+    assert dict(to_ratio_cut(monomial(-1, 0), MonomialPair(1, 1, 0, 1)).terms) == {(-1, -1): 1}
+    assert dict(to_ratio_cut(monomial(0, 2), MonomialPair(1, 1, 1, 1)).terms) == {(-1, 1): 1}
 
 
 @pytest.mark.parametrize("k,l,m,n", PARAM_TUPLES)
@@ -99,6 +102,31 @@ def test_round_trip_through_ratio_cut(k, l, m, n):
     # note: arbitrary (alpha, beta) maps land in a lattice of index order,
     # not order^2, so the reverse round trip only holds for images like the
     # ones above; starting from random forms would hit the divisibility check
+
+
+def _outside_cone_component(rng, pair: MonomialPair, terms: int = 6, max_unit: int = 4) -> LaurentPolynomial:
+    """Exact component bounded on a strip, exponents in (N*Z)^2 with a*l + b*k >= 0,
+    at least one of them with a negative ratio exponent a*n - b*m."""
+    order = pair.order
+    while True:
+        out: dict = {}
+        while len(out) < terms:
+            a, b = order * rng.randint(-max_unit, max_unit), order * rng.randint(-max_unit, max_unit)
+            if a * pair.l + b * pair.k >= 0:
+                out[(a, b)] = rand_qcomplex(rng, nonzero=True)
+        if any(a * pair.n < b * pair.m for a, b in out):
+            return LaurentPolynomial(out)
+
+
+@pytest.mark.parametrize("k,l,m,n", PARAM_TUPLES)
+def test_round_trip_through_ratio_cut_outside_the_cone(k, l, m, n):
+    rng = random.Random(k * 1000 + l * 100 + m * 10 + n)
+    pair = MonomialPair(k, l, m, n)
+    for _ in range(20):
+        f = _outside_cone_component(rng, pair)
+        form = to_ratio_cut(f, pair)
+        assert any(alpha < 0 for alpha, _ in form.terms)
+        assert _from_ratio_cut(form, pair) == f
 
 
 # -- the relabels' prunes ------------------------------------------------------------
@@ -471,10 +499,8 @@ split_points = st.one_of(
 )
 def test_split_component_is_the_ratio_cut_chain(units, pair, shift, p, vanish):
     order = pair.order
-    # exponents in (N*Z)^2 inside the ratio cone a*n >= b*m
-    h = LaurentPolynomial(
-        {(order * a, order * b): c for (a, b), c in units.items() if a * pair.n >= b * pair.m}
-    )
+    # exponents in (N*Z)^2, with negative ratio exponents a*n - b*m for the cut z1*z2
+    h = LaurentPolynomial({(order * a, order * b): c for (a, b), c in units.items()})
     comp = h - LaurentPolynomial.constant(h.eval(*p)) if vanish else h
     args = (*shift, comp, pair, ratio_cut_point(pair, p))
     assert _split_outcome(split_component, *args) == _split_outcome(_chain_split_component, *args)
