@@ -167,9 +167,9 @@ def _cmd_solve(args) -> int:
         )
     except NonvanishingError as err:
         raise InputError(f"{err} (pass --subtract-value to solve f - f(p))") from err
-    print(f"f1 = {format_poly(solution.f1)}")
-    print(f"f2 = {format_poly(solution.f2)}")
-    print(emit_report(solution, args.output))
+    # one print of the whole rendered text: an error while rendering prints nothing
+    text = f"f1 = {format_poly(solution.f1)}\nf2 = {format_poly(solution.f2)}\n"
+    print(text + emit_report(solution, args.output))
     return 0 if _passed(solution.report, args.tol) else 1
 
 

@@ -265,6 +265,20 @@ def test_strip_solve_via_cli(capsys):
     assert "mode=omega2_local" in out
 
 
+@pytest.mark.parametrize("mode", [[], ["--exact"]], ids=["float", "exact"])
+def test_strip_solve_outside_the_ratio_cone(capsys, mode):
+    # z2^2 = u^-1 v for u = z1/z2 and the cut v = z1*z2: bounded on the strip
+    code, out, err = run_cli(
+        capsys,
+        "solve", *mode, "--k", "1", "--l", "1", "--mode", "omega2",
+        "--strip-lower", "0.25", "--strip-upper", "2", "--cut-m", "1", "--cut-n", "1",
+        "--p1", "0.25", "--p2", "0.5", "--f", "z2^2 - 0.25",
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == ["f1 = -4z2^2 + 2z2", "f2 = 4z1*z2 + 0.5"]
+    assert "residual_max=0" in out.splitlines()
+
+
 BIG = "1" + "0" * 400
 
 
@@ -383,3 +397,50 @@ def test_info_non_finite_strip_is_exit_two(capsys, flag, value):
     assert code == 2
     assert out == ""
     assert "must be finite" in err
+
+
+def _decimal(exponent: int) -> str:
+    """10**exponent written out, as the polynomial grammar has no exponent notation."""
+    return "1" + "0" * exponent if exponent >= 0 else "0." + "0" * (-exponent - 1) + "1"
+
+
+def test_deep_point_whose_float_powers_underflow_solves(capsys):
+    # |p1|^10 and |p2|^10 both underflow to 0, yet 1e-200 < 1e-175 < 1
+    code, out, err = run_cli(
+        capsys,
+        "solve", "--k", "5", "--l", "5", "--p1", "1e-40", "--p2", "1e-35",
+        "--f", f"z1 - {_decimal(-40)}", "--samples", "0",
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == ["f1 = 1", "f2 = 0"]
+
+
+def test_strip_bound_whose_square_overflows_solves(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "solve", "--k", "1", "--l", "1", "--p1", "0.25", "--p2", "0.5", "--f", "z1 - 0.25",
+        "--samples", "0", "--mode", "omega2", "--strip-lower", "0.1", "--strip-upper", "1e200",
+    )
+    assert (code, err) == (0, "")
+    assert "mode=omega2_local" in out.splitlines()
+
+
+def test_point_whose_float_power_overflows_is_outside(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "solve", "--k", "4", "--l", "1", "--p1", "1e80", "--p2", "0.5",
+        "--f", f"z1 - {_decimal(80)}", "--samples", "0",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: base point is not inside the domain\n"
+
+
+def test_render_error_prints_no_partial_output(capsys):
+    # 1e200 / p2^6 overflows on the axis branch; nothing of the report may reach stdout
+    code, out, err = run_cli(
+        capsys,
+        "solve", "--k", "1", "--l", "6", "--p1", "0", "--p2", "1e-20",
+        "--f", f"{_decimal(200)}*z1", "--samples", "0",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: non-finite value cannot be rendered in the grammar\n"

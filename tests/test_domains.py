@@ -39,6 +39,75 @@ def test_contains_is_exact_for_rational_points():
     assert d.contains(q1 * QComplex(Fraction(99, 100)), q2)
 
 
+def _float_contains(d: CuspDomain, q1: complex, q2: complex) -> bool:
+    """Membership as float powers of the squared moduli, with no log fallback."""
+    m1, m2 = (q.real * q.real + q.imag * q.imag for q in (q1, q2))
+    if d.kind == "hartogs_full":
+        return m1**d.k < m2**d.l < 1
+    if m1 == 0 or m2 == 0 or not d.lower**2 * m2**d.l < m1**d.k < d.upper**2 * m2**d.l:
+        return False
+    x = 0.5 * math.log(m1)
+    y = 0.5 * math.log(m2)
+    return d.cut_n * y + d.cut_m * x <= d.cut_n * d.cut_r
+
+
+def _exact_contains(d: CuspDomain, q1: complex, q2: complex) -> bool:
+    """Membership of the floats' exact values, in rationals; the cut in logs."""
+    m1, m2 = (Fraction(q.real) ** 2 + Fraction(q.imag) ** 2 for q in (q1, q2))
+    if d.kind == "hartogs_full":
+        return m1**d.k < m2**d.l < 1
+    if not m1 or not m2:
+        return False
+    den = m2**d.l
+    if not Fraction(d.lower) ** 2 * den < m1**d.k < Fraction(d.upper) ** 2 * den:
+        return False
+    x, y = (0.5 * (math.log(m.numerator) - math.log(m.denominator)) for m in (m1, m2))
+    return d.cut_n * y + d.cut_m * x <= d.cut_n * d.cut_r
+
+
+CONTAINS_DOMAINS = [
+    CuspDomain.hartogs(1, 1),
+    CuspDomain.hartogs(5, 5),
+    CuspDomain.hartogs(4, 1),
+    CuspDomain.strip(1, 1, 0.1, 1e200, 0, 1, 0.0),
+    CuspDomain.strip(2, 3, 1e-180, 0.5, 1, 1, 0.0),
+    CuspDomain.strip(5, 2, 0.25, 2.0, 1, 2, 5.0),
+]
+
+
+@pytest.mark.parametrize("d", CONTAINS_DOMAINS, ids=lambda d: f"{d.kind}-{d.k}-{d.l}-{d.upper:g}")
+def test_contains_deep_and_huge_float_points(d):
+    # moduli from 1e-300 to 1e300: many float powers under- or overflow, and
+    # membership must still agree with the exact values' membership
+    rng = random.Random(d.k * 10 + d.l)
+    for _ in range(2000):
+        y = rng.uniform(-690, 10)
+        x = (d.l * y + rng.uniform(-60, 60)) / d.k
+        if rng.random() < 0.5 and d.kind == "hartogs_full":
+            x = rng.uniform(-690, 690)
+        q1, q2 = (math.exp(t) * complex(math.cos(a), math.sin(a)) for t, a in
+                  ((x, rng.uniform(0, 6.3)), (y, rng.uniform(0, 6.3))))
+        assert d.contains(q1, q2) == _exact_contains(d, q1, q2), (q1, q2)
+
+
+@pytest.mark.parametrize("d", CONTAINS_DOMAINS[:3] + [CuspDomain.strip(5, 2, 0.25, 2.0, 1, 2, 5.0)],
+                         ids=lambda d: f"{d.kind}-{d.k}-{d.l}")
+def test_contains_keeps_the_float_powers_where_they_are_in_range(d):
+    # points on the boundary, up to a few ulps, where every power is a normal
+    # float: the answer is the one the float powers give, bit for bit
+    rng = random.Random(7)
+    bounds = [1.0] if d.kind == "hartogs_full" else [d.lower, d.upper]
+    for _ in range(2000):
+        r2 = rng.uniform(0.05, 0.99)
+        r1 = (rng.choice(bounds) * r2**d.l) ** (1 / d.k)
+        for step in range(-3, 4):
+            for _ in range(abs(step)):
+                r1 = math.nextafter(r1, math.inf if step > 0 else 0.0)
+            q1, q2 = r1 * complex(0.6, 0.8), complex(r2)
+            assert d.contains(q1, q2) == _float_contains(d, q1, q2)
+    assert d.kind != "hartogs_full" or d.contains(0, 0.5) == _float_contains(d, 0j, 0.5 + 0j)
+
+
 def test_recession_generators():
     assert CuspDomain.hartogs(2, 3).recession_generators == ((-1, 0), (-3, -2))
     s = CuspDomain.strip(2, 3, 0.5, 2.0, 1, 1, 0.0)
