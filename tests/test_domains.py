@@ -90,8 +90,8 @@ def test_contains_deep_and_huge_float_points(d):
         assert d.contains(q1, q2) == _exact_contains(d, q1, q2), (q1, q2)
 
 
-@pytest.mark.parametrize("d", CONTAINS_DOMAINS[:3] + [CuspDomain.strip(5, 2, 0.25, 2.0, 1, 2, 5.0)],
-                         ids=lambda d: f"{d.kind}-{d.k}-{d.l}")
+# all but the two strips whose bounds' float squares leave the normal range
+@pytest.mark.parametrize("d", CONTAINS_DOMAINS[:3] + CONTAINS_DOMAINS[5:], ids=lambda d: f"{d.kind}-{d.k}-{d.l}")
 def test_contains_keeps_the_float_powers_where_they_are_in_range(d):
     # points on the boundary, up to a few ulps, where every power is a normal
     # float: the answer is the one the float powers give, bit for bit
@@ -99,8 +99,9 @@ def test_contains_keeps_the_float_powers_where_they_are_in_range(d):
     bounds = [1.0] if d.kind == "hartogs_full" else [d.lower, d.upper]
     for _ in range(2000):
         r2 = rng.uniform(0.05, 0.99)
-        r1 = (rng.choice(bounds) * r2**d.l) ** (1 / d.k)
+        on_bound = (rng.choice(bounds) * r2**d.l) ** (1 / d.k)
         for step in range(-3, 4):
+            r1 = on_bound
             for _ in range(abs(step)):
                 r1 = math.nextafter(r1, math.inf if step > 0 else 0.0)
             q1, q2 = r1 * complex(0.6, 0.8), complex(r2)

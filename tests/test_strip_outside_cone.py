@@ -41,10 +41,11 @@ FLOAT_KNOWN = {
 }
 
 
-def ratio_exponent(a: int, b: int, k: int, l: int, m: int, n: int) -> int:
-    """Ratio exponent of z1^a z2^b once routed to its symmetric component."""
+def outside_the_ratio_cone(exponents, k: int, l: int, m: int, n: int) -> bool:
+    """Whether some z1^a z2^b, routed to its symmetric component, has a
+    negative ratio exponent ((a - a mod N)*n - (b - b mod N)*m) / N."""
     order = k * n + l * m
-    return ((a - a % order) * n - (b - b % order) * m) // order
+    return any((a - a % order) * n < (b - b % order) * m for a, b in exponents)
 
 
 def outside_cone_poly(rng, k, l, m, n, exact, terms=5, max_exp=6) -> LaurentPolynomial:
@@ -55,7 +56,7 @@ def outside_cone_poly(rng, k, l, m, n, exact, terms=5, max_exp=6) -> LaurentPoly
             a, b = rng.randint(-max_exp, max_exp), rng.randint(-max_exp, max_exp)
             if a * l + b * k >= 0:
                 out[(a, b)] = rand_qcomplex(rng, nonzero=True) if exact else rand_complex(rng, nonzero=True)
-        if any(ratio_exponent(a, b, k, l, m, n) < 0 for a, b in out):
+        if outside_the_ratio_cone(out, k, l, m, n):
             return LaurentPolynomial(out)
 
 
@@ -103,18 +104,15 @@ def _lifted(f: LaurentPolynomial) -> LaurentPolynomial:
     return LaurentPolynomial({e: _lift(c) for e, c in f.terms.items()})
 
 
-def _outside_cone(domain, f) -> bool:
-    pair = domain.pair
-    return any(ratio_exponent(a, b, pair.k, pair.l, pair.m, pair.n) < 0 for a, b in f.exponents())
-
-
 def test_corpus_covers_every_shape_outside_the_ratio_cone():
     for exact in (True, False):
         instances = corpus(exact)
         assert len(instances) == COUNT >= 300
         shapes = [(d.k, d.l, d.cut_m, d.cut_n) for d, _, _ in instances]
         assert shapes == [shape for shape in SHAPES for _ in range(PER_SHAPE)]
-        assert all(_outside_cone(d, f) and d.contains(*p) for d, f, p in instances)
+        for d, f, p in instances:
+            assert outside_the_ratio_cone(f.exponents(), d.k, d.l, d.cut_m, d.cut_n)
+            assert d.contains(*p)
 
 
 @pytest.mark.parametrize("index", range(COUNT))
