@@ -14,6 +14,7 @@ is an upper bound for the polynomial's supremum there.
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -36,28 +37,21 @@ SHALLOW_BAND_TOP = -1e-3
 
 
 def _abs2(q):
-    """Squared modulus; exact Fraction for QComplex, float otherwise."""
+    """Exact squared modulus: of a QComplex, or of a complex point's float parts.
+
+    A point with an infinite or NaN part gets inf, which lies in no domain.
+    """
     if isinstance(q, QComplex):
         return q.abs2()
     z = complex(q)
-    return z.real * z.real + z.imag * z.imag
+    if not cmath.isfinite(z):
+        return math.inf
+    return Fraction(z.real) ** 2 + Fraction(z.imag) ** 2
 
 
-def _in_range(x):
-    """x if exact or a positive finite float; else OverflowError, for a float
-    power that underflowed to 0 or overflowed, so the caller compares in logs."""
-    if isinstance(x, Fraction) or 0 < x < math.inf:
-        return x
-    raise OverflowError("float power out of range")
-
-
-def _log_abs(q) -> float:
-    """log|q| without under- or overflow; -inf at 0."""
-    if isinstance(q, QComplex):
-        m = q.abs2()
-        return 0.5 * (math.log(m.numerator) - math.log(m.denominator)) if m else -math.inf
-    z = abs(complex(q))
-    return math.log(z) if z else -math.inf
+def _half_log(m: Fraction) -> float:
+    """log(m) / 2 for a positive Fraction, whatever its size."""
+    return 0.5 * (math.log(m.numerator) - math.log(m.denominator))
 
 
 @record
@@ -115,34 +109,24 @@ class CuspDomain:
     def contains(self, q1, q2) -> bool:
         """Strict membership; hartogs_full admits q1 = 0 when 0 < |q2| < 1.
 
-        Powers of the squared moduli are compared, exactly for exact points on
-        hartogs_full; where a float power underflows to 0 or overflows, the
-        same inequalities are compared in logs.
+        The point's squared moduli are compared exactly, as rationals (a
+        float's exact value), so deep or huge points neither under- nor
+        overflow; only a strip's cut is compared in logs.
         """
         m1 = _abs2(q1)
         m2 = _abs2(q2)
         if self.kind == HARTOGS_FULL:
-            try:
-                # a zero q1 has a true zero power, not an underflowed one
-                return (_in_range(m1**self.k) if q1 else 0) < _in_range(m2**self.l) < 1
-            except OverflowError:
-                return self.k * _log_abs(q1) < self.l * _log_abs(q2) < 0
-        if not q1 or not q2:
+            return m1**self.k < m2**self.l < 1
+        if m1 == 0 or m2 == 0:
             return False
-        try:
-            m1, m2 = float(m1), float(m2)
-            ratio_num = _in_range(m1**self.k)
-            ratio_den = m2**self.l
-            low = _in_range(self.lower**2 * ratio_den)
-            high = _in_range(self.upper**2 * ratio_den)
-        except OverflowError:
-            x, y = _log_abs(q1), _log_abs(q2)
-            inside = math.log(self.lower) < self.k * x - self.l * y < math.log(self.upper)
-        else:
-            inside = low < ratio_num < high
-            x = 0.5 * math.log(m1)
-            y = 0.5 * math.log(m2)
-        return inside and self.cut_n * y + self.cut_m * x <= self.cut_n * self.cut_r
+        ratio_num = m1**self.k
+        ratio_den = m2**self.l
+        low = Fraction(self.lower) ** 2 * ratio_den
+        if not low < ratio_num < Fraction(self.upper) ** 2 * ratio_den:
+            return False
+        x = _half_log(m1)
+        y = _half_log(m2)
+        return self.cut_n * y + self.cut_m * x <= self.cut_n * self.cut_r
 
 
 @record

@@ -435,6 +435,19 @@ def test_point_whose_float_power_overflows_is_outside(capsys):
     assert err == "error: base point is not inside the domain\n"
 
 
+@pytest.mark.parametrize("mode", [[], ["--mode", "omega2", "--strip-lower", "0.25", "--strip-upper", "2"]],
+                         ids=["hartogs", "strip"])
+def test_point_whose_modulus_overflows_is_outside(capsys, mode):
+    # both parts are finite, but |p1| is past the largest float
+    code, out, err = run_cli(
+        capsys,
+        "solve", "--k", "1", "--l", "1", "--p1", "1.5e308+1.5e308i", "--p2", "0.5",
+        "--f", "z1", *mode,
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: base point is not inside the domain\n"
+
+
 def test_render_error_prints_no_partial_output(capsys):
     # 1e200 / p2^6 overflows on the axis branch; nothing of the report may reach stdout
     code, out, err = run_cli(

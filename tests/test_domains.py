@@ -39,18 +39,6 @@ def test_contains_is_exact_for_rational_points():
     assert d.contains(q1 * QComplex(Fraction(99, 100)), q2)
 
 
-def _float_contains(d: CuspDomain, q1: complex, q2: complex) -> bool:
-    """Membership as float powers of the squared moduli, with no log fallback."""
-    m1, m2 = (q.real * q.real + q.imag * q.imag for q in (q1, q2))
-    if d.kind == "hartogs_full":
-        return m1**d.k < m2**d.l < 1
-    if m1 == 0 or m2 == 0 or not d.lower**2 * m2**d.l < m1**d.k < d.upper**2 * m2**d.l:
-        return False
-    x = 0.5 * math.log(m1)
-    y = 0.5 * math.log(m2)
-    return d.cut_n * y + d.cut_m * x <= d.cut_n * d.cut_r
-
-
 def _exact_contains(d: CuspDomain, q1: complex, q2: complex) -> bool:
     """Membership of the floats' exact values, in rationals; the cut in logs."""
     m1, m2 = (Fraction(q.real) ** 2 + Fraction(q.imag) ** 2 for q in (q1, q2))
@@ -91,22 +79,44 @@ def test_contains_deep_and_huge_float_points(d):
 
 
 # all but the two strips whose bounds' float squares leave the normal range
-@pytest.mark.parametrize("d", CONTAINS_DOMAINS[:3] + CONTAINS_DOMAINS[5:], ids=lambda d: f"{d.kind}-{d.k}-{d.l}")
-def test_contains_keeps_the_float_powers_where_they_are_in_range(d):
-    # points on the boundary, up to a few ulps, where every power is a normal
-    # float: the answer is the one the float powers give, bit for bit
-    rng = random.Random(7)
-    bounds = [1.0] if d.kind == "hartogs_full" else [d.lower, d.upper]
-    for _ in range(2000):
-        r2 = rng.uniform(0.05, 0.99)
-        on_bound = (rng.choice(bounds) * r2**d.l) ** (1 / d.k)
-        for step in range(-3, 4):
-            r1 = on_bound
-            for _ in range(abs(step)):
-                r1 = math.nextafter(r1, math.inf if step > 0 else 0.0)
-            q1, q2 = r1 * complex(0.6, 0.8), complex(r2)
-            assert d.contains(q1, q2) == _float_contains(d, q1, q2)
-    assert d.kind != "hartogs_full" or d.contains(0, 0.5) == _float_contains(d, 0j, 0.5 + 0j)
+@pytest.mark.parametrize("d", CONTAINS_DOMAINS, ids=lambda d: f"{d.kind}-{d.k}-{d.l}-{d.upper:g}")
+def test_contains_at_the_ends_of_the_float_range(d):
+    # |q|^2 is past the largest float, or subnormal, or below the smallest
+    # subnormal: membership is still the exact values', and nothing raises
+    huge, tiny = 1.5e308, 5e-324
+    points = [
+        (complex(huge, huge), 0.5),
+        (0.5, complex(huge, -huge)),
+        (complex(huge, huge), complex(huge, huge)),
+        (3e-158, 3.0000000001e-158),
+        (3.0000000001e-158, 3e-158),
+        (complex(tiny, tiny), 2 * tiny),
+        (tiny, complex(0, 1e-300)),
+    ]
+    for q1, q2 in points:
+        assert d.contains(q1, q2) == _exact_contains(d, complex(q1), complex(q2)), (q1, q2)
+    assert not d.contains(math.nan, 0.5) and not d.contains(0.5, complex(0, math.inf))
+
+
+MAGNITUDES = [5e-324, 1e-310, 3e-158, 1e-100, 1e-13, 0.3, 0.99]
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_contains_separates_adjacent_floats(k):
+    # an oracle that needs no arithmetic: for positive reals, hartogs(k, k) is
+    # q1 < q2 < 1, and strip(k, k, 2^-k, 2^k) cut at |q2| = 1 is q2/2 < q1 < 2 q2
+    hartogs = CuspDomain.hartogs(k, k)
+    strip = CuspDomain.strip(k, k, 2.0**-k, 2.0**k, 0, 1, 0.0)
+    for r in MAGNITUDES:
+        up = math.nextafter(r, math.inf)
+        assert hartogs.contains(r, up) and hartogs.contains(complex(0, r), up)
+        assert not hartogs.contains(r, r) and not hartogs.contains(up, r)
+        if r < 1e-300:
+            continue  # r/2 or 2r would round
+        for bound, inward in ((r / 2, math.inf), (2 * r, 0.0)):
+            assert not strip.contains(bound, r)
+            assert strip.contains(math.nextafter(bound, inward), complex(0, r))
+    assert not hartogs.contains(1.5e308, math.nextafter(1.5e308, math.inf))
 
 
 def test_recession_generators():
