@@ -36,22 +36,23 @@ DEEP_BAND_TOP = -3.0
 SHALLOW_BAND_TOP = -1e-3
 
 
-def _abs2(q):
-    """Exact squared modulus: of a QComplex, or of a complex point's float parts.
+def _abs2(q) -> tuple[int, int]:
+    """Exact squared modulus n / d as the pair (n, d), d >= 0, not reduced.
 
-    A point with an infinite or NaN part gets inf, which lies in no domain.
+    A QComplex gives its rational value, a complex point the exact value of
+    its float parts.  A point with an infinite or NaN part gets (1, 0): under
+    the cross-multiplied comparisons of ``contains`` it is larger than every
+    modulus, so it lies in no domain.
     """
     if isinstance(q, QComplex):
-        return q.abs2()
+        m = q.abs2()
+        return m.numerator, m.denominator
     z = complex(q)
     if not cmath.isfinite(z):
-        return math.inf
-    return Fraction(z.real) ** 2 + Fraction(z.imag) ** 2
-
-
-def _half_log(m: Fraction) -> float:
-    """log(m) / 2 for a positive Fraction, whatever its size."""
-    return 0.5 * (math.log(m.numerator) - math.log(m.denominator))
+        return 1, 0
+    a, b = z.real.as_integer_ratio()
+    c, d = z.imag.as_integer_ratio()
+    return a * a * d * d + c * c * b * b, (b * d) ** 2
 
 
 @record
@@ -109,23 +110,26 @@ class CuspDomain:
     def contains(self, q1, q2) -> bool:
         """Strict membership; hartogs_full admits q1 = 0 when 0 < |q2| < 1.
 
-        The point's squared moduli are compared exactly, as rationals (a
+        The point's squared moduli are compared exactly, in integers (a
         float's exact value), so deep or huge points neither under- nor
         overflow; only a strip's cut is compared in logs.
         """
-        m1 = _abs2(q1)
-        m2 = _abs2(q2)
+        (n1, d1), (n2, d2) = _abs2(q1), _abs2(q2)
+        # |q1|^(2k) = a / b and |q2|^(2l) = c / d, compared cross-multiplied
+        a, b = n1**self.k, d1**self.k
+        c, d = n2**self.l, d2**self.l
         if self.kind == HARTOGS_FULL:
-            return m1**self.k < m2**self.l < 1
-        if m1 == 0 or m2 == 0:
+            return a * d < c * b and c < d
+        if a == 0 or c == 0:
             return False
-        ratio_num = m1**self.k
-        ratio_den = m2**self.l
-        low = Fraction(self.lower) ** 2 * ratio_den
-        if not low < ratio_num < Fraction(self.upper) ** 2 * ratio_den:
+        # lower^2 < (a / b) / (c / d) < upper^2
+        lo, lo_den = self.lower.as_integer_ratio()
+        hi, hi_den = self.upper.as_integer_ratio()
+        ad, bc = a * d, b * c
+        if not lo * lo * bc < ad * lo_den * lo_den or not ad * hi_den * hi_den < hi * hi * bc:
             return False
-        x = _half_log(m1)
-        y = _half_log(m2)
+        x = 0.5 * (math.log(n1) - math.log(d1))
+        y = 0.5 * (math.log(n2) - math.log(d2))
         return self.cut_n * y + self.cut_m * x <= self.cut_n * self.cut_r
 
 
