@@ -72,7 +72,8 @@ def _add_verify_args(sub):
         type=float,
         default=None,
         help="accept the identity when the sampled residual is at most this"
-        " (default: symbolic zero plus a 1e-9 relative numeric check)",
+        " (default: every residual coefficient, certified against its rounding error,"
+        " and the sampled residual at most 1e-9 * (1 + |f|_1); exact coefficients must be zero)",
     )
     sub.add_argument(
         "--output", choices=("machine", "plain"), default="machine", help="report format"

@@ -229,7 +229,7 @@ class _Parser:
             poly = LaurentPolynomial(acc)
             if math.isfinite(poly.max_norm()):  # past the float range: inf, or abs() raises
                 return poly
-        except OverflowError:
+        except (OverflowError, InputError):  # InputError: an infinite prune scale
             pass
         raise InputError("a coefficient's modulus is out of the float range")
 

@@ -11,7 +11,7 @@ largest modulus kept, so a floating polynomial carries its max norm and the
 scale of the next `+` or `*` costs no rescan; an exact polynomial computes
 its norm only when asked.
 
-`multiply_add` forms ``base +- sum g*h`` in one map.  When every operand is
+`multiply_add` forms ``base + sum g*h`` in one map.  When every operand is
 exact it reads each coefficient as Gaussian-integer ints (x, y, d) for
 (x + y*i)/d, keeps each exponent's sum unreduced and divides it through by
 its gcd once; exact `*` runs there too.  Otherwise it reads the operands as
@@ -19,13 +19,13 @@ complex and rounds and prunes term by term where the operator chain does,
 but touches only the terms a product hits, multiplies by a factor of one or
 two terms in a flat loop and reads a product's moduli in one list, rebuilding
 the product only when one of its prunes drops a term.  Either way
-coefficients and term order are the chain's.
+coefficients and term order are the chain's.  A prune at an infinite scale
+would drop every term, so it raises `InputError` naming the float overflow.
 
-`subtract_linear_multiples`, the symbolic residual, forms
-``base - sum g*(z^shift - root)`` by shifting the factors' terms, in either
-kind, without building z - root or running the general product loop: exact
-operands take unreduced triples, floating ones the products with the chain's
-z - root read as complex, pruned and summed by the floating kernel.
+`subtract_linear_multiples`, the symbolic residual, shifts the factors'
+terms instead of building z - root: as unreduced triples on exact operands,
+and on floating ones in a pass that certifies each coefficient against a
+tolerance, recomputing it exactly when its rounding bound straddles it.
 
 The other exact kernels work the same way, on exact terms with a QComplex
 point or root, and reduce once per coefficient they store or return: `eval`
@@ -40,14 +40,23 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
+from fractions import Fraction
 from types import MappingProxyType
 
-from .errors import EvaluationDomainError, NotDivisibleError
+from .errors import EvaluationDomainError, InputError, NotDivisibleError
 from .scalars import QComplex, _gauss_power, _raw, _reduced, negligible, powi
 from .scalars import is_exact as scalar_is_exact
 
 PRUNE_REL = 1e-14
 _ZERO = _raw(0, 0, 1)
+
+
+def _prune_threshold(scale: float) -> float:
+    """PRUNE_REL * scale; at an infinite scale every term would go, so that raises."""
+    threshold = PRUNE_REL * scale
+    if threshold == math.inf:
+        raise InputError("float overflow: a coefficient scale is out of the float range")
+    return threshold
 
 
 def _canonical(terms, prune_scale: float | Callable[[], float] | None) -> tuple:
@@ -76,7 +85,7 @@ def _canonical(terms, prune_scale: float | Callable[[], float] | None) -> tuple:
         prune_scale = max(0.0, *map(abs, terms.values()))
     elif callable(prune_scale):
         prune_scale = prune_scale()
-    threshold = PRUNE_REL * prune_scale
+    threshold = _prune_threshold(prune_scale)
     out = {}
     norm = None
     for exp, c in terms.items():
@@ -336,7 +345,7 @@ class LaurentPolynomial:
     def __mul__(self, other):
         if isinstance(other, LaurentPolynomial):
             if self.is_exact() and other.is_exact():
-                return _exact_sum([], [_product_triples(_triples(self), _triples(other))], False)
+                return _exact_sum([], [_product_triples(_triples(self), _triples(other))])
             return LaurentPolynomial(
                 _term_products(self._terms, other._terms),
                 prune_scale=lambda: self.max_norm() * other.max_norm(),
@@ -436,8 +445,8 @@ def _exact_substitute(terms: dict, value: QComplex) -> LaurentPolynomial:
     return _exact_poly({(0, b): _reduced(x, y, d) for b, (x, y, d) in acc.items() if x or y})
 
 
-def _exact_sum(base: list, products, subtract: bool) -> LaurentPolynomial:
-    """The exact kernel: base triples +- the unreduced product maps.
+def _exact_sum(base: list, products) -> LaurentPolynomial:
+    """The exact kernel: base triples plus the unreduced product maps.
 
     Each product map is exponent -> (x, y, d) in the order the operator loop
     meets the exponents, as `_product_triples` and `_linear_products` build
@@ -452,8 +461,6 @@ def _exact_sum(base: list, products, subtract: bool) -> LaurentPolynomial:
         for exp, (x, y, d) in product.items():
             if not (x or y):
                 continue
-            if subtract:
-                x, y = -x, -y
             old = acc.get(exp)
             if old is None:
                 acc[exp] = (x, y, d)
@@ -471,15 +478,15 @@ def _exact_sum(base: list, products, subtract: bool) -> LaurentPolynomial:
 
 
 def _linear_products(g: LaurentPolynomial, shift: tuple, root: QComplex) -> dict:
-    """exponent -> unreduced (x, y, d) of g * (z^shift - root) for exact g.
+    """exponent -> unreduced (x, y, d) of -g * (z^shift - root) for exact g.
 
-    The map is `_product_triples` of g and the linear polynomial, whose terms
-    are z^shift, then -root when root is nonzero: the same exponents in the
-    same order with the same ints, but neither the linear polynomial nor the
-    general product loop is formed.
+    The map is `_product_triples` of g and the negated linear polynomial,
+    whose terms are -z^shift, then root when root is nonzero: the same
+    exponents in the same order with the same ints, but neither the linear
+    polynomial nor the general product loop is formed.
     """
     i, j = shift
-    rx, ry, rd = -root._x, -root._y, root._d
+    rx, ry, rd = root._x, root._y, root._d
     acc: dict = {}
     get = acc.get
     for (a, b), c in g._terms.items():
@@ -487,13 +494,13 @@ def _linear_products(g: LaurentPolynomial, shift: tuple, root: QComplex) -> dict
         exp = (a + i, b + j)
         old = get(exp)
         if old is None:
-            acc[exp] = (x1, y1, d1)
+            acc[exp] = (-x1, -y1, d1)
         else:
             u, v, w = old
             if w == d1:
-                acc[exp] = (u + x1, v + y1, d1)
+                acc[exp] = (u - x1, v - y1, d1)
             else:
-                acc[exp] = (u * d1 + x1 * w, v * d1 + y1 * w, w * d1)
+                acc[exp] = (u * d1 - x1 * w, v * d1 - y1 * w, w * d1)
         if not (rx or ry):
             continue
         exp = (a, b)
@@ -512,57 +519,88 @@ def _linear_products(g: LaurentPolynomial, shift: tuple, root: QComplex) -> dict
     return acc
 
 
-def _linear_root(root):
-    """The root of z^shift - root as the operator chain's polynomial holds it.
+# A residual coefficient's rounding bound (Higham, "Accuracy and Stability of
+# Numerical Algorithms", 2nd ed., 3.1 and 3.6): each summand of
+# f_e - g_(e-shift) + root*g_e reaches the float sum with a relative error of
+# at most about 9u, u = 2**-53; 12u leaves room for the comparisons with tol.
+# The absolute term covers the real products' underflow.
+_ROUNDING_REL = 12 * 2.0**-53
+_UNDERFLOW = 2.0**-1069
 
-    The chain forms monomial(*shift) - constant(root).  An exact nonzero root
-    stays a QComplex root of an exact polynomial; a floating root is a complex
-    one, and so is the polynomial, unless constant(root) prunes it (0 and
-    infinite moduli), which leaves the exact z^shift and the root QComplex 0.
+
+def subtract_linear_multiples(base: LaurentPolynomial, parts: list, tol: float) -> LaurentPolynomial:
+    """base - g*(z^shift - root) - ... over the (g, shift, root) parts, shift != (0, 0).
+
+    Exact operands (every root an int, Fraction or QComplex) give the exact
+    residual in the operator chain's term order, and tol is not read.
+    Otherwise each coefficient r_e is summed in float, unpruned, beside the
+    sum s_e of its summands' moduli (an exact operand read as complex rounds
+    relatively, as in the normal float range), so |r_e| lies within b_e =
+    12u * s_e + 2**-1069 of the float sum's modulus m_e.  It is dropped when
+    m_e <= b_e and m_e + b_e <= tol, kept when it is certified on one side of
+    tol, and recomputed by `_exact_coefficient` when it straddles tol.  So
+    abs(c) <= tol holds for every coefficient c iff every exact |r_e| does.
     """
-    if isinstance(root, (float, complex)):
-        c = root if type(root) is complex else complex(root)
-        if c == 0 or abs(c) <= PRUNE_REL * max(0.0, abs(root)):
-            return _ZERO
-        return c
-    if isinstance(root, QComplex):
-        return root
-    return QComplex(root) if root else _ZERO
+    if base.is_exact() and all(g.is_exact() and scalar_is_exact(r) for g, _, r in parts):
+        products = [
+            _linear_products(g, shift, r if type(r) is QComplex else QComplex(r)) for g, shift, r in parts
+        ]
+        return _exact_sum(_triples(base), products)
+    acc = {exp: complex(c) for exp, c in base._terms.items()}
+    mass = {exp: abs(c) for exp, c in acc.items()}
+    get, size = acc.get, mass.get
+    for g, (i, j), root in parts:
+        z = complex(root)
+        for (a, b), c in _as_complex(g)._terms.items():
+            exp = (a + i, b + j)
+            acc[exp] = get(exp, 0) - c
+            mass[exp] = size(exp, 0.0) + abs(c)
+            if root:
+                t, exp = z * c, (a, b)
+                acc[exp] = get(exp, 0) + t
+                mass[exp] = size(exp, 0.0) + abs(t)
+    out = {}
+    for exp, r in acc.items():
+        m, bound = abs(r), _ROUNDING_REL * mass[exp] + _UNDERFLOW
+        if m - bound > tol or m + bound <= tol and m > bound:
+            out[exp] = r
+        elif not m + bound <= tol:
+            out[exp] = _exact_coefficient(exp, base, parts, tol, r)
+    return LaurentPolynomial(out, prune_scale=0.0)
 
 
-def _float_linear(shift: tuple, root) -> tuple:
-    """(terms, max norm) of the chain's z^shift - root read as complex.
+def _lift(c) -> QComplex:
+    """The Gaussian rational a scalar stands for; a non-finite float raises."""
+    return c if type(c) is QComplex else QComplex(c.real, c.imag)
 
-    root is a `_linear_root`.  An exact polynomial is read as its unpruned
-    complex copy.  A floating one holds 1 and 0 + (-root), pruned at
-    PRUNE_REL * max(1, |root|), so that z^shift itself goes when |root| is
-    at least 1e14 and the root when |root| is at most 1e-14.
+
+def _exact_coefficient(
+    exp: tuple, base: LaurentPolynomial, parts: list, tol: float, approx: complex
+) -> complex:
+    """The residual's coefficient at exp from the lifted operands, rounded so
+    that abs(c) <= tol reads its exact verdict (tol >= 0): near tol the parts,
+    rounded to nearest, step an ulp at a time toward zero or away from it.
+
+    An operand that is not finite, or a value past the float range, leaves
+    approx, the float sum, which is then beyond tol too.
     """
-    if type(root) is QComplex:
-        terms = {shift: 1 + 0j, (0, 0): complex(-root)} if root else {shift: 1 + 0j}
-        return _canonical(terms, 0.0)
-    return _canonical({shift: 1 + 0j, (0, 0): 0 + (-root)}, max(1.0, abs(root)))
-
-
-def subtract_linear_multiples(base: LaurentPolynomial, parts: list) -> LaurentPolynomial:
-    """base - g*(z^shift - root) - ... over the (g, shift, root) parts.
-
-    Coefficients, term order and the carried norm are those of
-    multiply_add(base, [(g, z^shift - root), ...], subtract=True) with each
-    linear factor formed as monomial(*shift) - constant(root), for shifts
-    other than (0, 0); neither the linear polynomials nor the general
-    product loop is formed.  The exact kernel runs when base, every g and
-    every linear factor are exact, the floating one otherwise.
-    """
-    parts = [(g, shift, _linear_root(root)) for g, shift, root in parts]
-    if base.is_exact() and all(g.is_exact() and type(r) is QComplex for g, _, r in parts):
-        products = [_linear_products(g, shift, r) for g, shift, r in parts]
-        return _exact_sum(_triples(base), products, True)
-    products = []
-    for g, shift, root in parts:
-        g = _as_complex(g)
-        products.append(_float_product(g, *_float_linear(shift, root)))
-    return _float_sum(_as_complex(base), products, True)
+    a, b = exp
+    try:
+        r = _lift(base._terms.get(exp, 0))
+        for g, (i, j), root in parts:
+            c = g._terms.get((a - i, b - j))
+            r = r if c is None else r - _lift(c)
+            c = g._terms.get(exp)
+            r = r if c is None or not root else r + _lift(root) * _lift(c)
+        c = complex(r)
+    except (OverflowError, ValueError):
+        return approx
+    within = r.abs2() <= Fraction(tol) ** 2
+    x, y = c.real, c.imag
+    while (abs(complex(x, y)) <= tol) != within:
+        x = math.nextafter(x, 0.0 if within else math.copysign(math.inf, x))
+        y = math.nextafter(y, 0.0 if within else math.copysign(math.inf, y))
+    return complex(x, y)
 
 
 def _as_complex(poly: LaurentPolynomial) -> LaurentPolynomial:
@@ -612,18 +650,18 @@ def _kept(terms: dict, sizes: dict, threshold: float) -> tuple:
     return terms, sizes
 
 
-def _float_sum(base: LaurentPolynomial, products: list, subtract: bool) -> LaurentPolynomial:
+def _float_sum(base: LaurentPolynomial, products: list) -> LaurentPolynomial:
     """The floating kernel, in one map updated in place.
 
     products holds (product map, factor norm) pairs, as `_float_product`
     forms them.  As the chain does, it prunes each product at PRUNE_REL times
-    its factor norm |g| * |h|, a negated one again at PRUNE_REL * |g*h| and
-    each sum at PRUNE_REL * max(|acc|, |g*h|).  A product's moduli are taken
-    in one list, in its order; the min and max of that list are the ones the
-    prunes compare, so a product whose smallest modulus exceeds both product
-    thresholds is added as it is, and only one that loses a term is rebuilt.
-    Each kept term's modulus, kept beside it, exceeds the last sum threshold,
-    so untouched terms are checked again only when that threshold rises.
+    its factor norm |g| * |h| and each sum at PRUNE_REL * max(|acc|, |g*h|).
+    A product's moduli are taken in one list, in its order; the min and max
+    of that list are the ones the prunes compare, so a product whose smallest
+    modulus exceeds its threshold is added as it is, and only one that loses
+    a term is rebuilt.  Each kept term's modulus, kept beside it, exceeds the
+    last sum threshold, so untouched terms are checked again only when that
+    threshold rises.
     """
     acc = dict(base._terms)
     sizes = {exp: abs(c) for exp, c in acc.items()}
@@ -633,15 +671,13 @@ def _float_sum(base: LaurentPolynomial, products: list, subtract: bool) -> Laure
         if prod:  # the chain takes no factor norm for an empty product
             moduli = list(map(abs, prod.values()))
             low, prod_norm = min(moduli), max(moduli)
-            floor = PRUNE_REL * factor_norm
-            if not (low > floor and (not subtract or low > PRUNE_REL * prod_norm)):
+            floor = _prune_threshold(factor_norm)
+            if not low > floor:
                 prod, kept = _kept(prod, dict(zip(prod, moduli)), floor)
-                if subtract and kept:
-                    prod, kept = _kept(prod, kept, PRUNE_REL * max(kept.values()))
                 prod_norm = max(kept.values()) if kept else 0.0
-        threshold = PRUNE_REL * (prod_norm if prod_norm > norm else norm)  # max()'s ties
+        threshold = _prune_threshold(prod_norm if prod_norm > norm else norm)  # max()'s ties
         for exp, c in prod.items():
-            c = acc.get(exp, 0) + (-c if subtract else c)
+            c = acc.get(exp, 0) + c
             if (size := abs(c)) == 0 or size <= threshold:
                 if exp in sizes:
                     del acc[exp], sizes[exp]
@@ -658,20 +694,20 @@ def _float_sum(base: LaurentPolynomial, products: list, subtract: bool) -> Laure
     return poly
 
 
-def multiply_add(base: LaurentPolynomial, products: list, subtract: bool = False) -> LaurentPolynomial:
-    """base + g*h + ... over the (g, h) pairs of products, or base - g*h - ...
+def multiply_add(base: LaurentPolynomial, products: list) -> LaurentPolynomial:
+    """base + g*h + ... over the (g, h) pairs of products.
 
     The exact kernel runs when every operand is exact; otherwise the floating
     kernel runs on the operands read as complex.
     """
     if base.is_exact() and all(g.is_exact() and h.is_exact() for g, h in products):
         pairs = (_product_triples(_triples(g), _triples(h)) for g, h in products)
-        return _exact_sum(_triples(base), pairs, subtract)
+        return _exact_sum(_triples(base), pairs)
     pairs = []
     for g, h in products:
         g, h = _as_complex(g), _as_complex(h)
         pairs.append(_float_product(g, h._terms, h._norm))
-    return _float_sum(_as_complex(base), pairs, subtract)
+    return _float_sum(_as_complex(base), pairs)
 
 
 def _linear_quotient(coeffs: dict, root):

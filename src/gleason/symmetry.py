@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from ._record import record
 from .errors import InputError
-from .laurent import PRUNE_REL, LaurentPolynomial, _exact_poly, _exact_value
+from .laurent import LaurentPolynomial, _exact_poly, _exact_value, _prune_threshold
 from .scalars import QComplex, powi
 
 
@@ -76,7 +76,7 @@ def correction_polynomial(
         values = {key: _exact_value(comp._terms, p1, p2) for key, comp in components.items() if comp._terms}
     else:
         _check_order(order)
-        threshold = None if f.is_exact() else PRUNE_REL * f.max_norm()
+        threshold = None if f.is_exact() else _prune_threshold(f.max_norm())
         pow1: dict = {}
         pow2: dict = {}
         sums: dict = {}

@@ -2,10 +2,10 @@
 
 Everything here treats the candidate factors as opaque polynomials.  The
 residual polynomial f - f1*(z1-p1) - f2*(z2-p2) is formed once; its
-coefficients decide the symbolic check and its values over a deterministic
-cusp-biased sample set give the numeric residual.  numpy is imported by the
-functions that evaluate on sample arrays, so exact and unsampled work never
-loads it.
+coefficients decide the symbolic check by `scalars.negligible`, the one
+vanishing rule, and its values over a deterministic cusp-biased sample set
+give the numeric residual.  numpy is imported by the functions that
+evaluate on sample arrays, so exact and unsampled work never loads it.
 
 The sample set depends only on (domain, count, seed), so its (q1, q2) arrays
 are drawn once per key and kept, read-only, in a least-recently-used cache of
@@ -27,13 +27,12 @@ from ._record import record
 from .domains import CuspDomain, poly_bounded, sample
 from .errors import InputError
 from .laurent import LaurentPolynomial, subtract_linear_multiples
+from .scalars import VANISH_TOL_REL, negligible
 
 if TYPE_CHECKING:
     import numpy as np
 
-IDENTITY_TOL_REL = 1e-9
-# Coefficient noise floor for declaring the symbolic residual zero.
-NOISE_REL = 1e-12
+IDENTITY_TOL_REL = VANISH_TOL_REL
 
 
 @record
@@ -125,12 +124,14 @@ def symbolic_residual(
     f2: LaurentPolynomial,
     p: tuple,
 ) -> LaurentPolynomial:
-    """f - f1*(z1-p1) - f2*(z2-p2) as a polynomial; zero iff the identity holds.
+    """f - f1*(z1-p1) - f2*(z2-p2), zero iff the identity holds on exact operands.
 
-    The shift kernel forms it without building z1 - p1 or z2 - p2.
+    On floating ones every coefficient is within IDENTITY_TOL_REL * (1 + |f|_1)
+    iff every exact one is (see `subtract_linear_multiples`).
     """
     p1, p2 = p
-    return subtract_linear_multiples(f, [(f1, (1, 0), p1), (f2, (0, 1), p2)])
+    tol = IDENTITY_TOL_REL * (1.0 + f.one_norm())
+    return subtract_linear_multiples(f, [(f1, (1, 0), p1), (f2, (0, 1), p2)], tol)
 
 
 def verify(
@@ -145,13 +146,13 @@ def verify(
     bound_rhs: float | None = None,
 ) -> VerificationReport:
     """Full report: symbolic residual, sampled residual, cone certificates."""
-    residual = symbolic_residual(f, f1, f2, p)
-    coeff_max = residual.max_norm()
     f_norm = f.one_norm()
     if not math.isfinite(f_norm):
         raise InputError("the coefficient sum of f is out of the float range")
     scale = 1.0 + f_norm
-    symbolic_zero = residual.is_zero or float(coeff_max) <= NOISE_REL * scale
+    residual = symbolic_residual(f, f1, f2, p)
+    coeff_max = residual.max_norm()
+    symbolic_zero = all(negligible(c, lambda: scale) for c in residual.terms.values())
 
     cert1 = poly_bounded(domain, f1)
     cert2 = poly_bounded(domain, f2)

@@ -307,6 +307,25 @@ def subtract_value_at(f: LaurentPolynomial, p) -> LaurentPolynomial:
     return f - LaurentPolynomial.constant(f.eval(*p))
 
 
+def built_or_none(terms: dict, scale) -> LaurentPolynomial | None:
+    """LaurentPolynomial(terms, prune_scale=scale), or None where an infinite
+    coefficient makes the prune scale infinite, which raises InputError."""
+    try:
+        return LaurentPolynomial(terms, prune_scale=scale)
+    except InputError:
+        return None
+
+
+def state_or_error(compute) -> tuple:
+    """Terms in order with their coefficients' reprs and the stored norm of the
+    computed polynomial, or the message of the InputError it raised."""
+    try:
+        f = compute()
+    except InputError as err:
+        return "InputError", str(err)
+    return [(e, repr(c)) for e, c in f.terms.items()], repr(f._norm)
+
+
 def chain_multiply_add(base: LaurentPolynomial, products, subtract: bool = False) -> dict:
     """Dict-loop reference of base +- sum g*h in scalar arithmetic.
 

@@ -449,11 +449,12 @@ def test_point_whose_modulus_overflows_is_outside(capsys, mode):
 
 
 def test_render_error_prints_no_partial_output(capsys):
-    # 1e200 / p2^6 overflows on the axis branch; nothing of the report may reach stdout
+    # 1e200 / p2^6 overflows on the axis branch, which names the overflow before any
+    # prune at an infinite scale drops f1's terms; nothing may reach stdout
     code, out, err = run_cli(
         capsys,
         "solve", "--k", "1", "--l", "6", "--p1", "0", "--p2", "1e-20",
         "--f", f"{_decimal(200)}*z1", "--samples", "0",
     )
     assert (code, out) == (2, "")
-    assert err == "error: non-finite value cannot be rendered in the grammar\n"
+    assert err == "error: float overflow: a coefficient scale is out of the float range\n"

@@ -83,9 +83,10 @@ def ref_linear_quotient(coeffs: dict, root):
 
 
 def ref_residual(f, f1, f2, p):
-    lin1 = LaurentPolynomial({(1, 0): 1, (0, 0): -p[0]})
-    lin2 = LaurentPolynomial({(0, 1): 1, (0, 0): -p[1]})
-    return multiply_add(f, [(f1, lin1), (f2, lin2)], subtract=True)
+    """f + f1*(p1 - z1) + f2*(p2 - z2) by the multiply-accumulate kernel."""
+    lin1 = LaurentPolynomial({(1, 0): -1, (0, 0): p[0]})
+    lin2 = LaurentPolynomial({(0, 1): -1, (0, 0): p[1]})
+    return multiply_add(f, [(f1, lin1), (f2, lin2)])
 
 
 # -- evaluation and substitution ------------------------------------------------

@@ -1,5 +1,6 @@
 """Sparse Laurent polynomial ring: arithmetic, evaluation, division."""
 
+import cmath
 import math
 import random
 import struct
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gleason import LaurentPolynomial, QComplex
-from gleason.errors import EvaluationDomainError, NotDivisibleError
+from gleason.errors import EvaluationDomainError, InputError, NotDivisibleError
 from gleason.laurent import (
     PRUNE_REL,
     _float_product,
@@ -171,12 +172,12 @@ def test_exact_product_matches_the_dict_loop(g, h):
     assert _typed_terms((g * h).terms) == _typed_terms(expected)
 
 
-@given(exact_polys, st.lists(st.tuples(exact_polys, exact_polys), max_size=3), st.booleans())
-def test_multiply_add_matches_the_dict_loop(base, products, subtract):
+@given(exact_polys, st.lists(st.tuples(exact_polys, exact_polys), max_size=3))
+def test_multiply_add_matches_the_dict_loop(base, products):
     # int and Fraction coefficients are QComplex by construction, so every
     # term product is a QComplex, as in the dict loop
-    expected = chain_multiply_add(base, products, subtract)
-    assert _typed_terms(multiply_add(base, products, subtract).terms) == _typed_terms(expected)
+    expected = chain_multiply_add(base, products)
+    assert _typed_terms(multiply_add(base, products).terms) == _typed_terms(expected)
 
 
 plain_polys = st.dictionaries(
@@ -184,21 +185,21 @@ plain_polys = st.dictionaries(
 ).map(LaurentPolynomial)
 
 
-@given(plain_polys, st.lists(st.tuples(plain_polys, plain_polys), max_size=3), st.booleans())
-def test_multiply_add_keeps_plain_rationals_plain(base, products, subtract):
+@given(plain_polys, st.lists(st.tuples(plain_polys, plain_polys), max_size=3))
+def test_multiply_add_keeps_plain_rationals_plain(base, products):
     # int and Fraction operands run the exact kernel and stay real rationals
-    got = multiply_add(base, products, subtract)
-    expected = chain_multiply_add(base, products, subtract)
+    got = multiply_add(base, products)
+    expected = chain_multiply_add(base, products)
     assert _typed_terms(got.terms) == _typed_terms(expected)
     assert got.is_exact()
     assert all(c.im == 0 for c in got.terms.values())
 
 
-@given(qcomplex_polys, qcomplex_polys, qcomplex_polys, st.booleans())
-def test_multiply_add_cancels_to_zero(g, h, k, subtract):
-    # base = g*h + g*k, minus both products again, cancels term by term
+@given(qcomplex_polys, qcomplex_polys, qcomplex_polys)
+def test_multiply_add_cancels_to_zero(g, h, k):
+    # base = g*h + g*k, plus both products negated, cancels term by term
     base = multiply_add(LaurentPolynomial.zero(), [(g, h), (g, k)])
-    back = multiply_add(base, [(g, h), (g, k)], subtract=True)
+    back = multiply_add(base, [(g, -1 * h), (g, -1 * k)])
     assert back.is_zero
     assert multiply_add(g * h, [(g, -1 * h)]).is_zero
 
@@ -211,16 +212,15 @@ def test_multiply_add_appends_an_exponent_that_cancels_and_comes_back():
     assert list(got.terms.items()) == [((1, 0), QComplex(1)), ((0, 0), QComplex(2))]
 
 
-@given(float_polys, float_polys, float_polys, st.booleans())
+@given(float_polys, float_polys, float_polys)
 # an exact pair in a floating call: (5/3 i)^2 rounds differently from -25/9
 @example(
     LaurentPolynomial.constant(1.0),
     LaurentPolynomial.constant(QComplex(0, Fraction(5, 3))),
     LaurentPolynomial.constant(QComplex(0, Fraction(5, 3))),
-    False,
 )
-def test_multiply_add_on_floats_is_the_operator_chain(base, g, h, subtract):
-    got = multiply_add(base, [(g, h), (h, g)], subtract)
+def test_multiply_add_on_floats_is_the_operator_chain(base, g, h):
+    got = multiply_add(base, [(g, h), (h, g)])
     if not all(q.is_exact() for q in (base, g, h)):
         # the floating kernel reads every operand as complex, also an exact
         # base or an exact pair, which the chain would keep exact
@@ -228,7 +228,7 @@ def test_multiply_add_on_floats_is_the_operator_chain(base, g, h, subtract):
             LaurentPolynomial({e: complex(c) for e, c in q.terms.items()}, prune_scale=0.0)
             for q in (base, g, h)
         )
-    chained = base - g * h - h * g if subtract else base + g * h + h * g
+    chained = base + g * h + h * g
     assert _typed_terms(got.terms) == _typed_terms(chained.terms)
 
 
@@ -236,10 +236,8 @@ def test_multiply_add_on_floats_is_the_operator_chain(base, g, h, subtract):
 
 # moduli from 1e-20 to 1e20 over few exponents: products and sums collide, and
 # the product prune and the rescan after a rising sum threshold drop terms in
-# about a fifth and a third of the draws.  The negated product's re-prune
-# drops one only when |g*h| > |g| * |h| and a term sits just above the
-# product's threshold, which random draws almost never give;
-# PRUNE_RULE_CASES below pin each rule with a case that fails when it is skipped
+# about a fifth and a third of the draws; PRUNE_RULE_CASES below pin each rule
+# with a case that fails when it is skipped
 wide_floats = st.builds(
     lambda re, im, k: complex(re, im) * 10.0**k,
     st.floats(-1.0, 1.0),
@@ -253,10 +251,10 @@ second_factors = st.dictionaries(
 ).map(LaurentPolynomial)
 
 
-def _operator_chain(base, products, subtract):
+def _operator_chain(base, products):
     acc = base
     for g, h in products:
-        acc = acc - g * h if subtract else acc + g * h
+        acc = acc + g * h
     return acc
 
 
@@ -271,22 +269,20 @@ def _bits(f: LaurentPolynomial) -> tuple:
     wide_polys,
     st.lists(st.tuples(wide_polys, second_factors), max_size=5),
     st.booleans(),
-    st.booleans(),
 )
-@example(LaurentPolynomial.zero(), [(LaurentPolynomial.zero(), monomial(1, 0))], False, False)
+@example(LaurentPolynomial.zero(), [(LaurentPolynomial.zero(), monomial(1, 0))], False)
 @example(
     LaurentPolynomial({(0, 0): 1e-3j}),
     [(LaurentPolynomial.constant(2.0 + 1j), monomial(1, 0, QComplex(1, 2)))],
     True,
-    True,
 )
-def test_float_multiply_add_is_the_operator_chain_bit_for_bit(base, products, subtract, cancel):
+def test_float_multiply_add_is_the_operator_chain_bit_for_bit(base, products, cancel):
     if cancel and products:
         # the first product again with the other sign: its terms cancel to exactly 0
         g, h = products[0]
         products = products + [(g, -1 * h)]
-    got = multiply_add(base, products, subtract)
-    assert _bits(got) == _bits(_operator_chain(base, products, subtract))
+    got = multiply_add(base, products)
+    assert _bits(got) == _bits(_operator_chain(base, products))
 
 
 def _poly(*terms) -> LaurentPolynomial:
@@ -303,23 +299,13 @@ PRUNE_RULE_CASES = {
     "product": (
         _poly((0, 1.0), (6, 1e-10)),
         [(_poly((0, 1.0), (1, 2e-14)), _poly((0, 1.0), (5, 0.1)))],
-        False,
         (6, 1e-10),
-    ),
-    # |g*h| = 2 > |g| * |h| = 1: the negated product's re-prune at 2e-14
-    # drops the 1.5e-14 terms that passed the product's own 1e-14
-    "negated product": (
-        _poly((0, 1.0), (5, 1e-10)),
-        [(_poly((0, 1.0), (1, 1.0), (5, 1.5e-14)), _poly((0, 1.0), (1, 1.0)))],
-        True,
-        (5, 1e-10),
     ),
     # an empty product still prunes the sum: after the first product |acc| = 2,
     # and the 1.5e-14 that passed 1e-14 * max(1, 1) fails 1e-14 * max(2, 0)
     "empty product": (
         _poly((0, 1.0), (3, 1.5e-14)),
         [(ONE, ONE), (LaurentPolynomial.zero(), ONE)],
-        False,
         (3, None),
     ),
     # the second product misses (3, 0), but the sum threshold rises from
@@ -327,7 +313,6 @@ PRUNE_RULE_CASES = {
     "rising threshold": (
         _poly((0, 1.0), (3, 3e-14)),
         [(ONE, ONE), (_poly((1, 10.0)), ONE)],
-        False,
         (3, None),
     ),
 }
@@ -335,19 +320,18 @@ PRUNE_RULE_CASES = {
 
 @pytest.mark.parametrize("case", PRUNE_RULE_CASES.values(), ids=PRUNE_RULE_CASES.keys())
 def test_float_multiply_add_prunes_where_the_chain_prunes(case):
-    base, products, subtract, (a, coefficient) = case
-    got = multiply_add(base, products, subtract)
-    assert _bits(got) == _bits(_operator_chain(base, products, subtract))
+    base, products, (a, coefficient) = case
+    got = multiply_add(base, products)
+    assert _bits(got) == _bits(_operator_chain(base, products))
     if coefficient is None:
         assert (a, 0) not in got.terms
-        assert (a, 0) in multiply_add(base, products[:-1], subtract).terms
+        assert (a, 0) in multiply_add(base, products[:-1]).terms
     else:
         assert got.terms[(a, 0)] == coefficient
 
 
-# (1 + z)^2 = 1 + 2z + z^2 has norm 2 > |g| * |h| = 1, so a term
-# 2e-14 * scale passes the product's prune at 1e-14 and meets the negated
-# product's at 1e-14 * 2, the product's max, below, at or above it
+# (1 + z)^2 = 1 + 2z + z^2 has norm 2 > |g| * |h| = 1, and a term
+# 2e-14 * scale sits below, at or above 1e-14 of the product's max, 2
 def _wide_square(scale: float) -> list:
     g = _poly((0, 1.0), (1, 1.0))
     return [(g, _poly((0, 1.0), (1, 1.0), (5, PRUNE_REL * 2.0 * scale)))]
@@ -366,35 +350,38 @@ PRODUCT_SIZE_CASES = {
 }
 
 
+# "subtract" subtracts each product as a caller of the kernel does, through a
+# negated factor
 @pytest.mark.parametrize("subtract", [True, False], ids=["subtract", "add"])
 @pytest.mark.parametrize("products", PRODUCT_SIZE_CASES.values(), ids=PRODUCT_SIZE_CASES.keys())
 def test_float_sum_reads_a_product_s_sizes_as_the_chain(products, subtract):
     base = _poly((0, 1.0), (2, 1e-6), (5, 1e-10))
-    got = multiply_add(base, products, subtract)
-    want = _operator_chain(base, products, subtract)
+    if subtract:
+        products = [(g, -1 * h) for g, h in products]
+    got = multiply_add(base, products)
+    want = _operator_chain(base, products)
     assert _bits(got) == _bits(want) and repr(got._norm) == repr(want._norm)
 
 
 def test_float_sum_size_cases_reach_each_branch():
-    # the negated product's prune drops the (5, 0) term exactly when it sits
-    # at or below 1e-14 of the product's max; dropped, it leaves the base's
-    # 1e-10 there as it is
+    # the (5, 0) term passes the product's prune at 1e-14 * |g| * |h| = 1e-14
+    # below, at and above 1e-14 of the product's max, and reaches the base's 1e-10
     base = _poly((0, 1.0), (5, 1e-10))
-    for key, dropped in [("below", True), ("at", True), ("above", False)]:
+    for key in ("below", "at", "above"):
         products = PRODUCT_SIZE_CASES[f"smallest {key} 1e-14 of max"]
-        assert (multiply_add(base, products, True).terms[(5, 0)] == 1e-10) == dropped
-        assert multiply_add(base, products, False).terms[(5, 0)] != 1e-10
+        assert multiply_add(base, products).terms[(5, 0)] != 1e-10
     # with NaN first nothing is pruned and the 1e-20 term reaches the base's
     # 1e-6; later, it goes at 1e-14 * |g| * |h|
     base = _poly((0, 1.0), (2, 1e-6))
-    assert multiply_add(base, PRODUCT_SIZE_CASES["NaN first"], True).terms[(2, 0)] != 1e-6
-    assert multiply_add(base, PRODUCT_SIZE_CASES["NaN later"], True).terms[(2, 0)] == 1e-6
+    assert multiply_add(base, PRODUCT_SIZE_CASES["NaN first"]).terms[(2, 0)] != 1e-6
+    assert multiply_add(base, PRODUCT_SIZE_CASES["NaN later"]).terms[(2, 0)] == 1e-6
 
 
-# -- the floating shift kernel and the flat products -----------------------------
+# -- the certified floating residual and the flat products -------------------------
 
 # infinities and NaN beside the wide floats: a floating map keeps them at a
-# fixed prune scale (built without one, an infinity sets the scale and goes)
+# fixed prune scale (built without one, an infinity sets an infinite scale,
+# which raises)
 nonfinite = st.sampled_from(
     [complex(math.inf, 0.0), complex(0.0, -math.inf), complex(math.nan, 0.0), complex(1.0, math.nan)]
 )
@@ -402,75 +389,130 @@ edge_polys = st.dictionaries(
     small_exps, st.one_of(wide_floats, nonfinite), max_size=4
 ).map(lambda terms: LaurentPolynomial(terms, prune_scale=1.0))
 residual_factors = st.one_of(wide_polys, edge_polys, exact_polys)
-# roots the chain's z - root treats apart: zeros of either sign, moduli at and
-# beside 1e-14 and 1e14, where the root or z itself is pruned, the subnormal
-# minimum, infinities and NaN, and exact roots of every scalar type
+# zeros of either sign, moduli at and beside 1e-14 and 1e14, where the operator
+# chain's z - root pruned the root or z itself, the subnormal minimum,
+# infinities and NaN, and exact roots of every scalar type
 edge_roots = st.sampled_from(
     [0.0, -0.0, 0j, complex(-0.0, -0.0), 5e-324, PRUNE_REL, math.nextafter(PRUNE_REL, 1.0),
      3e-15j, 1e14, math.nextafter(1e14, 0.0), complex(0.0, 2e15), math.inf, complex(0.0, -math.inf),
      math.nan, complex(math.nan, 1.0), 0, 3, Fraction(-1, 3), QComplex(0), QComplex(1, -2)]
 )
 roots = st.one_of(edge_roots, wide_floats, st.builds(QComplex, small_fracs, small_fracs))
+U = 2.0**-53
 
 
-def _complex_copy(f: LaurentPolynomial) -> LaurentPolynomial:
-    """f read as complex, unpruned, as the floating kernels read an exact operand."""
-    return LaurentPolynomial({e: complex(c) for e, c in f.terms.items()}, prune_scale=0.0)
+def _lifted(c) -> QComplex:
+    """The Gaussian rational a scalar stands for; a non-finite float raises."""
+    if isinstance(c, QComplex):
+        return c
+    if isinstance(c, (int, Fraction)):
+        return QComplex(c)
+    return QComplex(c.real, c.imag)
 
 
-def _chain_residual(f, f1, f2, p):
-    """f - f1*(z1-p1) - f2*(z2-p2) by the operator chain, with z - root formed as
-    monomial - constant(root); once any operand is floating, every exact one is
-    read as its complex copy, as the floating kernel reads it."""
-    lin1 = monomial(1, 0) - LaurentPolynomial.constant(p[0])
-    lin2 = monomial(0, 1) - LaurentPolynomial.constant(p[1])
-    ops = [f, f1, lin1, f2, lin2]
-    if not all(q.is_exact() for q in ops):
-        ops = [_complex_copy(q) for q in ops]
-    f, f1, lin1, f2, lin2 = ops
-    return _operator_chain(f, [(f1, lin1), (f2, lin2)], True)
+def _exact_residual(f, f1, f2, p) -> tuple:
+    """({exponent: exact coefficient}, {exponent: float sum of the summands'
+    moduli}) of f - f1*(z1-p1) - f2*(z2-p2), by a dict loop over the lifted
+    operands."""
+    out: dict = {}
+    mass: dict = {}
+
+    def add(exp, c):
+        out[exp] = out.get(exp, QComplex(0)) + c
+        mass[exp] = mass.get(exp, 0.0) + abs(complex(c))
+
+    for exp, c in f.terms.items():
+        add(exp, _lifted(c))
+    for g, (i, j), root in ((f1, (1, 0), p[0]), (f2, (0, 1), p[1])):
+        for (a, b), c in g.terms.items():
+            add((a + i, b + j), -_lifted(c))
+            if root:
+                add((a, b), _lifted(root) * _lifted(c))
+    return out, mass
 
 
-def _outcome(compute):
-    """_bits of the result, or the class and message of the exception raised."""
-    try:
-        return _bits(compute())
-    except (ArithmeticError, ValueError) as err:
-        return type(err).__name__, str(err)
+def _finite(*values) -> bool:
+    return all(cmath.isfinite(complex(v)) for v in values if not isinstance(v, QComplex))
+
+
+tols = st.sampled_from([0.0, 1e-9, 1e-3, 1.0, 1e3])
 
 
 @settings(max_examples=400)
-@given(residual_factors, residual_factors, residual_factors, roots, roots)
-# the axis branch: p1 = 0 leaves the exact z1, read as complex beside float f2
+@given(residual_factors, residual_factors, residual_factors, roots, roots, tols, st.integers(-1, 8))
+# the axis branch: p1 = 0 skips the root, beside float f2
 @example(
     LaurentPolynomial({(0, 1): 1.5 + 0j}),
     LaurentPolynomial({(0, 0): 2.0 - 1j}),
     LaurentPolynomial({(0, 0): 1.5 + 0j}),
     0j,
     0.5 + 0.25j,
+    1e-9,
+    -1,
 )
-# an infinite coefficient times the chain's 1 + 0j picks up a NaN part
+# an infinite coefficient: its exponents cannot be lifted and fail
 @example(
     LaurentPolynomial.zero(),
     LaurentPolynomial({(0, 0): complex(math.inf, 0.0)}, prune_scale=1.0),
     LaurentPolynomial.zero(),
     0.5,
     QComplex(1, 2),
+    1.0,
+    -1,
 )
-def test_float_residual_is_the_operator_chain_bit_for_bit(f, f1, f2, p1, p2):
-    got = _outcome(lambda: subtract_linear_multiples(f, [(f1, (1, 0), p1), (f2, (0, 1), p2)]))
-    assert got == _outcome(lambda: _chain_residual(f, f1, f2, (p1, p2)))
+def test_float_residual_is_certified_against_the_exact_residual(f, f1, f2, p1, p2, tol, pick):
+    # pick >= 0 sets tol to the float modulus of one exact coefficient, which
+    # straddles it within its rounding bound and so takes the exact fallback
+    parts = [(f1, (1, 0), p1), (f2, (0, 1), p2)]
+    operands = [c for g in (f, f1, f2) for c in g.terms.values()] + [p1, p2]
+    if all(isinstance(c, (int, Fraction, QComplex)) for c in operands):
+        got = subtract_linear_multiples(f, parts, tol)
+        exact, _ = _exact_residual(f, f1, f2, (p1, p2))
+        assert dict(got.terms) == {e: c for e, c in exact.items() if c}
+        return
+    # a non-finite coefficient, or root of a nonzero factor, reaches some
+    # residual coefficient, which fails
+    if not _finite(*[c for g in (f, f1, f2) for c in g.terms.values()]) or any(
+        g.terms and not _finite(root) for g, _, root in parts
+    ):
+        got = subtract_linear_multiples(f, parts, tol)
+        assert not all(abs(c) <= tol for c in got.terms.values())
+        return
+    exact, mass = _exact_residual(f, f1, f2, (p1, p2))
+    if pick >= 0 and exact:
+        r = list(exact.values())[pick % len(exact)]
+        tol = math.sqrt(float(r.abs2()))
+    got = subtract_linear_multiples(f, parts, tol)
+    assert all(type(c) is complex for c in got.terms.values())
+    within = all(r.abs2() <= Fraction(tol) ** 2 for r in exact.values())
+    assert all(abs(c) <= tol for c in got.terms.values()) == within
+    for exp, r in exact.items():
+        bound = 12 * U * mass[exp] + 2.0**-1069
+        if exp in got.terms:
+            # the float sum, or the exact value moved by an ulp or two
+            assert abs(got.terms[exp] - complex(r)) <= bound + 4 * U * abs(complex(r))
+        else:
+            # dropped only when certified within tol, at most its rounding bound
+            assert r.abs2() <= Fraction(tol) ** 2
+            assert abs(complex(r)) <= 2 * bound
 
 
 @pytest.mark.parametrize("root", [PRUNE_REL, math.nextafter(PRUNE_REL, 1.0), 1e14, 0.0])
 def test_float_residual_linear_factor_at_its_prune_boundaries(root):
-    # |p1| <= 1e-14 * max(1, |p1|) drops the root; |p1| >= 1e14 drops z1 itself
+    # the operator chain's z1 - p1 dropped the root at |p1| <= 1e-14 * max(1, |p1|)
+    # and z1 itself at |p1| >= 1e14; the certified residual drops neither
     f1 = LaurentPolynomial.constant(1.0)
-    got = subtract_linear_multiples(LaurentPolynomial.zero(), [(f1, (1, 0), root)])
-    want = _chain_residual(LaurentPolynomial.zero(), f1, LaurentPolynomial.zero(), (root, 1.0))
-    assert _bits(got) == _bits(want)
-    assert ((1, 0) in got.terms) == (root < 1e14)
-    assert ((0, 0) in got.terms) == (root > PRUNE_REL)
+    got = subtract_linear_multiples(LaurentPolynomial.zero(), [(f1, (1, 0), root)], 1e-9)
+    want = {(1, 0): -1 + 0j, **({(0, 0): complex(root)} if root else {})}
+    assert dict(got.terms) == want
+
+
+def _outcome(compute):
+    """_bits of the result, or the class and message of the exception raised."""
+    try:
+        return _bits(compute())
+    except (ArithmeticError, ValueError, InputError) as err:
+        return type(err).__name__, str(err)
 
 
 one_term = st.dictionaries(small_exps, st.one_of(wide_floats, nonfinite), min_size=1, max_size=1)
@@ -494,14 +536,15 @@ def test_float_product_is_the_general_product_loop(g, h):
 one_term_pairs = st.one_of(st.tuples(few_terms, one_term), st.tuples(one_term, few_terms))
 
 
-@given(few_terms, st.lists(one_term_pairs, max_size=4), st.booleans())
-def test_one_term_products_are_the_operator_chain_bit_for_bit(base, products, subtract):
+@given(few_terms, st.lists(one_term_pairs, max_size=4))
+def test_one_term_products_are_the_operator_chain_bit_for_bit(base, products):
     # one-term factors on either side, as V1 and V2 are, and infinite or NaN
-    # coefficients, which the chain's products turn into NaN parts
+    # coefficients, which the chain's products turn into NaN parts, or whose
+    # infinite norms make both raise the float overflow
     products = [(_factor(g), _factor(h)) for g, h in products]
     base = _factor(base)
-    got = _outcome(lambda: multiply_add(base, products, subtract))
-    assert got == _outcome(lambda: _operator_chain(base, products, subtract))
+    got = _outcome(lambda: multiply_add(base, products))
+    assert got == _outcome(lambda: _operator_chain(base, products))
 
 
 # float coefficients over many magnitudes, so that pruning happens, plus NaN

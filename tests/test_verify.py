@@ -23,6 +23,7 @@ from gleason import (
 )
 from gleason.domains import sample
 from gleason.verify import (
+    IDENTITY_TOL_REL,
     _sample_arrays,
     _sample_power,
     eval_on_arrays,
@@ -164,6 +165,86 @@ def test_perturbed_exact_solution_is_refuted(seed):
     assert not report.symbolic_residual_zero
     assert report.residual_coeff_max > 0
     assert report.passed is False
+
+
+# -- the certified floating residual -------------------------------------------
+
+FLIPS = json.loads((Path(__file__).parent / "data" / "residual_flips.json").read_text())
+
+
+def _lifted(c):
+    """(re, im) Fractions of the value a float or complex coefficient stands for."""
+    z = complex(c)
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def _exact_residual_within(f, f1, f2, p, tol) -> bool:
+    """Every coefficient of f - f1*(z1-p1) - f2*(z2-p2), over the lifted floats,
+    at most tol in modulus: a dict loop that shares no code with the library."""
+    out: dict = {}
+
+    def add(exp, re, im):
+        old = out.get(exp, (0, 0))
+        out[exp] = (old[0] + re, old[1] + im)
+
+    for exp, c in f.terms.items():
+        add(exp, *_lifted(c))
+    for g, (i, j), root in ((f1, (1, 0), p[0]), (f2, (0, 1), p[1])):
+        r, s = _lifted(root)
+        for (a, b), c in g.terms.items():
+            x, y = _lifted(c)
+            add((a + i, b + j), -x, -y)
+            add((a, b), x * r - y * s, x * s + y * r)
+    return all(re * re + im * im <= Fraction(tol) ** 2 for re, im in out.values())
+
+
+@pytest.mark.parametrize("case", FLIPS, ids=[case["name"] for case in FLIPS])
+def test_float_pass_verdict_is_the_exact_residual_s(case):
+    # two float_deep_cusp seed-1 instances on which the residual pruned at 1e-14
+    # of its operands' norms, read against a 1e-12 noise floor, got the verdict
+    # wrong: one it passed has an exact residual beyond tolerance, one it
+    # rejected has every exact coefficient within it
+    domain = eval(case["domain"], {"CuspDomain": CuspDomain})
+    f = gleason.parse_poly(case["f"])
+    p = tuple(gleason.parse_scalar(z) for z in case["p"])
+    sol = solve(domain, f, p, samples=0)
+    report = sol.report
+    assert report.passed is case["passed"]
+    assert report.symbolic_residual_zero is case["passed"]
+    assert _exact_residual_within(f, sol.f1, sol.f2, p, report.identity_tol) is case["passed"]
+
+
+def _pair_at(tol: float, case: str) -> tuple:
+    """Gaussian-rational parts on the circle |c| = tol, or a hair outside it,
+    whose float parts' modulus lies on the other side of tol."""
+    t = Fraction(tol)
+    if case == "within":
+        return t * Fraction(12, 37), t * Fraction(35, 37)
+    return t * Fraction(3, 5) + Fraction(1, 2**92), t * Fraction(4, 5)
+
+
+@pytest.mark.parametrize("case", ["within", "beyond"])
+def test_exact_fallback_rounds_to_its_verdict(case):
+    # f's constant term is the whole residual coefficient, exact, within or a
+    # hair beyond tol; rounded to nearest, its float modulus reads the other
+    # verdict, so the fallback moves the stored value by ulps
+    def problem(x, y):
+        return LaurentPolynomial({(1, 1): QComplex(1), (0, 0): QComplex(x, y)})
+
+    tol = IDENTITY_TOL_REL * (1.0 + problem(*_pair_at(2e-9, case)).one_norm())
+    x, y = _pair_at(tol, case)
+    f = problem(x, y)
+    assert IDENTITY_TOL_REL * (1.0 + f.one_norm()) == tol
+    within = x * x + y * y <= Fraction(tol) ** 2
+    assert within == (case == "within")
+    assert (abs(complex(float(x), float(y))) <= tol) != within
+    # f2 = z1 cancels f's z1*z2 term in float; p1 is a float, so the float pass runs
+    f1, f2 = LaurentPolynomial.zero(), LaurentPolynomial({(1, 0): 1.0 + 0j})
+    got = symbolic_residual(f, f1, f2, (0.5, 0.0)).terms[(0, 0)]
+    assert (abs(got) <= tol) == within
+    assert abs(got - complex(float(x), float(y))) <= 4 * 2.0**-52 * tol
+    report = verify(CuspDomain.hartogs(1, 1), f, f1, f2, (0.5, 0.0), samples=0)
+    assert report.symbolic_residual_zero == within
 
 
 # -- sampled suprema ----------------------------------------------------------
