@@ -16,24 +16,23 @@ exact it reads each coefficient as Gaussian-integer ints (x, y, d) for
 (x + y*i)/d, keeps each exponent's sum unreduced and divides it through by
 its gcd once; exact `*` runs there too.  Otherwise it reads the operands as
 complex and rounds and prunes term by term where the operator chain does,
-but touches only the terms a product hits, multiplies by a factor of one or
-two terms in a flat loop and reads a product's moduli in one list, rebuilding
-the product only when one of its prunes drops a term.  Either way
-coefficients and term order are the chain's.  A prune at an infinite scale
-would drop every term, so it raises `InputError` naming the float overflow.
+but touches only the terms a product hits and reads a product's moduli in
+one list, rebuilding the product only when one of its prunes drops a term.
+Either way coefficients and term order are the chain's.  A prune at an
+infinite scale would drop every term, so it raises `InputError` naming the
+float overflow.
 
 `subtract_linear_multiples`, the symbolic residual, shifts the factors'
 terms instead of building z - root: as unreduced triples on exact operands,
 and on floating ones in a pass that certifies each coefficient against a
 tolerance, recomputing it exactly when its rounding bound straddles it.
 
-The other exact kernels work the same way, on exact terms with a QComplex
-point or root, and reduce once per coefficient they store or return: `eval`
-sums over one common denominator, `substitute_z1` sums each z2 exponent's
-terms as triples and the Horner walk behind the divisions forms each step
-from the reduced carry.  A relabelled floating polynomial keeps its map and
-norm when its prune would drop nothing.  Values, and so printed outputs, term
-order and carried norms, are those of the operator loops they replace.
+`eval` on exact terms at a QComplex point sums over one common denominator,
+and the Horner walk behind the divisions forms each step from the reduced
+carry, so both reduce once per coefficient they return or store.  A
+relabelled floating polynomial keeps its map and norm when its prune would
+drop nothing.  Values, and so printed outputs, term order and carried norms,
+are those of the operator loops they replace.
 """
 
 from __future__ import annotations
@@ -392,16 +391,10 @@ class LaurentPolynomial:
         return total
 
     def substitute_z1(self, value) -> "LaurentPolynomial":
-        """Partial evaluation z1 := value, leaving a polynomial in z2.
-
-        On exact terms and a QComplex value each z2 exponent's terms are
-        summed as unreduced triples and reduced once.
-        """
+        """Partial evaluation z1 := value, leaving a polynomial in z2."""
         terms = self._terms
         if not value:
             terms = _nonvanishing(terms, True, False)
-        if type(value) is QComplex and self.is_exact():
-            return _exact_substitute(terms, value)
         powers: dict = {}
         acc: dict = {}
         for (a, b), c in terms.items():
@@ -411,38 +404,6 @@ class LaurentPolynomial:
                 c = c * powers[a]
             acc[(0, b)] = acc.get((0, b), 0) + c
         return LaurentPolynomial(acc, prune_scale=self.max_norm)
-
-
-def _exact_substitute(terms: dict, value: QComplex) -> LaurentPolynomial:
-    """The exact substitute_z1: one reduction per z2 exponent.
-
-    Each term c * value**a is one unreduced triple, from a table of the
-    powers' numerators and denominators; the terms of one z2 exponent are
-    added as triples.
-    """
-    x0, y0, d0 = value._x, value._y, value._d
-    powers: dict = {0: (1, 0, 1)}
-    acc: dict = {}
-    for (a, b), c in terms.items():
-        power = powers.get(a)
-        if power is None:
-            if a > 0:
-                power = (*_gauss_power(x0, y0, a), d0**a)
-            else:
-                power = (*_gauss_power(d0 * x0, -d0 * y0, -a), (x0 * x0 + y0 * y0) ** -a)
-            powers[a] = power
-        u, v, w = power
-        x, y, d = c._x * u - c._y * v, c._x * v + c._y * u, c._d * w
-        old = acc.get(b)
-        if old is None:
-            acc[b] = (x, y, d)
-        else:
-            u, v, w = old
-            if w == d:
-                acc[b] = (u + x, v + y, d)
-            else:
-                acc[b] = (u * d + x * w, v * d + y * w, w * d)
-    return _exact_poly({(0, b): _reduced(x, y, d) for b, (x, y, d) in acc.items() if x or y})
 
 
 def _exact_sum(base: list, products) -> LaurentPolynomial:
@@ -610,38 +571,6 @@ def _as_complex(poly: LaurentPolynomial) -> LaurentPolynomial:
     return poly
 
 
-def _float_product(g: LaurentPolynomial, h: dict, h_norm: float) -> tuple:
-    """(g*h as an unpruned map, |g| * |h|) for a floating or empty g and a
-    floating term map h of max norm h_norm.
-
-    The map is `_term_products`': the same exponents in the same order, each
-    the sum 0 + c1*c2 + ... of the same products.  A factor of one or two
-    terms is multiplied in a flat loop, not in the nested one.
-    """
-    terms = g._terms
-    if not (terms and h):
-        return {}, 0.0
-    if len(h) > 2:
-        if len(terms) == 1:
-            ((a1, b1), c1), = terms.items()
-            prod = {(a1 + a2, b1 + b2): 0 + c1 * c2 for (a2, b2), c2 in h.items()}
-        else:
-            prod = _term_products(terms, h)
-    elif len(h) == 1:
-        ((a2, b2), c2), = h.items()
-        prod = {(a1 + a2, b1 + b2): 0 + c1 * c2 for (a1, b1), c1 in terms.items()}
-    else:
-        ((a2, b2), c2), ((a3, b3), c3) = h.items()
-        prod = {}
-        get = prod.get
-        for (a1, b1), c1 in terms.items():
-            exp = (a1 + a2, b1 + b2)
-            prod[exp] = get(exp, 0) + c1 * c2
-            exp = (a1 + a3, b1 + b3)
-            prod[exp] = get(exp, 0) + c1 * c3
-    return prod, g._norm * h_norm
-
-
 def _kept(terms: dict, sizes: dict, threshold: float) -> tuple:
     """terms and their moduli without those of modulus 0 or at most threshold."""
     if sizes and not min(sizes.values()) > threshold:
@@ -653,7 +582,7 @@ def _kept(terms: dict, sizes: dict, threshold: float) -> tuple:
 def _float_sum(base: LaurentPolynomial, products: list) -> LaurentPolynomial:
     """The floating kernel, in one map updated in place.
 
-    products holds (product map, factor norm) pairs, as `_float_product`
+    products holds (product map, factor norm) pairs, as `multiply_add`
     forms them.  As the chain does, it prunes each product at PRUNE_REL times
     its factor norm |g| * |h| and each sum at PRUNE_REL * max(|acc|, |g*h|).
     A product's moduli are taken in one list, in its order; the min and max
@@ -706,7 +635,8 @@ def multiply_add(base: LaurentPolynomial, products: list) -> LaurentPolynomial:
     pairs = []
     for g, h in products:
         g, h = _as_complex(g), _as_complex(h)
-        pairs.append(_float_product(g, h._terms, h._norm))
+        prod = _term_products(g._terms, h._terms)
+        pairs.append((prod, g._norm * h._norm if prod else 0.0))
     return _float_sum(_as_complex(base), pairs)
 
 

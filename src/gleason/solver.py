@@ -12,6 +12,8 @@ stays in Gaussian-rational arithmetic on exact input, for every (k, l).
 
 from __future__ import annotations
 
+import math
+
 from ._record import record
 from .division import (
     MonomialPair,
@@ -104,6 +106,8 @@ def _pipeline_parts(f: LaurentPolynomial, p: tuple, pair: MonomialPair):
     """Interior and strip pipeline over the ratio/cut monomial pair."""
     order = pair.order
     P = correction_polynomial(f, p, order)
+    if not P.is_exact() and not math.isfinite(P.max_norm()):
+        raise InputError("float overflow: the correction polynomial is out of the float range")
     P1, P2 = split_polynomial(P, p)
     R1, R2 = split_ratio(pair.k, pair.l, p)
     V1, V2 = split_cut(pair.m, pair.n, p)

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from ._record import record
 from .errors import InputError
-from .laurent import LaurentPolynomial, _exact_poly, _exact_value, _prune_threshold
-from .scalars import QComplex, powi
+from .laurent import LaurentPolynomial, _exact_poly, _prune_threshold
+from .scalars import powi
 
 
 @record
@@ -61,38 +61,33 @@ def correction_polynomial(
     N-th roots of unity zeta, so P is also the tensor interpolant of f on that
     grid, of degree at most N-1 in each variable.  Requires nonzero p1, p2.
 
-    Each value is the one f_ij.eval(*p) returns.  Exact f at an exact p sums
-    each component over one common denominator; otherwise no component is
-    built: each term c of f, pruned first where the component's construction
-    at |f| would prune it, adds c * p1**a * p2**b to its component's sum,
-    which starts from 0 as eval's does, with the powers taken once per call.
+    Each value is the one f_ij.eval(*p) returns, but no component is built:
+    each term c of f, pruned first when floating where the component's
+    construction at |f| would prune it, adds c * p1**a * p2**b to its
+    component's sum, which starts from 0 as eval's does, with the powers
+    taken once per call.
     """
     p1, p2 = p
     if not p1 or not p2:
         raise InputError("correction polynomial requires a base point off the axes")
-    if f.is_exact() and type(p1) is QComplex and type(p2) is QComplex:
-        components = symmetric_decompose(f, order).components
-        # an empty component's value, 0, would be dropped as an exact zero
-        values = {key: _exact_value(comp._terms, p1, p2) for key, comp in components.items() if comp._terms}
-    else:
-        _check_order(order)
-        threshold = None if f.is_exact() else _prune_threshold(f.max_norm())
-        pow1: dict = {}
-        pow2: dict = {}
-        sums: dict = {}
-        for (a, b), c in f._terms.items():
-            if threshold is not None and (c == 0 or abs(c) <= threshold):
-                continue
-            i, j = a % order, b % order
-            a, b = a - i, b - j
-            if a:
-                if a not in pow1:
-                    pow1[a] = powi(p1, a)
-                c = c * pow1[a]
-            if b:
-                if b not in pow2:
-                    pow2[b] = powi(p2, b)
-                c = c * pow2[b]
-            sums[(i, j)] = sums.get((i, j), 0) + c
-        values = dict(sorted(sums.items()))  # components in routing order
+    _check_order(order)
+    threshold = None if f.is_exact() else _prune_threshold(f.max_norm())
+    pow1: dict = {}
+    pow2: dict = {}
+    sums: dict = {}
+    for (a, b), c in f._terms.items():
+        if threshold is not None and (c == 0 or abs(c) <= threshold):
+            continue
+        i, j = a % order, b % order
+        a, b = a - i, b - j
+        if a:
+            if a not in pow1:
+                pow1[a] = powi(p1, a)
+            c = c * pow1[a]
+        if b:
+            if b not in pow2:
+                pow2[b] = powi(p2, b)
+            c = c * pow2[b]
+        sums[(i, j)] = sums.get((i, j), 0) + c
+    values = dict(sorted(sums.items()))  # components in routing order
     return LaurentPolynomial(values, prune_scale=lambda: f.max_norm() or 1.0)

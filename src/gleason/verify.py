@@ -32,8 +32,6 @@ from .scalars import VANISH_TOL_REL, negligible
 if TYPE_CHECKING:
     import numpy as np
 
-IDENTITY_TOL_REL = VANISH_TOL_REL
-
 
 @record
 class VerificationReport:
@@ -126,11 +124,11 @@ def symbolic_residual(
 ) -> LaurentPolynomial:
     """f - f1*(z1-p1) - f2*(z2-p2), zero iff the identity holds on exact operands.
 
-    On floating ones every coefficient is within IDENTITY_TOL_REL * (1 + |f|_1)
+    On floating ones every coefficient is within VANISH_TOL_REL * (1 + |f|_1)
     iff every exact one is (see `subtract_linear_multiples`).
     """
     p1, p2 = p
-    tol = IDENTITY_TOL_REL * (1.0 + f.one_norm())
+    tol = VANISH_TOL_REL * (1.0 + f.one_norm())
     return subtract_linear_multiples(f, [(f1, (1, 0), p1), (f2, (0, 1), p2)], tol)
 
 
@@ -192,6 +190,6 @@ def verify(
         sup_f2_sampled=sup2,
         samples_used=max(samples, 0),
         seed=seed,
-        identity_tol=IDENTITY_TOL_REL * scale,
+        identity_tol=VANISH_TOL_REL * scale,
         bound_rhs=bound_rhs,
     )

@@ -458,3 +458,15 @@ def test_render_error_prints_no_partial_output(capsys):
     )
     assert (code, out) == (2, "")
     assert err == "error: float overflow: a coefficient scale is out of the float range\n"
+
+
+def test_correction_polynomial_overflow_names_its_cause(capsys):
+    # p2^-6 = 1e420 makes the correction polynomial inf * z1^2 z2^5, which is no
+    # reason to read f as nonvanishing: --subtract-value is passed
+    code, out, err = run_cli(
+        capsys,
+        "solve", "--k", "6", "--l", "5", "--p1", "1e-60", "--p2", "1e-70",
+        "--f", "z1^2*z2^-1", "--subtract-value", "--samples", "0",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: float overflow: the correction polynomial is out of the float range\n"

@@ -1,10 +1,12 @@
 """The exact kernels against references written with QComplex operators.
 
-Evaluation, substitution, the Horner walk and the symbolic residual form
-their exact sums as unreduced Gaussian-integer triples and reduce each stored
-or returned coefficient once.  Each test here compares one of them with a
-plain operator loop that reduces after every step: values must be equal, and
-term maps must hold the same keys in the same order.
+Evaluation, the Horner walk and the symbolic residual form their exact sums
+as unreduced Gaussian-integer triples and reduce each stored or returned
+coefficient once; substitution and the correction polynomial take their
+powers from `powi`, which raises a Gaussian integer to the power and reduces
+once.  Each test here compares one of them with a plain operator loop that
+reduces after every step: values must be equal, and term maps must hold the
+same keys in the same order.
 """
 
 import importlib
@@ -17,7 +19,7 @@ from hypothesis import example, given, strategies as st
 from gleason import LaurentPolynomial, QComplex
 from gleason.errors import EvaluationDomainError
 from gleason.laurent import _linear_quotient, multiply_add
-from gleason.scalars import _reduced
+from gleason.scalars import _reduced, powi
 
 # the package re-exports the function verify under the submodule's name
 verify_module = importlib.import_module("gleason.verify")
@@ -224,3 +226,23 @@ def test_reduced_other_denominators_matches_gcd(x, y, d):
 def _check_reduced(x, y, d):
     g = math.gcd(x, y, d)
     assert _reduced(x, y, d).as_ints() == (x // g, y // g, d // g)
+
+
+# -- powers -------------------------------------------------------------------------
+
+
+@given(nonzero_points, st.integers(-8, 8))
+@example(QComplex(Fraction(1, 2)), -8)
+@example(QComplex(3, -4), 0)
+def test_powi_matches_the_operator_loop(q, e):
+    got = powi(q, e)
+    if not e:
+        assert type(got) is int and got == 1
+        return
+    base = 1 / q if e < 0 else q
+    want = 1
+    for _ in range(abs(e)):
+        want = want * base
+    assert type(got) is QComplex and got == want
+    x, y, d = got.as_ints()
+    assert d > 0 and math.gcd(x, y, d) == 1

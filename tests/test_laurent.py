@@ -13,8 +13,6 @@ from gleason import LaurentPolynomial, QComplex
 from gleason.errors import EvaluationDomainError, InputError, NotDivisibleError
 from gleason.laurent import (
     PRUNE_REL,
-    _float_product,
-    _term_products,
     divide_univariate,
     multiply_add,
     shift_divide_z1,
@@ -521,16 +519,6 @@ few_terms = st.dictionaries(small_exps, st.one_of(wide_floats, nonfinite), max_s
 
 def _factor(terms) -> LaurentPolynomial:
     return LaurentPolynomial(terms, prune_scale=1.0)
-
-
-@given(st.one_of(one_term, few_terms), st.one_of(one_term, few_terms))
-def test_float_product_is_the_general_product_loop(g, h):
-    g, h = _factor(g), _factor(h)
-    prod, factor_norm = _float_product(g, h._terms, h._norm)
-    want = _term_products(g._terms, h._terms)
-    assert [(e, repr(c)) for e, c in prod.items()] == [(e, repr(c)) for e, c in want.items()]
-    if want:
-        assert _same_bits(factor_norm, g.max_norm() * h.max_norm())
 
 
 one_term_pairs = st.one_of(st.tuples(few_terms, one_term), st.tuples(one_term, few_terms))

@@ -22,8 +22,8 @@ from gleason import (
     verify,
 )
 from gleason.domains import sample
+from gleason.scalars import VANISH_TOL_REL
 from gleason.verify import (
-    IDENTITY_TOL_REL,
     _sample_arrays,
     _sample_power,
     eval_on_arrays,
@@ -231,10 +231,10 @@ def test_exact_fallback_rounds_to_its_verdict(case):
     def problem(x, y):
         return LaurentPolynomial({(1, 1): QComplex(1), (0, 0): QComplex(x, y)})
 
-    tol = IDENTITY_TOL_REL * (1.0 + problem(*_pair_at(2e-9, case)).one_norm())
+    tol = VANISH_TOL_REL * (1.0 + problem(*_pair_at(2e-9, case)).one_norm())
     x, y = _pair_at(tol, case)
     f = problem(x, y)
-    assert IDENTITY_TOL_REL * (1.0 + f.one_norm()) == tol
+    assert VANISH_TOL_REL * (1.0 + f.one_norm()) == tol
     within = x * x + y * y <= Fraction(tol) ** 2
     assert within == (case == "within")
     assert (abs(complex(float(x), float(y))) <= tol) != within
