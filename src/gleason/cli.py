@@ -156,7 +156,13 @@ def _cmd_solve(args) -> int:
     p2 = parse_scalar(args.p2, args.exact)
     f = _read_poly(args, "f", args.exact)
     if args.subtract_value:
-        f = f - LaurentPolynomial.constant(f.eval(p1, p2))
+        # f - f(p) changing only the constant term, pruned at f's own norm so
+        # that no monomial of f is dropped however large f(p) is; a float
+        # f(p) past the float range raises where the constant is built
+        terms = dict(f.terms)
+        for exp, c in (-LaurentPolynomial.constant(f.eval(p1, p2))).terms.items():
+            terms[exp] = terms.get(exp, 0) + c
+        f = LaurentPolynomial(terms, prune_scale=f.max_norm)
     try:
         solution = solve(
             domain,
@@ -167,6 +173,8 @@ def _cmd_solve(args) -> int:
             force_branch=_FORCE_BRANCH[args.mode],
         )
     except NonvanishingError as err:
+        if args.subtract_value:
+            raise InputError(str(err)) from err
         raise InputError(f"{err} (pass --subtract-value to solve f - f(p))") from err
     # one print of the whole rendered text: an error while rendering prints nothing
     text = f"f1 = {format_poly(solution.f1)}\nf2 = {format_poly(solution.f2)}\n"

@@ -3,24 +3,28 @@
 The cusp geometry is governed by two monomials: the ratio u = z1^k z2^(-l),
 constant on the curves that foliate the cusp, and the cut v = z1^m z2^n.
 Symmetric components (exponents divisible by N = k*n + l*m) rewrite exactly
-in the variables (u, v); a (u, v) form is an ordinary LaurentPolynomial whose
-exponent pairs are (ratio, cut) exponents.  Dividing by (u - u(p)) and
-(v - v(p)) there gives the bounded building blocks that the solver
-recombines, keyed back in z-exponents as they are found; split_ratio and
-split_cut write u - u(p) and v - v(p) themselves in terms of (z1 - p1) and
-(z2 - p2).
+in the variables (u, v), with (ratio, cut) exponents.  split_component
+divides such a (u, v) form by (u - u(p)) and (v - v(p)), held as plain maps
+(cut slices of ratio terms, and the fiber projection keyed by the cut
+exponent) rather than as LaurentPolynomials, and keys the quotients back in
+z-exponents as they are found: the bounded building blocks that the solver
+recombines.  split_ratio and split_cut write u - u(p) and v - v(p)
+themselves in terms of (z1 - p1) and (z2 - p2).
 """
 
 from __future__ import annotations
 
 from ._record import record
-from .errors import InternalContractError, NonvanishingError
+from .errors import EvaluationDomainError, InternalContractError, NonvanishingError
 from .laurent import (
+    PRUNE_REL,
     LaurentPolynomial,
     _canonical,
     _carried,
     _exact_poly,
     _linear_quotient,
+    _one_norm,
+    _prune_threshold,
     divide_univariate,
     shift_divide_z1,
 )
@@ -43,30 +47,6 @@ class MonomialPair:
     @property
     def order(self) -> int:
         return self.k * self.n + self.l * self.m
-
-
-def to_ratio_cut(f: LaurentPolynomial, pair: MonomialPair) -> LaurentPolynomial:
-    """Rewrite a symmetric polynomial in the ratio and cut monomials.
-
-    Returns the (u, v) form as a LaurentPolynomial whose exponent pairs are
-    (ratio, cut) exponents.  Every exponent pair of f must be divisible by
-    pair.order in both variables.  Either exponent may come out negative: on
-    a strip the ratio u is bounded above and away from 0, so every power of
-    it is bounded there.
-    """
-    order = pair.order
-    acc: dict = {}
-    for (a, b), c in f.terms.items():
-        if a % order or b % order:
-            raise InternalContractError(
-                f"exponent ({a}, {b}) is not divisible by the symmetry order {order}"
-            )
-        acc[((a * pair.n - b * pair.m) // order, (a * pair.l + b * pair.k) // order)] = c
-    # Relabelling keeps exact terms canonical, so an exact source skips
-    # _canonical.  Every floating polynomial carries its norm, so a missing
-    # norm tells the kind without a call on the float path; the relabelled
-    # map has the same moduli in the same order, so it carries that norm.
-    return _exact_poly(acc) if f._norm is None else _carried(acc, f._norm)
 
 
 def ratio_cut_point(pair: MonomialPair, p: tuple) -> tuple:
@@ -151,41 +131,72 @@ def split_component(
 
         z1^i z2^j comp = g1 * (u - u(p)) + g2 * (v - v(p)).
 
-    The quotients are found in (ratio, cut) exponents, and each quotient term
-    is written at once under its z-exponent, u^alpha v^beta times z1^i z2^j
-    being z1^(alpha*k + beta*m + i) z2^(-alpha*l + beta*n + j); no (u, v)
-    part is built.  Dividing the fiber projection by (v - v(p)) must be
-    exact; a residue there means the vanishing precondition was violated and
-    raises InternalContractError.
+    One pass over comp's terms rewrites each as c u^alpha v^beta, a term of
+    the (u, v) form g, files it in its cut slice and adds c u(p)^alpha to the
+    fiber projection g(u(p), v), kept as a map from beta.  A floating g is
+    comp pruned at |comp|, as a relabel is (see `_carried`), so its norm is
+    |comp|; the projection is pruned at |g|.
+    Each quotient term is written at once under its z-exponent, u^alpha
+    v^beta times z1^i z2^j being z1^(alpha*k + beta*m + i)
+    z2^(-alpha*l + beta*n + j); no (u, v) polynomial is built.  Dividing the
+    projection by (v - v(p)) must be exact; a residue there means the
+    vanishing precondition was violated and raises InternalContractError.
     """
     u_p, v_p = uv
     k, l, m, n = pair.k, pair.l, pair.m, pair.n
-    g = to_ratio_cut(comp, pair)
-    g_proj = g.substitute_z1(u_p)  # fiber projection: u := u(p)
-
-    # Ratio direction: divide (g - g_proj) by (u - u(p)) slice by slice in
-    # the cut exponent.  A slice may hold negative powers of u; the division
-    # clears that pole first.
+    order = pair.order
+    norm = comp._norm  # None for an exact comp, whose terms g keeps
+    threshold = None if norm is None else PRUNE_REL * norm
+    pole = False
     slices: dict = {}
-    for (alpha, beta), c in g.terms.items():
+    fiber: dict = {}
+    powers: dict = {}
+    for (a, b), c in comp._terms.items():
+        if a % order or b % order:
+            raise InternalContractError(
+                f"exponent ({a}, {b}) is not divisible by the symmetry order {order}"
+            )
+        if threshold is not None and ((size := abs(c)) == 0 or size <= threshold):
+            continue
+        alpha, beta = (a * n - b * m) // order, (a * l + b * k) // order
         slices.setdefault(beta, {})[alpha] = c
+        if alpha:
+            if not u_p:  # an underflowed u(p): u^alpha vanishes there or has a pole
+                pole = pole or alpha < 0
+                continue
+            if alpha not in powers:
+                powers[alpha] = powi(u_p, alpha)
+            c = c * powers[alpha]
+        fiber[beta] = fiber.get(beta, 0) + c
+    if norm is None:
+        g_norm = lambda: max(map(abs, comp._terms.values()), default=0.0)
+    else:  # the prune keeps comp's largest term, and raises at an infinite norm
+        _prune_threshold(norm)
+        g_norm = norm
+    if pole:
+        raise EvaluationDomainError("negative z1-exponent evaluated at z1 = 0")
+    fiber, fiber_norm = _canonical(fiber, g_norm)
+    if fiber_norm is None:
+        fiber_norm = lambda: max(map(abs, fiber.values()), default=0.0)
+
+    # Ratio direction: divide (g - g(u(p), v)) by (u - u(p)) slice by slice
+    # in the cut exponent.  A slice may hold negative powers of u; the
+    # division clears that pole first.
     ratio_terms: dict = {}
     for beta, sl in slices.items():
-        sl[0] = sl.get(0, 0) - g_proj.coefficient(0, beta)
+        sl[0] = sl.get(0, 0) - fiber.get(beta, 0)
         quotient, _rem = _linear_quotient(sl, u_p)
         a0, b0 = beta * m + i, beta * n + j
         for alpha, c in quotient.items():
             ratio_terms[(alpha * k + a0, b0 - alpha * l)] = c
 
     # Cut direction: divide the fiber projection by (v - v(p)).
-    quotient, rem = _linear_quotient(
-        {beta: c for (_, beta), c in g_proj.terms.items()}, v_p
-    )
-    if not negligible(rem, lambda: max(g_proj.one_norm(), comp.one_norm())):
+    quotient, rem = _linear_quotient(fiber, v_p)
+    if not negligible(rem, lambda: max(_one_norm(fiber.values()), comp.one_norm())):
         raise InternalContractError("fiber projection does not vanish at the base point")
     cut_terms = {(beta * m + i, beta * n + j): c for beta, c in quotient.items()}
 
-    return _part(ratio_terms, g.max_norm), _part(cut_terms, g_proj.max_norm)
+    return _part(ratio_terms, g_norm), _part(cut_terms, fiber_norm)
 
 
 def _part(terms: dict, scale) -> LaurentPolynomial:

@@ -24,8 +24,10 @@ float overflow.
 
 `subtract_linear_multiples`, the symbolic residual, shifts the factors'
 terms instead of building z - root: as unreduced triples on exact operands,
-and on floating ones in a pass that certifies each coefficient against a
-tolerance, recomputing it exactly when its rounding bound straddles it.
+and on floating ones in a pass that keeps each coefficient's float sum and
+the sum of its summands' moduli as one pair in one map and certifies the
+coefficient against a tolerance, recomputing it exactly when its rounding
+bound straddles it.
 
 `eval` on exact terms at a QComplex point sums over one common denominator,
 and the Horner walk behind the divisions forms each step from the reduced
@@ -96,6 +98,18 @@ def _canonical(terms, prune_scale: float | Callable[[], float] | None) -> tuple:
         if norm is None or size > norm:
             norm = size
     return out, (0.0 if norm is None else norm)
+
+
+def _one_norm(values) -> float:
+    """Sum of the moduli of values, added left to right.
+
+    An explicit loop, not sum(): from Python 3.12 on, sum() compensates
+    float rounding, which would make the digits depend on the interpreter.
+    """
+    total = 0
+    for c in values:
+        total += abs(c)
+    return total
 
 
 def _triples(poly: LaurentPolynomial) -> list:
@@ -273,15 +287,8 @@ class LaurentPolynomial:
         return self._terms.get((a, b), 0)
 
     def one_norm(self) -> float:
-        """Sum of coefficient moduli, added left to right.
-
-        An explicit loop, not sum(): from Python 3.12 on, sum() compensates
-        float rounding, which would make the digits depend on the interpreter.
-        """
-        total = 0
-        for c in self._terms.values():
-            total += abs(c)
-        return total
+        """Sum of coefficient moduli, added left to right (see `_one_norm`)."""
+        return _one_norm(self._terms.values())
 
     def max_norm(self) -> float:
         """Largest coefficient modulus; carried from construction when floating."""
@@ -495,9 +502,10 @@ def subtract_linear_multiples(base: LaurentPolynomial, parts: list, tol: float) 
     Exact operands (every root an int, Fraction or QComplex) give the exact
     residual in the operator chain's term order, and tol is not read.
     Otherwise each coefficient r_e is summed in float, unpruned, beside the
-    sum s_e of its summands' moduli (an exact operand read as complex rounds
-    relatively, as in the normal float range), so |r_e| lies within b_e =
-    12u * s_e + 2**-1069 of the float sum's modulus m_e.  It is dropped when
+    sum s_e of its summands' moduli, the two kept as one pair per exponent
+    (an exact operand read as complex rounds relatively, as in the normal
+    float range), so |r_e| lies within b_e = 12u * s_e + 2**-1069 of the
+    float sum's modulus m_e.  It is dropped when
     m_e <= b_e and m_e + b_e <= tol, kept when it is certified on one side of
     tol, and recomputed by `_exact_coefficient` when it straddles tol.  So
     abs(c) <= tol holds for every coefficient c iff every exact |r_e| does.
@@ -507,22 +515,27 @@ def subtract_linear_multiples(base: LaurentPolynomial, parts: list, tol: float) 
             _linear_products(g, shift, r if type(r) is QComplex else QComplex(r)) for g, shift, r in parts
         ]
         return _exact_sum(_triples(base), products)
-    acc = {exp: complex(c) for exp, c in base._terms.items()}
-    mass = {exp: abs(c) for exp, c in acc.items()}
-    get, size = acc.get, mass.get
+    # exp -> (r_e, s_e), one lookup and one store per summand; a summand
+    # meets a missing coefficient as 0 - c or 0 + t, as the sum from 0 does,
+    # so a zero part's sign is the same
+    acc = {}
+    for exp, c in base._terms.items():
+        c = complex(c)
+        acc[exp] = (c, abs(c))
+    get = acc.get
     for g, (i, j), root in parts:
         z = complex(root)
         for (a, b), c in _as_complex(g)._terms.items():
             exp = (a + i, b + j)
-            acc[exp] = get(exp, 0) - c
-            mass[exp] = size(exp, 0.0) + abs(c)
+            old = get(exp)
+            acc[exp] = (0 - c, abs(c)) if old is None else (old[0] - c, old[1] + abs(c))
             if root:
                 t, exp = z * c, (a, b)
-                acc[exp] = get(exp, 0) + t
-                mass[exp] = size(exp, 0.0) + abs(t)
+                old = get(exp)
+                acc[exp] = (0 + t, abs(t)) if old is None else (old[0] + t, old[1] + abs(t))
     out = {}
-    for exp, r in acc.items():
-        m, bound = abs(r), _ROUNDING_REL * mass[exp] + _UNDERFLOW
+    for exp, (r, mass) in acc.items():
+        m, bound = abs(r), _ROUNDING_REL * mass + _UNDERFLOW
         if m - bound > tol or m + bound <= tol and m > bound:
             out[exp] = r
         elif not m + bound <= tol:

@@ -19,6 +19,8 @@ import numpy as np
 
 from gleason import CuspDomain, InputError, LaurentPolynomial, QComplex, parse_scalar
 from gleason.domains import sample
+from gleason.errors import InternalContractError
+from gleason.laurent import _carried, _exact_poly
 from gleason.scalars import powi
 from gleason.verify import eval_on_arrays
 
@@ -294,6 +296,26 @@ def fiber_values(pair, p):
     """u(p) = p1^k p2^(-l) and v(p) = p1^m p2^n: the ratio and cut monomials at p."""
     p1, p2 = p
     return powi(p1, pair.k) * powi(p2, -pair.l), powi(p1, pair.m) * powi(p2, pair.n)
+
+
+def to_ratio_cut(f: LaurentPolynomial, pair) -> LaurentPolynomial:
+    """Rewrite a symmetric polynomial in the ratio and cut monomials.
+
+    The (u, v) form as a LaurentPolynomial whose exponent pairs are (ratio,
+    cut) exponents, as split_component forms it term by term: every exponent
+    pair of f must be divisible by pair.order in both variables, and either
+    exponent may come out negative.  An exact f keeps its terms; a floating
+    one is carried at its norm, so its relabel prunes at |f|.
+    """
+    order = pair.order
+    acc: dict = {}
+    for (a, b), c in f.terms.items():
+        if a % order or b % order:
+            raise InternalContractError(
+                f"exponent ({a}, {b}) is not divisible by the symmetry order {order}"
+            )
+        acc[((a * pair.n - b * pair.m) // order, (a * pair.l + b * pair.k) // order)] = c
+    return _exact_poly(acc) if f._norm is None else _carried(acc, f._norm)
 
 
 def log_coordinates(points):

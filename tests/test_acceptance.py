@@ -35,7 +35,6 @@ from gleason.division import (
     split_component,
     split_polynomial,
     split_ratio,
-    to_ratio_cut,
 )
 from gleason.domains import poly_bounded, sample
 from gleason.scalars import powi
@@ -55,6 +54,7 @@ from conftest import (
     recombine,
     strip_cone_poly,
     subtract_value_at,
+    to_ratio_cut,
 )
 
 PAIRS = [(1, 1), (2, 1), (1, 2), (3, 2), (2, 3)]

@@ -1,10 +1,17 @@
 """In-process CLI exercises for all five subcommands and the exit codes."""
 
 import math
+import random
 
 import pytest
 
+from gleason import CuspDomain, format_poly, parse_poly, parse_scalar
+from gleason import cli
 from gleason.cli import main
+from gleason.errors import GleasonError, NonvanishingError
+from gleason.exprio import format_scalar
+
+from conftest import rand_bounded_poly, rand_interior_point, subtract_value_at
 
 
 def run_cli(capsys, *argv):
@@ -470,3 +477,60 @@ def test_correction_polynomial_overflow_names_its_cause(capsys):
     )
     assert (code, out) == (2, "")
     assert err == "error: float overflow: the correction polynomial is out of the float range\n"
+
+
+def test_subtract_value_keeps_every_monomial_of_f(capsys):
+    # f(p) = 1e15 is over 1e14 times f's coefficient; subtracting it must not
+    # prune z1*z2^-3 away, so the solve names the unbounded monomial, not f(p)
+    code, out, err = run_cli(
+        capsys,
+        "solve", "--k", "1", "--l", "1", "--p1", "1e-9", "--p2", "1e-8",
+        "--f", "z1*z2^-3", "--subtract-value", "--samples", "0",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: f has monomials outside the bounded cone\n"
+
+
+def _solved_f(monkeypatch, capsys, *argv):
+    """The f that `gleason solve` hands to solve, which is made to raise."""
+    seen = []
+
+    def capture(domain, f, p, **kwargs):
+        seen.append(f)
+        raise GleasonError("captured")
+
+    monkeypatch.setattr(cli, "solve", capture)
+    assert run_cli(capsys, "solve", *argv)[0] == 2
+    return seen[0]
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_subtract_value_is_f_minus_its_value_when_that_value_is_small(seed, exact, monkeypatch, capsys):
+    # whenever |f(p)| <= max |c|, f - f(p) pruned at f's norm is the operator
+    # chain's f - constant(f(p)), bit for bit
+    rng = random.Random(seed)
+    domain = CuspDomain.hartogs(2, 1)
+    f = rand_bounded_poly(rng, domain, 6, exact=exact)
+    p = rand_interior_point(rng, domain, exact=exact)
+    assert abs(complex(f.eval(*p))) <= f.max_norm()
+    mode = ["--exact"] if exact else []
+    args = ["--k", "2", "--l", "1", f"--p1={format_scalar(p[0])}", f"--p2={format_scalar(p[1])}",
+            f"--f={format_poly(f)}", "--subtract-value", "--samples", "0", *mode]
+    got = _solved_f(monkeypatch, capsys, *args)
+    f, p = parse_poly(format_poly(f), exact), tuple(parse_scalar(format_scalar(q), exact) for q in p)
+    want = subtract_value_at(f, p)
+    assert [(e, repr(c)) for e, c in got.terms.items()] == [(e, repr(c)) for e, c in want.terms.items()]
+
+
+@pytest.mark.parametrize("flag", [False, True], ids=["without", "with"])
+def test_nonvanishing_hint_only_without_the_flag(flag, monkeypatch, capsys):
+    def nonvanishing(*args, **kwargs):
+        raise NonvanishingError("polynomial does not vanish at the base point", 1.0)
+
+    monkeypatch.setattr(cli, "solve", nonvanishing)
+    argv = ["solve", "--k", "1", "--l", "1", "--p1", "0.5", "--p2", "0.8", "--f", "z2"]
+    code, out, err = run_cli(capsys, *argv, *(["--subtract-value"] if flag else []))
+    assert (code, out) == (2, "")
+    hint = "" if flag else " (pass --subtract-value to solve f - f(p))"
+    assert err == f"error: polynomial does not vanish at the base point{hint}\n"

@@ -15,14 +15,14 @@ from gleason import (
 )
 from gleason.division import (
     MonomialPair,
+    _part,
     ratio_cut_point,
     split_component,
     split_cut,
     split_polynomial,
     split_ratio,
-    to_ratio_cut,
 )
-from gleason.errors import InternalContractError, NonvanishingError
+from gleason.errors import GleasonError, InternalContractError, NonvanishingError
 from gleason.laurent import PRUNE_REL, _carried, _exact_poly, _linear_quotient
 from gleason.scalars import negligible, powi
 
@@ -36,6 +36,7 @@ from conftest import (
     rand_qcomplex,
     rand_symmetric_component,
     state_or_error,
+    to_ratio_cut,
 )
 
 PARAM_TUPLES = [(1, 1, 0, 1), (2, 1, 0, 1), (1, 2, 0, 1), (3, 2, 0, 1), (2, 3, 0, 1), (1, 1, 1, 1)]
@@ -471,7 +472,7 @@ def _split_outcome(split, *args):
     """_state of both parts, or the class and message of the exception raised."""
     try:
         return [_state(part) for part in split(*args)]
-    except (InternalContractError, ArithmeticError, ValueError) as err:
+    except (GleasonError, ArithmeticError, ValueError) as err:
         return type(err).__name__, str(err)
 
 
@@ -568,6 +569,129 @@ def test_split_component_ratio_part_prunes_at_its_own_norm(x, kept):
     assert [_state(g) for g in got] == [_state(g) for g in want]
     assert got[0].max_norm() == 1024.0
     assert ((0, 2) in got[0].terms) == kept
+
+
+# -- split_component against its two-polynomial form ------------------------------
+
+
+def _two_polynomial_split_component(i, j, comp, pair, uv):
+    """split_component as it was written before its one-pass form: the (u, v)
+    form g and its fiber projection g_proj built as LaurentPolynomials, by
+    to_ratio_cut and substitute_z1, read back through .terms and
+    coefficient(), with the same parts."""
+    u_p, v_p = uv
+    k, l, m, n = pair.k, pair.l, pair.m, pair.n
+    g = to_ratio_cut(comp, pair)
+    g_proj = g.substitute_z1(u_p)
+    slices: dict = {}
+    for (alpha, beta), c in g.terms.items():
+        slices.setdefault(beta, {})[alpha] = c
+    ratio_terms: dict = {}
+    for beta, sl in slices.items():
+        sl[0] = sl.get(0, 0) - g_proj.coefficient(0, beta)
+        quotient, _rem = _linear_quotient(sl, u_p)
+        a0, b0 = beta * m + i, beta * n + j
+        for alpha, c in quotient.items():
+            ratio_terms[(alpha * k + a0, b0 - alpha * l)] = c
+    quotient, rem = _linear_quotient({beta: c for (_, beta), c in g_proj.terms.items()}, v_p)
+    if not negligible(rem, lambda: max(g_proj.one_norm(), comp.one_norm())):
+        raise InternalContractError("fiber projection does not vanish at the base point")
+    cut_terms = {(beta * m + i, beta * n + j): c for beta, c in quotient.items()}
+    return _part(ratio_terms, g.max_norm), _part(cut_terms, g_proj.max_norm)
+
+
+def _assert_split_matches(i, j, comp, pair, uv):
+    """Both forms give the same terms in order and carried norms, or raise the
+    same exception class with the same message; returns that outcome."""
+    got = _split_outcome(split_component, i, j, comp, pair, uv)
+    assert got == _split_outcome(_two_polynomial_split_component, i, j, comp, pair, uv)
+    return got
+
+
+def _seeded_point(rng, pair: MonomialPair, exact: bool):
+    """A base point off the axes: exact, or floating with |p2| over eight
+    decades and |p1| = r |p2|^(l/k), as deep in the cusp as the benchmark."""
+    if exact:
+        return _exact_point(rng)
+    r2 = 10.0 ** rng.uniform(-8, -0.1)
+    r1 = rng.uniform(0.1, 0.9) * r2 ** (pair.l / pair.k)
+    return tuple(r * cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for r in (r1, r2))
+
+
+SEEDED_SPLIT_PAIRS = [
+    # the full cusp domain's pairs at orders 1 to 6, cut by z2
+    *[MonomialPair(k, l) for k in range(1, 7) for l in (1, 2, 5)],
+    # strips cut by z1*z2
+    *[MonomialPair(k, l, 1, 1) for k, l in [(1, 1), (2, 1), (1, 2), (3, 2), (2, 3), (5, 1)]],
+]
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("pair", SEEDED_SPLIT_PAIRS, ids=lambda q: f"{q.k}{q.l}{q.m}{q.n}")
+def test_split_component_is_its_two_polynomial_form(pair, exact):
+    rng = random.Random(f"{pair.k}{pair.l}{pair.m}{pair.n}{exact}")
+    order = pair.order
+    outcomes = []
+    for _ in range(12):
+        p = _seeded_point(rng, pair, exact)
+        if pair.m:  # negative ratio exponents too: the strip's cone is wider
+            h = _outside_cone_component(rng, pair, terms=rng.randint(1, 5), max_unit=2)
+            if not exact:
+                h = LaurentPolynomial({e: complex(c) * 10.0 ** rng.randint(-6, 6) for e, c in h.terms.items()})
+        else:
+            h = rand_symmetric_component(rng, pair.k, pair.l, 0, 1, terms=rng.randint(1, 5),
+                                         max_unit=2, exact=exact)
+        comp = h - LaurentPolynomial.constant(h.eval(*p))
+        shift = rng.randrange(order), rng.randrange(order)
+        outcomes.append(_assert_split_matches(*shift, comp, pair, ratio_cut_point(pair, p)))
+    # seeded components vanish at p; most split, and a float one whose
+    # projection's remainder grows past the vanishing test raises in both forms
+    assert sum(isinstance(outcome, list) for outcome in outcomes) >= (12 if exact else 10)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_split_component_fiber_check_fails_as_its_two_polynomial_form(exact):
+    pair = MonomialPair(2, 1, 1, 1)
+    p = (QComplex(1, 2), QComplex(3)) if exact else (0.3 + 0.2j, 0.8 - 0.1j)
+    rng = random.Random(5)
+    h = rand_symmetric_component(rng, 2, 1, 1, 1, terms=4, exact=exact)
+    got = _assert_split_matches(1, 2, h + LaurentPolynomial.constant(h.eval(*p) + 1), pair,
+                                ratio_cut_point(pair, p))
+    assert got == ("InternalContractError", "fiber projection does not vanish at the base point")
+
+
+def test_split_component_relabel_drop_is_its_two_polynomial_form():
+    # built at scale 1e-3, comp keeps 1e-15 * z1^2, below PRUNE_REL * |comp| = 4e-14:
+    # the relabel to (u, v) drops it and g's norm is that of the terms it keeps
+    pair = MonomialPair(2, 1)
+    p = (0.3 + 0.2j, 0.8 - 0.1j)
+    h = {(2, 0): 1e-15 + 0j, (0, 2): 4.0 + 0j, (2, 2): 2.5 - 1j}
+    value = LaurentPolynomial(h, prune_scale=1e-3).eval(*p)
+    comp = LaurentPolynomial({**h, (0, 0): -value}, prune_scale=1e-3)
+    assert len(comp) == 4 and len(to_ratio_cut(comp, pair)) == 3
+    got = _assert_split_matches(1, 0, comp, pair, ratio_cut_point(pair, p))
+    assert isinstance(got, list)
+    # at an infinite norm the relabel's prune raises the float overflow
+    huge = LaurentPolynomial({(2, 0): complex(math.inf, 0.0), (0, 0): 1.0 + 0j}, prune_scale=1.0)
+    assert _assert_split_matches(0, 0, huge, pair, ratio_cut_point(pair, p)) == (
+        "InputError", "float overflow: a coefficient scale is out of the float range")
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_split_component_at_an_underflowed_ratio_value(exact):
+    # u(p) = 0, as a float u(p) underflows deep in the cusp: u^alpha vanishes
+    # for alpha > 0, and a negative alpha raises as substitute_z1 does
+    pair = MonomialPair(1, 1, 1, 1)
+    one = QComplex(1) if exact else 1.0 + 0j
+    uv = (0 * one, 2 * one)
+    outside = LaurentPolynomial({(2, 0): one, (0, 2): -one, (-2, 2): one})  # u v - u^-1 v + u^-2
+    assert _assert_split_matches(0, 0, outside, pair, uv) == (
+        "EvaluationDomainError", "negative z1-exponent evaluated at z1 = 0")
+    inside = LaurentPolynomial({(2, 0): one, (2, 2): one, (0, 0): -4 * one})  # u v + v^2 - 4
+    assert isinstance(_assert_split_matches(1, 0, inside, pair, uv), list)
+    # a non-symmetric exponent raises before anything else
+    assert _assert_split_matches(0, 0, inside + LaurentPolynomial({(1, 0): one}), pair, uv)[0] == (
+        "InternalContractError")
 
 
 def test_branch_evaluations_agree_with_fiber_projection():

@@ -7,10 +7,11 @@ import struct
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gleason import LaurentPolynomial, QComplex
 from gleason.errors import EvaluationDomainError, InputError, NotDivisibleError
+from gleason import laurent
 from gleason.laurent import (
     PRUNE_REL,
     divide_univariate,
@@ -493,6 +494,94 @@ def test_float_residual_is_certified_against_the_exact_residual(f, f1, f2, p1, p
             # dropped only when certified within tol, at most its rounding bound
             assert r.abs2() <= Fraction(tol) ** 2
             assert abs(complex(r)) <= 2 * bound
+
+
+def _two_map_residual(base, parts, tol):
+    """The floating pass of subtract_linear_multiples as it was written with
+    two maps, one of float sums and one of the sums of moduli."""
+    acc = {exp: complex(c) for exp, c in base.terms.items()}
+    mass = {exp: abs(c) for exp, c in acc.items()}
+    get, size = acc.get, mass.get
+    for g, (i, j), root in parts:
+        z = complex(root)
+        for (a, b), c in laurent._as_complex(g).terms.items():
+            exp = (a + i, b + j)
+            acc[exp] = get(exp, 0) - c
+            mass[exp] = size(exp, 0.0) + abs(c)
+            if root:
+                t, exp = z * c, (a, b)
+                acc[exp] = get(exp, 0) + t
+                mass[exp] = size(exp, 0.0) + abs(t)
+    out = {}
+    for exp, r in acc.items():
+        m, bound = abs(r), laurent._ROUNDING_REL * mass[exp] + laurent._UNDERFLOW
+        if m - bound > tol or m + bound <= tol and m > bound:
+            out[exp] = r
+        elif not m + bound <= tol:
+            out[exp] = laurent._exact_coefficient(exp, base, parts, tol, r)
+    return LaurentPolynomial(out, prune_scale=0.0)
+
+
+def _floating_pass(f, parts) -> bool:
+    return not (f.is_exact() and all(g.is_exact() and isinstance(r, (int, Fraction, QComplex)) for g, _, r in parts))
+
+
+@settings(max_examples=400)
+@given(residual_factors, residual_factors, residual_factors, roots, roots, tols)
+def test_float_residual_is_the_two_map_pass(f, f1, f2, p1, p2, tol):
+    parts = [(f1, (1, 0), p1), (f2, (0, 1), p2)]
+    assume(_floating_pass(f, parts))
+    got = _outcome(lambda: subtract_linear_multiples(f, parts, tol))
+    assert got == _outcome(lambda: _two_map_residual(f, parts, tol))
+
+
+def _counted_exact_coefficients(monkeypatch) -> list:
+    """Record every _exact_coefficient call, from either pass."""
+    calls = []
+    exact_coefficient = laurent._exact_coefficient
+
+    def counted(*args):
+        calls.append(args[0])
+        return exact_coefficient(*args)
+
+    monkeypatch.setattr(laurent, "_exact_coefficient", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("case", ["floating", "exact_base", "empty_f1", "empty_f2", "empty_f"])
+def test_float_residual_is_the_two_map_pass_on_seeded_identities(case, seed, monkeypatch):
+    # f = f1*(z1-p1) + f2*(z2-p2) formed in float, so that every residual
+    # coefficient is rounding noise; tol at the float modulus of one of them
+    # straddles it, which takes the exact recomputation
+    rng = random.Random(f"{case}{seed}")
+    p = (rand_complex_point(rng), rand_complex_point(rng))
+    f1 = LaurentPolynomial.zero() if case == "empty_f1" else rand_laurent(rng, terms=4, max_exp=3)
+    f2 = LaurentPolynomial.zero() if case == "empty_f2" else rand_laurent(rng, terms=4, max_exp=3)
+    if case == "empty_f":
+        f = LaurentPolynomial.zero()
+    else:
+        f = f1 * LaurentPolynomial({(1, 0): 1.0, (0, 0): -p[0]}) + f2 * LaurentPolynomial({(0, 1): 1.0, (0, 0): -p[1]})
+    if case == "exact_base":  # base terms read through complex(c)
+        f = LaurentPolynomial({e: QComplex(c.real, c.imag) for e, c in f.terms.items()})
+        assert f.is_exact()
+    parts = [(f1, (1, 0), p[0]), (f2, (0, 1), p[1])]
+    calls = _counted_exact_coefficients(monkeypatch)
+    noise = _two_map_residual(f, parts, 0.0)
+    straddled = 0
+    for tol in [0.0, 1e-9, *sorted(abs(c) for c in noise.terms.values())[:3]]:
+        del calls[:]
+        want = _two_map_residual(f, parts, tol)
+        recomputed = len(calls)
+        got = subtract_linear_multiples(f, parts, tol)
+        assert _bits(got) == _bits(want)
+        assert len(calls) == 2 * recomputed
+        straddled += recomputed
+    assert straddled > 0
+
+
+def rand_complex_point(rng) -> complex:
+    return cmath.rect(rng.uniform(0.05, 2.0), rng.uniform(0, 2 * math.pi))
 
 
 @pytest.mark.parametrize("root", [PRUNE_REL, math.nextafter(PRUNE_REL, 1.0), 1e14, 0.0])
