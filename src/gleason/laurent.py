@@ -515,9 +515,9 @@ def subtract_linear_multiples(base: LaurentPolynomial, parts: list, tol: float) 
             _linear_products(g, shift, r if type(r) is QComplex else QComplex(r)) for g, shift, r in parts
         ]
         return _exact_sum(_triples(base), products)
-    # exp -> (r_e, s_e), one lookup and one store per summand; a summand
-    # meets a missing coefficient as 0 - c or 0 + t, as the sum from 0 does,
-    # so a zero part's sign is the same
+    # exp -> (r_e, s_e): one lookup and one store per summand.  A new
+    # coefficient starts as 0 - c or 0 + t, not -c or t, so that a zero
+    # part gets the sign a sum from 0 gives it
     acc = {}
     for exp, c in base._terms.items():
         c = complex(c)

@@ -9,9 +9,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from gleason import LaurentPolynomial, QComplex
+from gleason import LaurentPolynomial, QComplex, laurent
 from gleason.errors import EvaluationDomainError, InputError, NotDivisibleError
-from gleason import laurent
 from gleason.laurent import (
     PRUNE_REL,
     divide_univariate,
@@ -19,12 +18,13 @@ from gleason.laurent import (
     shift_divide_z1,
     subtract_linear_multiples,
 )
-from gleason.scalars import powi
+from gleason.scalars import is_exact as scalar_is_exact, powi
 
 from conftest import (
     chain_multiply_add,
     max_coeff_distance,
     monomial,
+    rand_complex,
     rand_laurent,
     rand_qcomplex,
     root_of_unity,
@@ -522,15 +522,11 @@ def _two_map_residual(base, parts, tol):
     return LaurentPolynomial(out, prune_scale=0.0)
 
 
-def _floating_pass(f, parts) -> bool:
-    return not (f.is_exact() and all(g.is_exact() and isinstance(r, (int, Fraction, QComplex)) for g, _, r in parts))
-
-
 @settings(max_examples=400)
 @given(residual_factors, residual_factors, residual_factors, roots, roots, tols)
 def test_float_residual_is_the_two_map_pass(f, f1, f2, p1, p2, tol):
     parts = [(f1, (1, 0), p1), (f2, (0, 1), p2)]
-    assume(_floating_pass(f, parts))
+    assume(not (f.is_exact() and all(g.is_exact() and scalar_is_exact(r) for g, _, r in parts)))
     got = _outcome(lambda: subtract_linear_multiples(f, parts, tol))
     assert got == _outcome(lambda: _two_map_residual(f, parts, tol))
 
@@ -555,7 +551,7 @@ def test_float_residual_is_the_two_map_pass_on_seeded_identities(case, seed, mon
     # coefficient is rounding noise; tol at the float modulus of one of them
     # straddles it, which takes the exact recomputation
     rng = random.Random(f"{case}{seed}")
-    p = (rand_complex_point(rng), rand_complex_point(rng))
+    p = (rand_complex(rng, nonzero=True), rand_complex(rng, nonzero=True))
     f1 = LaurentPolynomial.zero() if case == "empty_f1" else rand_laurent(rng, terms=4, max_exp=3)
     f2 = LaurentPolynomial.zero() if case == "empty_f2" else rand_laurent(rng, terms=4, max_exp=3)
     if case == "empty_f":
@@ -578,10 +574,6 @@ def test_float_residual_is_the_two_map_pass_on_seeded_identities(case, seed, mon
         assert len(calls) == 2 * recomputed
         straddled += recomputed
     assert straddled > 0
-
-
-def rand_complex_point(rng) -> complex:
-    return cmath.rect(rng.uniform(0.05, 2.0), rng.uniform(0, 2 * math.pi))
 
 
 @pytest.mark.parametrize("root", [PRUNE_REL, math.nextafter(PRUNE_REL, 1.0), 1e14, 0.0])
