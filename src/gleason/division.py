@@ -145,9 +145,10 @@ def split_component(
     u_p, v_p = uv
     k, l, m, n = pair.k, pair.l, pair.m, pair.n
     order = pair.order
-    norm = comp._norm  # None for an exact comp, whose terms g keeps
+    # the coefficients tell the kind: an exact comp whose max_norm() was asked
+    # for carries a norm too, and g keeps every exact term
+    norm = None if comp.is_exact() else comp._norm
     threshold = None if norm is None else PRUNE_REL * norm
-    pole = False
     slices: dict = {}
     fiber: dict = {}
     powers: dict = {}
@@ -162,19 +163,18 @@ def split_component(
         slices.setdefault(beta, {})[alpha] = c
         if alpha:
             if not u_p:  # an underflowed u(p): u^alpha vanishes there or has a pole
-                pole = pole or alpha < 0
+                if alpha < 0:
+                    raise EvaluationDomainError("negative z1-exponent evaluated at z1 = 0")
                 continue
             if alpha not in powers:
                 powers[alpha] = powi(u_p, alpha)
             c = c * powers[alpha]
         fiber[beta] = fiber.get(beta, 0) + c
     if norm is None:
-        g_norm = lambda: max(map(abs, comp._terms.values()), default=0.0)
+        g_norm = comp.max_norm
     else:  # the prune keeps comp's largest term, and raises at an infinite norm
         _prune_threshold(norm)
         g_norm = norm
-    if pole:
-        raise EvaluationDomainError("negative z1-exponent evaluated at z1 = 0")
     fiber, fiber_norm = _canonical(fiber, g_norm)
     if fiber_norm is None:
         fiber_norm = lambda: max(map(abs, fiber.values()), default=0.0)

@@ -120,8 +120,9 @@ def _triples(poly: LaurentPolynomial) -> list:
 def _exact_poly(terms: dict) -> LaurentPolynomial:
     """A polynomial of a map that is canonical already: nonzero QComplex terms.
 
-    Its norm is None until asked for, while a floating polynomial always
-    carries one, so ``poly._norm is None`` tells an exact polynomial.
+    Its norm is None until max_norm() caches it, while a floating polynomial
+    always carries one: a None norm means exact, but an exact polynomial may
+    carry a norm too, so only is_exact() tells the kind.
     """
     poly = object.__new__(LaurentPolynomial)
     poly._terms, poly._norm = terms, None

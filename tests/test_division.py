@@ -11,11 +11,11 @@ from gleason import (
     CuspDomain,
     LaurentPolynomial,
     QComplex,
+    parse_poly,
     poly_bounded,
 )
 from gleason.division import (
     MonomialPair,
-    _part,
     ratio_cut_point,
     split_component,
     split_cut,
@@ -571,40 +571,15 @@ def test_split_component_ratio_part_prunes_at_its_own_norm(x, kept):
     assert ((0, 2) in got[0].terms) == kept
 
 
-# -- split_component against its two-polynomial form ------------------------------
-
-
-def _two_polynomial_split_component(i, j, comp, pair, uv):
-    """split_component as it was written before its one-pass form: the (u, v)
-    form g and its fiber projection g_proj built as LaurentPolynomials, by
-    to_ratio_cut and substitute_z1, read back through .terms and
-    coefficient(), with the same parts."""
-    u_p, v_p = uv
-    k, l, m, n = pair.k, pair.l, pair.m, pair.n
-    g = to_ratio_cut(comp, pair)
-    g_proj = g.substitute_z1(u_p)
-    slices: dict = {}
-    for (alpha, beta), c in g.terms.items():
-        slices.setdefault(beta, {})[alpha] = c
-    ratio_terms: dict = {}
-    for beta, sl in slices.items():
-        sl[0] = sl.get(0, 0) - g_proj.coefficient(0, beta)
-        quotient, _rem = _linear_quotient(sl, u_p)
-        a0, b0 = beta * m + i, beta * n + j
-        for alpha, c in quotient.items():
-            ratio_terms[(alpha * k + a0, b0 - alpha * l)] = c
-    quotient, rem = _linear_quotient({beta: c for (_, beta), c in g_proj.terms.items()}, v_p)
-    if not negligible(rem, lambda: max(g_proj.one_norm(), comp.one_norm())):
-        raise InternalContractError("fiber projection does not vanish at the base point")
-    cut_terms = {(beta * m + i, beta * n + j): c for beta, c in quotient.items()}
-    return _part(ratio_terms, g.max_norm), _part(cut_terms, g_proj.max_norm)
+# -- split_component against the chain, on seeded and edge components ------------
 
 
 def _assert_split_matches(i, j, comp, pair, uv):
-    """Both forms give the same terms in order and carried norms, or raise the
-    same exception class with the same message; returns that outcome."""
+    """split_component and the chain give the same terms in order and carried
+    norms, or raise the same exception class with the same message; returns
+    that outcome."""
     got = _split_outcome(split_component, i, j, comp, pair, uv)
-    assert got == _split_outcome(_two_polynomial_split_component, i, j, comp, pair, uv)
+    assert got == _split_outcome(_chain_split_component, i, j, comp, pair, uv)
     return got
 
 
@@ -628,7 +603,7 @@ SEEDED_SPLIT_PAIRS = [
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
 @pytest.mark.parametrize("pair", SEEDED_SPLIT_PAIRS, ids=lambda q: f"{q.k}{q.l}{q.m}{q.n}")
-def test_split_component_is_its_two_polynomial_form(pair, exact):
+def test_split_component_is_the_chain_on_seeded_components(pair, exact):
     rng = random.Random(f"{pair.k}{pair.l}{pair.m}{pair.n}{exact}")
     order = pair.order
     outcomes = []
@@ -650,7 +625,7 @@ def test_split_component_is_its_two_polynomial_form(pair, exact):
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
-def test_split_component_fiber_check_fails_as_its_two_polynomial_form(exact):
+def test_split_component_fiber_check_fails_as_the_chain(exact):
     pair = MonomialPair(2, 1, 1, 1)
     p = (QComplex(1, 2), QComplex(3)) if exact else (0.3 + 0.2j, 0.8 - 0.1j)
     rng = random.Random(5)
@@ -660,7 +635,7 @@ def test_split_component_fiber_check_fails_as_its_two_polynomial_form(exact):
     assert got == ("InternalContractError", "fiber projection does not vanish at the base point")
 
 
-def test_split_component_relabel_drop_is_its_two_polynomial_form():
+def test_split_component_relabel_drop_is_the_chain():
     # built at scale 1e-3, comp keeps 1e-15 * z1^2, below PRUNE_REL * |comp| = 4e-14:
     # the relabel to (u, v) drops it and g's norm is that of the terms it keeps
     pair = MonomialPair(2, 1)
@@ -675,6 +650,21 @@ def test_split_component_relabel_drop_is_its_two_polynomial_form():
     huge = LaurentPolynomial({(2, 0): complex(math.inf, 0.0), (0, 0): 1.0 + 0j}, prune_scale=1.0)
     assert _assert_split_matches(0, 0, huge, pair, ratio_cut_point(pair, p)) == (
         "InputError", "float overflow: a coefficient scale is out of the float range")
+
+
+def test_split_component_keeps_every_term_of_an_exact_comp_with_a_norm():
+    # parse_poly asks for max_norm(), so this exact comp carries a norm; its
+    # terms z1 and -z2 sit 15 decades below it and must survive the relabel,
+    # as no exact term is pruned.  comp = (u - 1)(1e15 + v) for u = z1/z2, v = z2
+    pair = MonomialPair(1, 1)
+    comp = parse_poly("1000000000000000*z1*z2^-1 - 1000000000000000 + z1 - z2", True)
+    assert comp.is_exact() and comp._norm == 1e15
+    p = (QComplex(1), QComplex(1))
+    uv = ratio_cut_point(pair, p)
+    g1, g2 = split_component(0, 0, comp, pair, uv)
+    assert _assert_split_matches(0, 0, comp, pair, uv) == [_state(g1), _state(g2)]
+    ratio_lin, cut_lin = _linear_factors(pair, p)
+    assert g1 * ratio_lin + g2 * cut_lin == comp
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
