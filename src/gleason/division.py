@@ -25,10 +25,11 @@ from .laurent import (
     _linear_quotient,
     _one_norm,
     _prune_threshold,
+    _wrap,
     divide_univariate,
     shift_divide_z1,
 )
-from .scalars import negligible, powi
+from .scalars import VANISH_TOL_REL, negligible, powi
 
 
 @record
@@ -192,8 +193,11 @@ def split_component(
 
     # Cut direction: divide the fiber projection by (v - v(p)).
     quotient, rem = _linear_quotient(fiber, v_p)
-    if not negligible(rem, lambda: max(_one_norm(fiber.values()), comp.one_norm())):
-        raise InternalContractError("fiber projection does not vanish at the base point")
+    # |comp|_inf <= |comp|_1: a floating remainder within tolerance of the
+    # carried norm passes without the one-norm loops
+    if norm is None or not abs(rem) <= VANISH_TOL_REL * norm:
+        if not negligible(rem, lambda: max(_one_norm(fiber.values()), comp.one_norm())):
+            raise InternalContractError("fiber projection does not vanish at the base point")
     cut_terms = {(beta * m + i, beta * n + j): c for beta, c in quotient.items()}
 
     return _part(ratio_terms, g_norm), _part(cut_terms, fiber_norm)
@@ -204,7 +208,13 @@ def _part(terms: dict, scale) -> LaurentPolynomial:
 
     Built at scale, then carried, as the (u, v) quotient built at scale and
     relabelled was: the relabel maps keys one to one in order, so terms,
-    order and norm agree.  A map of exact zeros alone, or none, is exact.
+    order and norm agree.  The relabel prunes at the quotient's own norm, so
+    at a scale of at least that norm it drops nothing and is skipped.  A map
+    of exact zeros alone, or none, is exact.
     """
     terms, norm = _canonical(terms, scale)
-    return _exact_poly(terms) if norm is None else _carried(terms, norm)
+    if norm is None:
+        return _exact_poly(terms)
+    if terms and type(scale) is float and scale >= norm:
+        return _wrap(terms, norm)
+    return _carried(terms, norm)

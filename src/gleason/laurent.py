@@ -129,6 +129,13 @@ def _exact_poly(terms: dict) -> LaurentPolynomial:
     return poly
 
 
+def _wrap(terms: dict, norm: float) -> LaurentPolynomial:
+    """A floating polynomial of a canonical map whose moduli's max() is norm."""
+    poly = object.__new__(LaurentPolynomial)
+    poly._terms, poly._norm = terms, norm
+    return poly
+
+
 def _carried(terms: dict, norm: float) -> LaurentPolynomial:
     """LaurentPolynomial(terms, prune_scale=norm) for a map whose moduli's max,
     taken in order as max() takes it, is norm, as a relabelled floating
@@ -143,9 +150,7 @@ def _carried(terms: dict, norm: float) -> LaurentPolynomial:
             break
     else:
         if terms:
-            poly = object.__new__(LaurentPolynomial)
-            poly._terms, poly._norm = terms, norm
-            return poly
+            return _wrap(terms, norm)
     return LaurentPolynomial(terms, prune_scale=norm)
 
 
@@ -587,10 +592,8 @@ def _as_complex(poly: LaurentPolynomial) -> LaurentPolynomial:
 
 def _kept(terms: dict, sizes: dict, threshold: float) -> tuple:
     """terms and their moduli without those of modulus 0 or at most threshold."""
-    if sizes and not min(sizes.values()) > threshold:
-        sizes = {e: s for e, s in sizes.items() if not (s == 0 or s <= threshold)}
-        terms = {e: terms[e] for e in sizes}
-    return terms, sizes
+    sizes = {e: s for e, s in sizes.items() if not (s == 0 or s <= threshold)}
+    return {e: terms[e] for e in sizes}, sizes
 
 
 def _float_sum(base: LaurentPolynomial, products: list) -> LaurentPolynomial:
@@ -604,21 +607,27 @@ def _float_sum(base: LaurentPolynomial, products: list) -> LaurentPolynomial:
     modulus exceeds its threshold is added as it is, and only one that loses
     a term is rebuilt.  Each kept term's modulus, kept beside it, exceeds the
     last sum threshold, so untouched terms are checked again only when that
-    threshold rises.
+    threshold rises to a lower bound of the moduli, which the loop carries.
+    It carries the max norm too, with the term that holds it, and rescans
+    with max() only when that term changes or a modulus is NaN, as max()'s
+    NaN depends on the order.
     """
     acc = dict(base._terms)
     sizes = {exp: abs(c) for exp, c in acc.items()}
-    norm, last = base.max_norm(), float("nan")  # base has met no sum threshold
+    top = max(sizes, key=sizes.__getitem__, default=None)
+    norm, last, low = base.max_norm(), float("nan"), 0.0  # base has met no sum threshold
+    nan = math.isnan(sum(sizes.values()))
     for prod, factor_norm in products:
         prod_norm = 0.0
         if prod:  # the chain takes no factor norm for an empty product
             moduli = list(map(abs, prod.values()))
-            low, prod_norm = min(moduli), max(moduli)
+            least, prod_norm = min(moduli), max(moduli)
             floor = _prune_threshold(factor_norm)
-            if not low > floor:
+            if not least > floor:
                 prod, kept = _kept(prod, dict(zip(prod, moduli)), floor)
                 prod_norm = max(kept.values()) if kept else 0.0
         threshold = _prune_threshold(prod_norm if prod_norm > norm else norm)  # max()'s ties
+        high = norm
         for exp, c in prod.items():
             c = acc.get(exp, 0) + c
             if (size := abs(c)) == 0 or size <= threshold:
@@ -626,15 +635,25 @@ def _float_sum(base: LaurentPolynomial, products: list) -> LaurentPolynomial:
                     del acc[exp], sizes[exp]
             else:
                 acc[exp], sizes[exp] = c, size
+                if not low <= size <= high:
+                    if size > high:
+                        high, top = size, exp
+                    elif size < low:
+                        low = size
+                    else:
+                        nan = True
         if not threshold <= last:
-            acc, sizes = _kept(acc, sizes, threshold)
+            if low <= threshold and not (low := min(sizes.values(), default=math.inf)) > threshold:
+                acc, sizes = _kept(acc, sizes, threshold)
+                low = threshold
         elif not prod:
             continue  # nothing changed
         last = threshold
-        norm = max(sizes.values()) if sizes else 0.0
-    poly = object.__new__(LaurentPolynomial)
-    poly._terms, poly._norm = acc, norm
-    return poly
+        if nan or sizes.get(top) != high:
+            top = max(sizes, key=sizes.__getitem__, default=None)
+            high = 0.0 if top is None else sizes[top]
+        norm = high
+    return _wrap(acc, norm)
 
 
 def multiply_add(base: LaurentPolynomial, products: list) -> LaurentPolynomial:

@@ -14,6 +14,7 @@ from gleason import (
     parse_poly,
     poly_bounded,
 )
+from gleason import division
 from gleason.division import (
     MonomialPair,
     ratio_cut_point,
@@ -683,6 +684,74 @@ def test_split_component_at_an_underflowed_ratio_value(exact):
     assert _assert_split_matches(0, 0, inside + LaurentPolynomial({(1, 0): one}), pair, uv)[0] == (
         "InternalContractError")
 
+
+
+# -- the fiber verdict and the parts' relabel --------------------------------------
+
+# comp = 1 - 2 z2 + (1 + d) z2^2 for MonomialPair(1, 1) at p = (1, 1), where
+# u = z1/z2 and v = z2 are 1: the fiber remainder is comp(p) ~ d, against
+# 1e-9 |comp|_inf = 2e-9 and 1e-9 max(|fiber|_1, |comp|_1) ~ 4e-9
+FIBER_VERDICT_CASES = {
+    "within the carried norm": (1e-12, False, True),
+    "within the one-norms only": (3e-9, True, True),
+    "beyond both": (5e-9, True, False),
+}
+
+
+@pytest.mark.parametrize("d, slow, passes", FIBER_VERDICT_CASES.values(), ids=FIBER_VERDICT_CASES.keys())
+def test_fiber_verdict_reads_the_one_norms_only_beyond_the_carried_norm(monkeypatch, d, slow, passes):
+    pair = MonomialPair(1, 1)
+    comp = LaurentPolynomial({(0, 0): 1.0 + 0j, (0, 1): -2.0 + 0j, (0, 2): complex(1.0 + d)})
+    calls = []
+    monkeypatch.setattr(division, "negligible", lambda value, scale: calls.append(value) or negligible(value, scale))
+    got = _assert_split_matches(0, 0, comp, pair, ratio_cut_point(pair, (1.0 + 0j, 1.0 + 0j)))
+    assert (len(calls), isinstance(got, list)) == (int(slow), passes)
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["NaN first", "NaN later"])
+def test_fiber_verdict_fails_a_nan_remainder(first):
+    # a NaN norm (first) or a finite one (later): the remainder is NaN either way
+    pair = MonomialPair(1, 1)
+    nan, one = complex(math.nan, 0.0), 1.0 + 0j
+    comp = LaurentPolynomial({(0, 0): nan, (0, 1): one} if first else {(0, 1): one, (0, 0): nan}, prune_scale=1.0)
+    got = _assert_split_matches(0, 0, comp, pair, ratio_cut_point(pair, (1.0 + 0j, 1.0 + 0j)))
+    assert got == ("InternalContractError", "fiber projection does not vanish at the base point")
+
+
+def _relabelled_part(terms: dict, scale) -> LaurentPolynomial:
+    """_part's reference: built at scale, then built again at its own norm, as
+    the (u, v) quotient was before its relabel."""
+    built = LaurentPolynomial(terms, prune_scale=scale)
+    return built if built._norm is None else LaurentPolynomial(dict(built.terms), prune_scale=built._norm)
+
+
+PART_CASES = {
+    # built at 0.5 the 8e-15 term stays, and at the part's own norm 1 it goes
+    "scale below the norm": ({(0, 0): 1.0 + 0j, (1, 0): 8e-15 + 0j}, 0.5),
+    "scale at the norm": ({(0, 0): 1.0 + 0j, (1, 0): 2e-14 + 0j}, 1.0),
+    "scale above the norm": ({(0, 0): 1.0 + 0j, (1, 0): 2e-14 + 0j}, 1.5),
+    "NaN scale": ({(0, 0): 1.0 + 0j, (1, 0): 1e-20 + 0j}, math.nan),
+    "scale as a function": ({(0, 0): 1.0 + 0j, (1, 0): 8e-15 + 0j}, lambda: 0.5),
+    "empty": ({}, 1.0),
+    "exact zeros only": ({(0, 0): 0j}, 1.0),
+    "every term pruned": ({(0, 0): 1e-20 + 0j}, 1.0),
+    "exact": ({(0, 0): QComplex(1), (1, 0): QComplex(0, 2)}, 1.0),
+}
+
+
+@pytest.mark.parametrize("terms, scale", PART_CASES.values(), ids=PART_CASES.keys())
+def test_part_is_built_at_scale_then_at_its_own_norm(terms, scale):
+    assert _state(division._part(dict(terms), scale)) == _state(_relabelled_part(terms, scale))
+
+
+@given(
+    st.dictionaries(st.tuples(st.integers(0, 3), st.integers(-2, 2)),
+                    st.one_of(split_coeffs.filter(lambda c: not isinstance(c, QComplex)), st.just(0j)),
+                    max_size=5),
+    st.one_of(st.floats(0.0, 1e21), st.just(math.nan)),
+)
+def test_part_is_the_relabel_on_floating_maps(terms, scale):
+    assert _state(division._part(dict(terms), scale)) == _state(_relabelled_part(terms, scale))
 
 def test_branch_evaluations_agree_with_fiber_projection():
     # evaluate the symmetric component at an explicit branch point over a

@@ -616,6 +616,154 @@ def test_one_term_products_are_the_operator_chain_bit_for_bit(base, products):
     assert got == _outcome(lambda: _operator_chain(base, products))
 
 
+
+# -- the floating kernel's carried extremes ------------------------------------------
+
+
+def _rescanning_kept(terms: dict, sizes: dict, threshold: float) -> tuple:
+    if sizes and not min(sizes.values()) > threshold:
+        sizes = {e: s for e, s in sizes.items() if not (s == 0 or s <= threshold)}
+        terms = {e: terms[e] for e in sizes}
+    return terms, sizes
+
+
+def _rescanning_float_sum(base: LaurentPolynomial, products: list) -> LaurentPolynomial:
+    """The floating kernel before it carried its extremes: the max norm is
+    rescanned with max() after every product that changes the map, and the
+    threshold pass scans every size whenever the sum threshold rises."""
+    acc = dict(base._terms)
+    sizes = {exp: abs(c) for exp, c in acc.items()}
+    norm, last = base.max_norm(), float("nan")
+    for prod, factor_norm in products:
+        prod_norm = 0.0
+        if prod:
+            moduli = list(map(abs, prod.values()))
+            low, prod_norm = min(moduli), max(moduli)
+            floor = laurent._prune_threshold(factor_norm)
+            if not low > floor:
+                prod, kept = _rescanning_kept(prod, dict(zip(prod, moduli)), floor)
+                prod_norm = max(kept.values()) if kept else 0.0
+        threshold = laurent._prune_threshold(prod_norm if prod_norm > norm else norm)
+        for exp, c in prod.items():
+            c = acc.get(exp, 0) + c
+            if (size := abs(c)) == 0 or size <= threshold:
+                if exp in sizes:
+                    del acc[exp], sizes[exp]
+            else:
+                acc[exp], sizes[exp] = c, size
+        if not threshold <= last:
+            acc, sizes = _rescanning_kept(acc, sizes, threshold)
+        elif not prod:
+            continue
+        last = threshold
+        norm = max(sizes.values()) if sizes else 0.0
+    return laurent._wrap(acc, norm)
+
+
+def _kernel_outcome(kernel, base, products):
+    """Terms in order with their coefficients' bits and the carried norm's bits,
+    or the class and message of the exception raised."""
+    try:
+        f = kernel(base, products)
+    except InputError as err:
+        return type(err).__name__, str(err)
+    bits = [(e, struct.pack("<dd", c.real, c.imag)) for e, c in f._terms.items()]
+    return bits, struct.pack("<d", f._norm)
+
+
+def _assert_kernel_is_the_rescanning_one(base, products):
+    got = _kernel_outcome(laurent._float_sum, base, products)
+    assert got == _kernel_outcome(_rescanning_float_sum, base, products)
+    return got
+
+
+def _product(terms: dict, factor_norm: float) -> tuple:
+    return {e: complex(c) for e, c in terms.items()}, factor_norm
+
+
+# raw product maps with their own factor norms, exact zeros among the terms, and
+# products formed as multiply_add forms them
+raw_products = st.tuples(
+    st.dictionaries(small_exps, st.one_of(wide_floats, nonfinite, st.just(0j)), max_size=4),
+    st.one_of(st.floats(0.0, 1e25), st.sampled_from([0.0, math.inf, math.nan])),
+)
+def _formed_product(g: dict, h: dict) -> tuple:
+    g, h = _factor(g), _factor(h)
+    prod = laurent._term_products(g._terms, h._terms)
+    return prod, (g.max_norm() * h.max_norm() if prod else 0.0)
+
+
+formed_products = st.builds(_formed_product, few_terms, few_terms)
+
+
+@settings(max_examples=400)
+@given(few_terms, st.lists(st.one_of(raw_products, formed_products), max_size=6))
+def test_float_sum_is_the_rescanning_kernel_bit_for_bit(base, products):
+    _assert_kernel_is_the_rescanning_one(_factor(base), products)
+
+
+NAN_ = complex(math.nan, 0.0)
+# one case per path of the carried extremes; each expected norm is the one the
+# rescanning kernel reaches, and a kernel that skips the path reaches another
+CARRIED_EXTREME_CASES = {
+    # the entry that holds the max falls to 0.1, so the max is rescanned
+    "max entry lowered": (_poly((0, 1.0), (1, 0.5), (2, 0.25)), [_product({(0, 0): -0.9}, 1.0)], 0.5),
+    "max entry cancelled": (_poly((0, 1.0), (1, 0.5)), [_product({(0, 0): -1.0}, 1.0)], 0.5),
+    "max entry pruned": (_poly((0, 1.0), (1, 0.5)), [_product({(0, 0): -1.0 + 1e-15}, 1.0)], 0.5),
+    # the second product is 1e14 times the accumulator: the threshold rises to
+    # 1, and its pass deletes the old max 1 and the 2e-3 the bound has seen
+    "product 1e14 times the accumulator": (
+        _poly((0, 1.0), (1, 1e-3)),
+        [_product({(1, 0): 1e-3}, 1e-3), _product({(2, 0): 1e14}, 1e14)],
+        1e14,
+    ),
+    # a NaN after the first entry: the max is 5 until the first entry goes,
+    # and then max() reads the NaN first
+    "NaN in the base": (
+        LaurentPolynomial({(0, 0): 1.0 + 0j, (1, 0): NAN_, (2, 0): 5.0 + 0j}, prune_scale=1.0),
+        [_product({(0, 0): -1.0}, 1.0)],
+        math.nan,
+    ),
+    "NaN from a product": (
+        _poly((0, 1.0)),
+        [_product({(1, 0): NAN_}, 1.0), _product({(2, 0): 5.0}, 5.0), _product({(0, 0): -1.0}, 1.0)],
+        math.nan,
+    ),
+    # min() and max() of the product's moduli read its NaN first, so the
+    # infinite term is stored and becomes the max
+    "inf size": (_poly((0, 1.0)), [_product({(1, 0): NAN_, (2, 0): math.inf}, 1.0)], math.inf),
+    "inf size, then a product": (
+        _poly((0, 1.0)),
+        [_product({(1, 0): NAN_, (2, 0): math.inf}, 1.0), _product({(0, 0): 1.0}, 1.0)],
+        None,
+    ),
+    # the bound falls to 2e-13 on the first pass; the term rises to 0.5, so
+    # the next rise finds the bound stale, rescans it and deletes nothing;
+    # then 2e-12 lowers it, and the last rise deletes that term
+    "stale and lowered bound": (
+        _poly((0, 1.0)),
+        [
+            _product({(1, 0): 2e-13}, 1.0),
+            _product({(1, 0): 0.5}, 1.0),
+            _product({(2, 0): 100.0}, 100.0),
+            _product({(3, 0): 2e-12}, 1.0),
+            _product({(2, 0): 1000.0}, 1000.0),
+        ],
+        1100.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("base, products, norm", CARRIED_EXTREME_CASES.values(), ids=CARRIED_EXTREME_CASES.keys())
+def test_float_sum_carried_extremes_take_each_path(base, products, norm):
+    got = _assert_kernel_is_the_rescanning_one(base, products)
+    if norm is None:
+        assert got == ("InputError", "float overflow: a coefficient scale is out of the float range")
+    else:
+        carried = struct.unpack("<d", got[1])[0]
+        assert math.isnan(carried) if math.isnan(norm) else carried == norm
+
+
 # float coefficients over many magnitudes, so that pruning happens, plus NaN
 float_coeffs = st.one_of(
     st.builds(
