@@ -609,8 +609,8 @@ def _float_sum(base: LaurentPolynomial, products: list) -> LaurentPolynomial:
     last sum threshold, so untouched terms are checked again only when that
     threshold rises to a lower bound of the moduli, which the loop carries.
     It carries the max norm too, with the term that holds it, and rescans
-    with max() only when that term changes or a modulus is NaN, as max()'s
-    NaN depends on the order.
+    with max() only when a product lowers or deletes that term or a modulus
+    is NaN, as max()'s NaN depends on the order.
     """
     acc = dict(base._terms)
     sizes = {exp: abs(c) for exp, c in acc.items()}
