@@ -17,15 +17,12 @@ from __future__ import annotations
 from ._record import record
 from .errors import EvaluationDomainError, InternalContractError, NonvanishingError
 from .laurent import (
-    PRUNE_REL,
     LaurentPolynomial,
     _canonical,
-    _carried,
-    _exact_poly,
     _linear_quotient,
     _one_norm,
-    _prune_threshold,
-    _wrap,
+    _own_threshold,
+    _relabelled,
     divide_univariate,
     shift_divide_z1,
 )
@@ -135,8 +132,8 @@ def split_component(
     One pass over comp's terms rewrites each as c u^alpha v^beta, a term of
     the (u, v) form g, files it in its cut slice and adds c u(p)^alpha to the
     fiber projection g(u(p), v), kept as a map from beta.  A floating g is
-    comp pruned at |comp|, as a relabel is (see `_carried`), so its norm is
-    |comp|; the projection is pruned at |g|.
+    comp pruned at |comp|, as a relabel is (see `laurent._relabelled`), so
+    its norm is |comp|; the projection is pruned at |g|.
     Each quotient term is written at once under its z-exponent, u^alpha
     v^beta times z1^i z2^j being z1^(alpha*k + beta*m + i)
     z2^(-alpha*l + beta*n + j); no (u, v) polynomial is built.  Dividing the
@@ -146,10 +143,9 @@ def split_component(
     u_p, v_p = uv
     k, l, m, n = pair.k, pair.l, pair.m, pair.n
     order = pair.order
-    # the coefficients tell the kind: an exact comp whose max_norm() was asked
-    # for carries a norm too, and g keeps every exact term
-    norm = None if comp.is_exact() else comp._norm
-    threshold = None if norm is None else PRUNE_REL * norm
+    # None when exact: g keeps every exact term; an infinite norm raises here
+    threshold = _own_threshold(comp)
+    norm = None if threshold is None else comp.max_norm()
     slices: dict = {}
     fiber: dict = {}
     powers: dict = {}
@@ -171,11 +167,7 @@ def split_component(
                 powers[alpha] = powi(u_p, alpha)
             c = c * powers[alpha]
         fiber[beta] = fiber.get(beta, 0) + c
-    if norm is None:
-        g_norm = comp.max_norm
-    else:  # the prune keeps comp's largest term, and raises at an infinite norm
-        _prune_threshold(norm)
-        g_norm = norm
+    g_norm = comp.max_norm if norm is None else norm  # the prune keeps comp's largest term
     fiber, fiber_norm = _canonical(fiber, g_norm)
     if fiber_norm is None:
         fiber_norm = lambda: max(map(abs, fiber.values()), default=0.0)
@@ -200,21 +192,6 @@ def split_component(
             raise InternalContractError("fiber projection does not vanish at the base point")
     cut_terms = {(beta * m + i, beta * n + j): c for beta, c in quotient.items()}
 
-    return _part(ratio_terms, g_norm), _part(cut_terms, fiber_norm)
+    # each built at its (u, v) quotient's scale and relabelled, as those quotients were
+    return _relabelled(ratio_terms, g_norm), _relabelled(cut_terms, fiber_norm)
 
-
-def _part(terms: dict, scale) -> LaurentPolynomial:
-    """A split_component part from its quotient map keyed in z-exponents.
-
-    Built at scale, then carried, as the (u, v) quotient built at scale and
-    relabelled was: the relabel maps keys one to one in order, so terms,
-    order and norm agree.  The relabel prunes at the quotient's own norm, so
-    at a scale of at least that norm it drops nothing and is skipped.  A map
-    of exact zeros alone, or none, is exact.
-    """
-    terms, norm = _canonical(terms, scale)
-    if norm is None:
-        return _exact_poly(terms)
-    if terms and type(scale) is float and scale >= norm:
-        return _wrap(terms, norm)
-    return _carried(terms, norm)

@@ -117,41 +117,35 @@ def _triples(poly: LaurentPolynomial) -> list:
     return [(exp, c._x, c._y, c._d) for exp, c in poly._terms.items()]
 
 
-def _exact_poly(terms: dict) -> LaurentPolynomial:
-    """A polynomial of a map that is canonical already: nonzero QComplex terms.
-
-    Its norm is None until max_norm() caches it, while a floating polynomial
-    always carries one: a None norm means exact, but an exact polynomial may
-    carry a norm too, so only is_exact() tells the kind.
-    """
-    poly = object.__new__(LaurentPolynomial)
-    poly._terms, poly._norm = terms, None
-    return poly
-
-
-def _wrap(terms: dict, norm: float) -> LaurentPolynomial:
-    """A floating polynomial of a canonical map whose moduli's max() is norm."""
+def _wrap(terms: dict, norm: float | None = None) -> LaurentPolynomial:
+    """The polynomial of a canonical map: floating with norm, its moduli's max()
+    in order, or exact with None, which max_norm() fills when asked, so only
+    is_exact() tells the kind."""
     poly = object.__new__(LaurentPolynomial)
     poly._terms, poly._norm = terms, norm
     return poly
 
 
-def _carried(terms: dict, norm: float) -> LaurentPolynomial:
-    """LaurentPolynomial(terms, prune_scale=norm) for a map whose moduli's max,
-    taken in order as max() takes it, is norm, as a relabelled floating
-    polynomial's are.
+def _own_threshold(poly: LaurentPolynomial) -> float | None:
+    """PRUNE_REL times poly's own norm, or None when exact; an infinite norm raises."""
+    return None if poly.is_exact() else _prune_threshold(poly.max_norm())
 
-    When every coefficient is complex with modulus above PRUNE_REL * norm,
-    the prune drops nothing and the norm stays, so the map is kept as it is.
-    """
+
+def _relabelled(terms: dict, scale: float | Callable[[], float]) -> LaurentPolynomial:
+    """LaurentPolynomial(terms, prune_scale=scale) relabelled, so built again at
+    its own norm.  That prune is skipped where it drops nothing: at a float
+    scale of at least the norm, or when every modulus exceeds PRUNE_REL times
+    the norm.  A map of exact zeros alone, or none, is the exact zero."""
+    terms, norm = _canonical(terms, scale)
+    if norm is None or not terms:
+        return _wrap(terms)
+    if type(scale) is float and scale >= norm:
+        return _wrap(terms, norm)
     threshold = PRUNE_REL * norm
     for c in terms.values():
-        if type(c) is not complex or not abs(c) > threshold:
-            break
-    else:
-        if terms:
-            return _wrap(terms, norm)
-    return LaurentPolynomial(terms, prune_scale=norm)
+        if not abs(c) > threshold:
+            return LaurentPolynomial(terms, prune_scale=norm)
+    return _wrap(terms, norm)
 
 
 def _nonvanishing(terms: dict, z1_zero: bool, z2_zero: bool) -> dict:
@@ -448,7 +442,7 @@ def _exact_sum(base: list, products) -> LaurentPolynomial:
                 acc[exp] = (u, v, w)
             else:
                 del acc[exp]
-    return _exact_poly({exp: _reduced(x, y, d) for exp, (x, y, d) in acc.items()})
+    return _wrap({exp: _reduced(x, y, d) for exp, (x, y, d) in acc.items()})
 
 
 def _linear_products(g: LaurentPolynomial, shift: tuple, root: QComplex) -> dict:
@@ -638,9 +632,9 @@ def _float_sum(base: LaurentPolynomial, products: list) -> LaurentPolynomial:
                 if not low <= size <= high:
                     if size > high:
                         high, top = size, exp
-                    elif size < low:
+                    if size < low:  # after an empty pass low is inf, above high
                         low = size
-                    else:
+                    elif size != size:
                         nan = True
         if not threshold <= last:
             if low <= threshold and not (low := min(sizes.values(), default=math.inf)) > threshold:

@@ -12,6 +12,7 @@ stays in Gaussian-rational arithmetic on exact input, for every (k, l).
 
 from __future__ import annotations
 
+import cmath
 import math
 
 from ._record import record
@@ -56,6 +57,8 @@ class GleasonProblem:
             )
         value = self.f.eval(p1, p2)
         if not negligible(value, self.f.one_norm):
+            if isinstance(value, (float, complex)) and not cmath.isfinite(value):
+                raise InputError("float overflow: f(p) is out of the float range")
             raise NonvanishingError(
                 f"f(p) = {format_scalar(value)} != 0", value
             )
@@ -163,6 +166,9 @@ def solve(
         f1, f2, bound_rhs = _axis_parts(f, domain.l, p2)
     else:
         f1, f2 = _pipeline_parts(f, p, domain.pair)
+    for name, g in (("f1", f1), ("f2", f2)):
+        if not g.is_exact() and not math.isfinite(g.max_norm()):
+            raise InputError(f"float overflow: {name} is out of the float range")
 
     report = verify(domain, f, f1, f2, p, samples=samples, seed=seed, bound_rhs=bound_rhs)
     return GleasonSolution(problem=problem, f1=f1, f2=f2, mode=mode, report=report)

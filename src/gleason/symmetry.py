@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from ._record import record
 from .errors import InputError
-from .laurent import LaurentPolynomial, _exact_poly, _prune_threshold
+from .laurent import LaurentPolynomial, _own_threshold, _wrap
 from .scalars import powi
 
 
@@ -41,10 +41,10 @@ def symmetric_decompose(f: LaurentPolynomial, order: int) -> SymmetricSystem:
         j = b % order
         buckets[(i, j)][(a - i, b - j)] = c
     if f.is_exact():  # routing keeps canonical terms canonical
-        components = {key: _exact_poly(terms) for key, terms in buckets.items()}
+        components = {key: _wrap(terms) for key, terms in buckets.items()}
     else:  # an empty bucket is the exact zero its construction would give
         components = {
-            key: LaurentPolynomial(terms, prune_scale=f.max_norm) if terms else _exact_poly(terms)
+            key: LaurentPolynomial(terms, prune_scale=f.max_norm) if terms else _wrap(terms)
             for key, terms in buckets.items()
         }
     return SymmetricSystem(order=order, components=components)
@@ -71,7 +71,7 @@ def correction_polynomial(
     if not p1 or not p2:
         raise InputError("correction polynomial requires a base point off the axes")
     _check_order(order)
-    threshold = None if f.is_exact() else _prune_threshold(f.max_norm())
+    threshold = _own_threshold(f)
     pow1: dict = {}
     pow2: dict = {}
     sums: dict = {}

@@ -165,12 +165,18 @@ def verify(
             {e: _sample_power(domain, samples, seed, var, e) for e in exponents[var]}
             for var in (0, 1)
         )
-        res = np.abs(eval_on_arrays(residual, q1, q2, powers))
+        moduli = []
+        for name, g in (("the residual", residual), ("f1", f1), ("f2", f2)):
+            try:
+                moduli.append(np.abs(eval_on_arrays(g, q1, q2, powers)))
+            except OverflowError:  # an exact coefficient past the float range
+                raise InputError(f"float overflow: the sampled check cannot read {name} as floats") from None
+        res, at1, at2 = moduli
         top = int(np.argmax(res))
         residual_max = float(res[top])
         argmax = (complex(q1[top]), complex(q2[top]))
-        sup1 = float(np.max(np.abs(eval_on_arrays(f1, q1, q2, powers))))
-        sup2 = float(np.max(np.abs(eval_on_arrays(f2, q1, q2, powers))))
+        sup1 = float(np.max(at1))
+        sup2 = float(np.max(at2))
     else:
         residual_max = 0.0
         argmax = (complex(p[0]), complex(p[1]))

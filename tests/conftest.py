@@ -20,7 +20,6 @@ import numpy as np
 from gleason import CuspDomain, InputError, LaurentPolynomial, QComplex, parse_scalar
 from gleason.domains import sample
 from gleason.errors import InternalContractError
-from gleason.laurent import _carried, _exact_poly
 from gleason.scalars import powi
 from gleason.verify import eval_on_arrays
 
@@ -305,7 +304,7 @@ def to_ratio_cut(f: LaurentPolynomial, pair) -> LaurentPolynomial:
     cut) exponents, as split_component forms it term by term: every exponent
     pair of f must be divisible by pair.order in both variables, and either
     exponent may come out negative.  An exact f keeps its terms; a floating
-    one is carried at its norm, so its relabel prunes at |f|.
+    one is built again at its norm, so its relabel prunes at |f|.
     """
     order = pair.order
     acc: dict = {}
@@ -315,7 +314,7 @@ def to_ratio_cut(f: LaurentPolynomial, pair) -> LaurentPolynomial:
                 f"exponent ({a}, {b}) is not divisible by the symmetry order {order}"
             )
         acc[((a * pair.n - b * pair.m) // order, (a * pair.l + b * pair.k) // order)] = c
-    return _exact_poly(acc) if f._norm is None else _carried(acc, f._norm)
+    return LaurentPolynomial(acc, prune_scale=f.max_norm)
 
 
 def log_coordinates(points):

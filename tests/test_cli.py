@@ -479,6 +479,38 @@ def test_correction_polynomial_overflow_names_its_cause(capsys):
     assert err == "error: float overflow: the correction polynomial is out of the float range\n"
 
 
+def test_sampled_check_overflow_names_its_cause(capsys):
+    # f1 of this exact solve has a coefficient past the float range, which the
+    # sampled check cannot evaluate in floats
+    f = (
+        "823256426841748086489461202089669114722944951984176148340617150159543147439196392369989938529855"
+        "184040550285039395797429877943682605916984436045442478636939879208228410740022916009321690677687"
+        "37423479577705277145239001088834748466335528980689793448605756493869570466701639680*z1^5*z2^-12"
+    )
+    code, out, err = run_cli(
+        capsys,
+        "solve", "--k", "2", "--l", "5", "--samples", "16", "--exact", "--subtract-value",
+        "--p1=-4.453575332577525e-22-6.958268757307672e-21i", "--p2=8.94900611470324e-09+5.417927065856662e-09i",
+        f"--f={f}",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: float overflow: the sampled check cannot read f1 as floats\n"
+
+
+def test_nonfinite_value_at_the_base_point_names_its_cause(capsys):
+    # p1^5 underflows to 0 and p2^-27 overflows to inf, so f(p) is NaN, which
+    # is no value to subtract or to print
+    code, out, err = run_cli(
+        capsys,
+        "solve", "--k", "1", "--l", "6", "--samples", "0", "--subtract-value",
+        "--p1=-7.468128838115509e-161-1.818117934617235e-162i",
+        "--p2=1.773400053450685e-27-1.1110675712579096e-27i",
+        "--f=720960292854512512*z1^5*z2^-27",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: float overflow: f(p) is out of the float range\n"
+
+
 def test_subtract_value_keeps_every_monomial_of_f(capsys):
     # f(p) = 1e15 is over 1e14 times f's coefficient; subtracting it must not
     # prune z1*z2^-3 away, so the solve names the unbounded monomial, not f(p)

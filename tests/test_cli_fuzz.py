@@ -103,19 +103,7 @@ def _residual_within_tolerance(f, p, f1, f2) -> bool:
     return all(r.abs2() <= QComplex(tol).abs2() for r in residual.values())
 
 
-# an exact solve whose f1 or f2 has a coefficient past the float range ends in
-# OverflowError when its samples are evaluated in floats (CHANGES.md, FOUND)
-SAMPLED_OVERFLOW = {34, 44, 696, 873, 946, 960, 979}
-
-
-@pytest.mark.parametrize(
-    "seed",
-    [
-        pytest.param(seed, marks=pytest.mark.xfail(raises=OverflowError, strict=True))
-        if seed in SAMPLED_OVERFLOW else seed
-        for seed in range(CALLS)
-    ],
-)
+@pytest.mark.parametrize("seed", range(CALLS))
 def test_solve_exits_cleanly_and_verifies(capsys, monkeypatch, seed):
     argv = _draw(random.Random(f"cli-fuzz:{seed}"))
     solved = []  # (f, p, solution) of the solve the command ran

@@ -24,7 +24,7 @@ from gleason.division import (
     split_ratio,
 )
 from gleason.errors import GleasonError, InternalContractError, NonvanishingError
-from gleason.laurent import PRUNE_REL, _carried, _exact_poly, _linear_quotient
+from gleason.laurent import PRUNE_REL, _linear_quotient, _relabelled
 from gleason.scalars import negligible, powi
 
 from conftest import (
@@ -141,37 +141,27 @@ def _state(f: LaurentPolynomial) -> tuple:
     return [(e, repr(c)) for e, c in f.terms.items()], repr(f._norm)
 
 
-def _chain_to_ratio_cut(f: LaurentPolynomial, pair: MonomialPair) -> LaurentPolynomial:
+def _ratio_cut_map(terms: dict, pair: MonomialPair) -> dict:
+    """A map in z-exponents (a, b) divisible by the order, keyed in (ratio, cut) ones."""
     order = pair.order
-    return LaurentPolynomial(
-        {((a * pair.n - b * pair.m) // order, (a * pair.l + b * pair.k) // order): c
-         for (a, b), c in f.terms.items()},
-        prune_scale=f.max_norm,
-    )
+    return {((a * pair.n - b * pair.m) // order, (a * pair.l + b * pair.k) // order): c for (a, b), c in terms.items()}
+
+
+def _z_map(terms: dict, pair: MonomialPair, shift: tuple = (0, 0)) -> dict:
+    """A map in (ratio, cut) exponents keyed in z-exponents, times z1^i z2^j for shift (i, j)."""
+    i, j = shift
+    return {(a * pair.k + b * pair.m + i, -a * pair.l + b * pair.n + j): c for (a, b), c in terms.items()}
 
 
 def _from_ratio_cut(g: LaurentPolynomial, pair: MonomialPair, shift: tuple = (0, 0)) -> LaurentPolynomial:
     """A (u, v) form back in z-exponents, times z1^i z2^j for shift (i, j).
 
     u^alpha v^beta = z1^(alpha*k + beta*m) z2^(-alpha*l + beta*n).  An exact g
-    is relabelled as it is; a floating g keeps its terms and norm unless the
-    prune at PRUNE_REL * |g|, after the one g was built with, drops one of
-    them.  split_component's parts are its (u, v) quotients relabelled so.
+    is relabelled as it is; a floating g is built again at its norm, so the
+    prune at PRUNE_REL * |g|, after the one g was built with, may drop terms.
+    split_component's parts are its (u, v) quotients relabelled so.
     """
-    i, j = shift
-    terms = {
-        (alpha * pair.k + beta * pair.m + i, -alpha * pair.l + beta * pair.n + j): c
-        for (alpha, beta), c in g.terms.items()
-    }
-    return _exact_poly(terms) if g._norm is None else _carried(terms, g._norm)
-
-
-def _chain_from_ratio_cut(g: LaurentPolynomial, pair: MonomialPair, shift: tuple) -> LaurentPolynomial:
-    i, j = shift
-    return LaurentPolynomial(
-        {(a * pair.k + b * pair.m + i, -a * pair.l + b * pair.n + j): c for (a, b), c in g.terms.items()},
-        prune_scale=g.max_norm,
-    )
+    return LaurentPolynomial(_z_map(g.terms, pair, shift), prune_scale=g.max_norm)
 
 
 # moduli over 40 decades, infinities and NaN, and exact coefficients; built at
@@ -195,11 +185,13 @@ relabel_pairs = st.sampled_from([MonomialPair(1, 1, 0, 1), MonomialPair(2, 1, 0,
 )
 def test_to_ratio_cut_prunes_as_its_construction(exponents, scale, pair):
     order = pair.order
-    f = built_or_none({(order * a, order * b): c for (a, b), c in exponents.items()}, scale)
+    terms = {(order * a, order * b): c for (a, b), c in exponents.items()}
+    f = built_or_none(terms, scale)
     assume(f is not None)
-    # an infinite norm makes either prune raise the float overflow
+    # f built at scale and relabelled is the relabelled map built by the one
+    # relabel builder; an infinite norm makes either prune raise the float overflow
     got = state_or_error(lambda: to_ratio_cut(f, pair))
-    assert got == state_or_error(lambda: _chain_to_ratio_cut(f, pair))
+    assert got == state_or_error(lambda: _relabelled(_ratio_cut_map(terms, pair), scale))
 
 
 @given(
@@ -212,7 +204,7 @@ def test_from_ratio_cut_prunes_as_a_second_construction(terms, scale, pair, shif
     g = built_or_none(terms, scale)
     assume(g is not None)
     got = state_or_error(lambda: _from_ratio_cut(g, pair, shift))
-    assert got == state_or_error(lambda: _chain_from_ratio_cut(g, pair, shift))
+    assert got == state_or_error(lambda: _relabelled(_z_map(terms, pair, shift), scale))
 
 
 @pytest.mark.parametrize("step", [-1, 0, 1], ids=["below", "at", "above"])
@@ -222,14 +214,14 @@ def test_relabels_prune_at_the_boundary(step):
     at = PRUNE_REL * 4.0
     x = complex({-1: math.nextafter(at, 0.0), 0: at, 1: math.nextafter(at, 1.0)}[step])
     pair = MonomialPair(2, 1, 0, 1)
-    f = LaurentPolynomial({(0, 0): 4.0 + 0j, (2, 0): x}, prune_scale=1.0)
-    g = LaurentPolynomial({(0, 0): 4.0 + 0j, (1, 0): x}, prune_scale=1.0)
+    f_terms, g_terms = {(0, 0): 4.0 + 0j, (2, 0): x}, {(0, 0): 4.0 + 0j, (1, 0): x}
+    f, g = LaurentPolynomial(f_terms, prune_scale=1.0), LaurentPolynomial(g_terms, prune_scale=1.0)
     assert len(f) == len(g) == 2
     form = to_ratio_cut(f, pair)
-    assert _state(form) == _state(_chain_to_ratio_cut(f, pair))
+    assert _state(form) == _state(_relabelled(_ratio_cut_map(f_terms, pair), 1.0))
     assert (len(form) == 2) == (step > 0)
     back = _from_ratio_cut(g, pair, (1, 0))
-    assert _state(back) == _state(_chain_from_ratio_cut(g, pair, (1, 0)))
+    assert _state(back) == _state(_relabelled(_z_map(g_terms, pair, (1, 0)), 1.0))
     assert (len(back) == 2) == (step > 0)
 
 
@@ -719,8 +711,9 @@ def test_fiber_verdict_fails_a_nan_remainder(first):
 
 
 def _relabelled_part(terms: dict, scale) -> LaurentPolynomial:
-    """_part's reference: built at scale, then built again at its own norm, as
-    the (u, v) quotient was before its relabel."""
+    """laurent._relabelled's reference, which builds split_component's parts:
+    built at scale, then built again at its own norm, as the (u, v) quotient
+    was before its relabel."""
     built = LaurentPolynomial(terms, prune_scale=scale)
     return built if built._norm is None else LaurentPolynomial(dict(built.terms), prune_scale=built._norm)
 
@@ -741,7 +734,7 @@ PART_CASES = {
 
 @pytest.mark.parametrize("terms, scale", PART_CASES.values(), ids=PART_CASES.keys())
 def test_part_is_built_at_scale_then_at_its_own_norm(terms, scale):
-    assert _state(division._part(dict(terms), scale)) == _state(_relabelled_part(terms, scale))
+    assert _state(_relabelled(dict(terms), scale)) == _state(_relabelled_part(terms, scale))
 
 
 @given(
@@ -751,7 +744,7 @@ def test_part_is_built_at_scale_then_at_its_own_norm(terms, scale):
     st.one_of(st.floats(0.0, 1e21), st.just(math.nan)),
 )
 def test_part_is_the_relabel_on_floating_maps(terms, scale):
-    assert _state(division._part(dict(terms), scale)) == _state(_relabelled_part(terms, scale))
+    assert _state(_relabelled(dict(terms), scale)) == _state(_relabelled_part(terms, scale))
 
 def test_branch_evaluations_agree_with_fiber_projection():
     # evaluate the symmetric component at an explicit branch point over a

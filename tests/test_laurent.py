@@ -275,6 +275,17 @@ def _bits(f: LaurentPolynomial) -> tuple:
     [(LaurentPolynomial.constant(2.0 + 1j), monomial(1, 0, QComplex(1, 2)))],
     True,
 )
+# an empty product first: the sum's lower bound of the kept moduli must still
+# fall to the tiny term, so that the last product's threshold prunes it
+@example(
+    LaurentPolynomial.zero(),
+    [
+        (LaurentPolynomial.zero(), LaurentPolynomial.zero()),
+        (LaurentPolynomial({(0, 1): 2.958609463763052e-277j}), LaurentPolynomial.constant(1)),
+        (LaurentPolynomial({(0, 0): 1j}), LaurentPolynomial.constant(1)),
+    ],
+    False,
+)
 def test_float_multiply_add_is_the_operator_chain_bit_for_bit(base, products, cancel):
     if cancel and products:
         # the first product again with the other sign: its terms cancel to exactly 0
@@ -750,6 +761,14 @@ CARRIED_EXTREME_CASES = {
             _product({(2, 0): 1000.0}, 1000.0),
         ],
         1100.0,
+    ),
+    # the empty first product's pass leaves no moduli, so the bound is inf,
+    # above the carried max 0; the 3e-277 term must lower it, or the last
+    # rise skips its pass and keeps that term
+    "bound after an empty pass": (
+        LaurentPolynomial.zero(),
+        [({}, 0.0), _product({(0, 1): 2.958609463763052e-277j}, 2.958609463763052e-277), _product({(0, 0): 1j}, 1.0)],
+        1.0,
     ),
 }
 

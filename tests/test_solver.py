@@ -414,3 +414,16 @@ def test_float_pipeline_takes_the_float_kernel(monkeypatch, domain):
     assert [name for name, _ in calls] == 4 * ["multiply_add", "multiply_add", "subtract_linear_multiples"]
     assert all(n for name, n in calls if name == "multiply_add")
     assert [n for name, n in calls if name == "subtract_linear_multiples"] == [2, 2, 2, 2]
+
+
+@pytest.mark.parametrize("name", ["f1", "f2"])
+def test_infinite_part_names_the_float_overflow(monkeypatch, name):
+    # a recombination sum can overflow below its finite prune threshold:
+    # 1e308 + 1e308 is stored as inf, and such a part must not reach the report
+    big = LaurentPolynomial({(0, 0): 1e308 + 0j})
+    inf = multiply_add(big, [(big, LaurentPolynomial.constant(1.0))])
+    assert inf.max_norm() == math.inf
+    solver = importlib.import_module("gleason.solver")
+    monkeypatch.setattr(solver, "_pipeline_parts", lambda f, p, pair: (inf, big) if name == "f1" else (big, inf))
+    with pytest.raises(InputError, match=f"^float overflow: {name} is out of the float range$"):
+        solve(CuspDomain.hartogs(1, 1), LaurentPolynomial({(1, 0): 1.0 + 0j, (0, 0): -0.25 + 0j}), (0.25, 0.5))

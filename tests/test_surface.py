@@ -64,3 +64,33 @@ def test_every_package_definition_has_a_caller():
         if used[name] <= _references(tree, node)[name]
     ]
     assert not unused, "defined in src/gleason but used only by the tests: " + ", ".join(unused)
+
+
+
+PRUNE_NAMES = {"PRUNE_REL", "_prune_threshold"}
+
+
+def _prune_decisions(tree: ast.Module) -> list:
+    """(line, name) of each import of or reference to the floating prune's
+    names, and of each object.__new__(LaurentPolynomial) call."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, alias.name) for alias in node.names if alias.name in PRUNE_NAMES]
+        elif isinstance(node, ast.Name) and node.id in PRUNE_NAMES:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in PRUNE_NAMES:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Call) and ast.unparse(node) == "object.__new__(LaurentPolynomial)":
+            found.append((node.lineno, "object.__new__(LaurentPolynomial)"))
+    return found
+
+
+def test_the_floating_prune_has_one_owner():
+    # how a floating term map is pruned, and which polynomials are built raw,
+    # is decided in laurent.py alone; the other modules go through its builders
+    package = _parse(sorted(PACKAGE.glob("*.py")))
+    owner = {name for _, name in _prune_decisions(package.pop(PACKAGE / "laurent.py"))}
+    assert owner == {*PRUNE_NAMES, "object.__new__(LaurentPolynomial)"}  # the check sees each kind
+    elsewhere = [f"{path.name}:{line} {name}" for path, tree in package.items() for line, name in _prune_decisions(tree)]
+    assert not elsewhere, "the floating prune decided outside laurent.py: " + ", ".join(elsewhere)
