@@ -15,7 +15,7 @@ themselves in terms of (z1 - p1) and (z2 - p2).
 from __future__ import annotations
 
 from ._record import record
-from .errors import EvaluationDomainError, InternalContractError, NonvanishingError
+from .errors import EvaluationDomainError, InputError, InternalContractError, NonvanishingError
 from .laurent import (
     LaurentPolynomial,
     _canonical,
@@ -62,7 +62,10 @@ def split_ratio(k: int, l: int, p: tuple) -> tuple[LaurentPolynomial, LaurentPol
     p1, p2 = p
     if not p2:
         raise NonvanishingError("ratio split needs p2 != 0", p)
-    inv = 1 / powi(p2, l)
+    power = powi(p2, l)
+    if not power:  # a float p2^l that underflowed
+        raise InputError("float overflow: 1/p2^l is out of the float range")
+    inv = 1 / power
     r1_terms = {(j, 0): powi(p1, k - 1 - j) * inv for j in range(k)}
     r2_terms = {(k, j - l): -powi(p2, l - 1 - j) * inv for j in range(l)}
     return LaurentPolynomial(r1_terms), LaurentPolynomial(r2_terms)

@@ -92,7 +92,10 @@ def _axis_parts(f: LaurentPolynomial, l: int, p2):
     f0 = LaurentPolynomial(axis_terms, prune_scale=f.max_norm)
     rest = LaurentPolynomial(rest_terms, prune_scale=f.max_norm)
 
-    inv = 1 / powi(p2, l)
+    power = powi(p2, l)
+    if not power:  # a float p2^l that underflowed
+        raise InputError("float overflow: 1/p2^l is out of the float range")
+    inv = 1 / power
     f1 = LaurentPolynomial(
         {(a - 1, b + l): c * inv for (a, b), c in rest.terms.items()},
         prune_scale=lambda: f.max_norm() * abs(inv),
@@ -101,7 +104,10 @@ def _axis_parts(f: LaurentPolynomial, l: int, p2):
         {(0, j): -(powi(p2, l - 1 - j) * inv) for j in range(l)}
     )
     f2 = comb * rest + divide_univariate(f0, p2)
-    bound_rhs = 2 ** (l + 1) * float(f.one_norm()) / abs(powi(p2, l))
+    size = abs(power)  # 0.0 for an exact p2^l below the float range
+    bound_rhs = 2 ** (l + 1) * float(f.one_norm()) / size if size else math.inf
+    if not math.isfinite(bound_rhs):
+        raise InputError("float overflow: the axis bound 2^(l+1)*|f|_1/|p2|^l is out of the float range")
     return f1, f2, bound_rhs
 
 

@@ -10,11 +10,11 @@ evaluate on sample arrays, so exact and unsampled work never loads it.
 The sample set depends only on (domain, count, seed), so its (q1, q2) arrays
 are drawn once per key and kept, read-only, in a least-recently-used cache of
 32 keys: at most 32 x count x 32 bytes, 2 MB at the default 2000 samples.
-The powers q1**a and q2**b depend only on that key and the exponent, so they
-are kept too, read-only, in a least-recently-used cache of 1024 powers: at
-most 1024 x count x 16 bytes, 32 MB at 2000 samples; a warm key never
-recomputes a power.  Within one `verify` call the residual, f1 and f2 share
-one table of them.
+The powers q1**a and q2**b depend only on that key and the exponent, so a
+`verify` call reaches the key's pair of power tables with one lookup in a
+least-recently-used cache of 16 keys.  A table computes a power on first use
+and keeps it, read-only, while its key holds fewer than 64: at most 16 x 64 x
+count x 16 bytes, 32 MB at 2000 samples, shared by the residual, f1 and f2.
 """
 
 from __future__ import annotations
@@ -63,28 +63,54 @@ class VerificationReport:
 def eval_on_arrays(f: LaurentPolynomial, q1, q2, powers: tuple | None = None) -> np.ndarray:
     """Vectorized evaluation on complex arrays, with per-exponent power reuse.
 
-    `powers` is a pair of dicts, exponent -> q1**a and exponent -> q2**b, that
-    is filled as needed; passing the same pair to several calls on the same
-    q1 and q2 shares the powers between them.
+    `powers` is a pair of power tables (`_Powers`) over q1 and q2, filled as
+    needed; passing the same pair to several calls on the same q1 and q2
+    shares the powers between them.  Without it no power is kept.
     """
     import numpy as np
 
     q1 = np.asarray(q1, dtype=complex)
     q2 = np.asarray(q2, dtype=complex)
-    out = np.zeros(np.broadcast(q1, q2).shape, dtype=complex)
-    pow1, pow2 = ({}, {}) if powers is None else powers
+    pow1, pow2 = (_Powers(q1, [0]), _Powers(q2, [0])) if powers is None else powers
+    out = None
     for (a, b), c in f.terms.items():
-        if a not in pow1:
-            pow1[a] = q1**a
-        if b not in pow2:
-            pow2[b] = q2**b
-        # Keep the scalar on the left.  Complex multiply in numpy's SIMD loops
-        # need not be bitwise commutative (numpy 2.4 with AVX-512: c * x and
-        # x * c differ in the last bit on about a third of the samples), and
-        # `x *= c` computes x * c.  np.multiply(c, x, out=buf) followed by an
-        # in-place buf *= q2**b keeps these bits, but was no faster.
-        out += complex(c) * pow1[a] * pow2[b]
+        # Keep the scalar on the left: numpy's SIMD complex multiply need not be
+        # bitwise commutative (AVX-512: c * x and x * c differ in the last bit).
+        # Skipping a product by q**0 = 1+0j moves at most the sign of a zero on
+        # finite values (np.abs drops it); a non-finite modulus stays non-finite.
+        term = complex(c)
+        if a:
+            term = term * pow1[a]
+        if b:
+            term = term * pow2[b]
+        if out is None:
+            out = term
+        else:
+            out += term
+    shape = np.broadcast(q1, q2).shape
+    if out is None or np.shape(out) != shape:  # no term, or none in some variable
+        out = np.broadcast_to(0j if out is None else out, shape).copy()
     return out
+
+
+class _Powers(dict):
+    """q**exponent by exponent, computed on first use.
+
+    Two tables share `room`, a one-item list of how many more powers they may
+    keep; a kept power is read-only, and one past the room is not kept.
+    """
+
+    def __init__(self, q, room: list):
+        super().__init__()
+        self.q, self.room = q, room
+
+    def __missing__(self, exponent: int):
+        power = self.q**exponent
+        if self.room[0] > 0:
+            self.room[0] -= 1
+            power.flags.writeable = False
+            self[exponent] = power
+        return power
 
 
 @lru_cache(maxsize=32)
@@ -105,15 +131,11 @@ def _sample_arrays(domain: CuspDomain, count: int, seed: int) -> tuple:
     return q1, q2
 
 
-@lru_cache(maxsize=1024)
-def _sample_power(domain: CuspDomain, count: int, seed: int, var: int, exponent: int):
-    """Read-only `q**exponent` for q = q1 (var 0) or q2 (var 1) of the sample arrays.
-
-    1024 powers of count x 16 bytes each are kept: 32 MB at 2000 samples.
-    """
-    power = _sample_arrays(domain, count, seed)[var] ** exponent
-    power.flags.writeable = False
-    return power
+@lru_cache(maxsize=16)
+def _sample_powers(domain: CuspDomain, count: int, seed: int) -> tuple:
+    """Power tables over `_sample_arrays(domain, count, seed)`, 64 powers at most."""
+    room = [64]
+    return tuple(_Powers(q, room) for q in _sample_arrays(domain, count, seed))
 
 
 def symbolic_residual(
@@ -159,24 +181,23 @@ def verify(
     if samples > 0:
         import numpy as np
 
-        q1, q2 = _sample_arrays(domain, samples, seed)
-        exponents = [{e[var] for g in (residual, f1, f2) for e in g.exponents()} for var in (0, 1)]
-        powers = tuple(
-            {e: _sample_power(domain, samples, seed, var, e) for e in exponents[var]}
-            for var in (0, 1)
-        )
-        moduli = []
+        powers = _sample_powers(domain, samples, seed)
+        q1, q2 = powers[0].q, powers[1].q
+        maxima = []
         for name, g in (("the residual", residual), ("f1", f1), ("f2", f2)):
+            if not g.terms:  # the maximum of zeros: 0.0 at sample 0
+                maxima.append((0.0, 0))
+                continue
             try:
-                moduli.append(np.abs(eval_on_arrays(g, q1, q2, powers)))
+                moduli = np.abs(eval_on_arrays(g, q1, q2, powers))
             except OverflowError:  # an exact coefficient past the float range
                 raise InputError(f"float overflow: the sampled check cannot read {name} as floats") from None
-        res, at1, at2 = moduli
-        top = int(np.argmax(res))
-        residual_max = float(res[top])
+            top = int(np.argmax(moduli))
+            if not math.isfinite(moduli[top]):
+                raise InputError(f"float overflow: {name} on the samples is out of the float range")
+            maxima.append((float(moduli[top]), top))
+        (residual_max, top), (sup1, _), (sup2, _) = maxima
         argmax = (complex(q1[top]), complex(q2[top]))
-        sup1 = float(np.max(at1))
-        sup2 = float(np.max(at2))
     else:
         residual_max = 0.0
         argmax = (complex(p[0]), complex(p[1]))

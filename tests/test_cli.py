@@ -13,6 +13,8 @@ from gleason.exprio import format_scalar
 
 from conftest import rand_bounded_poly, rand_interior_point, subtract_value_at
 
+AXIS_BOUND = "the axis bound 2^(l+1)*|f|_1/|p2|^l"
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -495,6 +497,72 @@ def test_sampled_check_overflow_names_its_cause(capsys):
     )
     assert (code, out) == (2, "")
     assert err == "error: float overflow: the sampled check cannot read f1 as floats\n"
+
+
+@pytest.mark.parametrize("argv, quantity", [
+    # p2^6 = 1e-360 underflows to 0 in floats: 1/p2^l of the axis split
+    (["--p1", "0", "--p2", "1e-60", "--k", "1", "--l", "6"], "1/p2^l"),
+    # the same power in the ratio split of the interior pipeline
+    (["--p1", "1e-61", "--p2", "1e-60", "--k", "6", "--l", "6", "--subtract-value"], "1/p2^l"),
+    # exact p2^l is exact, but the report's axis bound divides by its float modulus, 0.0
+    (["--exact", "--p1", "0", "--p2", "1e-60", "--k", "1", "--l", "6"], AXIS_BOUND),
+    # a float modulus of 1e-320 is subnormal, and 4 / 1e-320 is past the float range
+    (["--exact", "--p1", "0", "--p2", "1e-320", "--k", "1", "--l", "1"], AXIS_BOUND),
+], ids=["float axis", "ratio split", "exact axis", "exact subnormal axis"])
+def test_deep_axis_points_name_the_float_overflow(capsys, argv, quantity):
+    code, out, err = run_cli(capsys, "solve", *argv, "--f", "z1", "--samples", "0")
+    assert (code, out) == (2, "")
+    assert err == f"error: float overflow: {quantity} is out of the float range\n"
+
+
+def test_axis_bound_past_the_float_range_names_its_cause(capsys):
+    # fuzz seed 156: the report's bound_rhs, 2^7 |f|_1 / |p2|^6, is past the float range
+    f = (
+        "174259704878517836264891235006187751996487241789745422961496487106493610894113105415598853057396"
+        "736428567901612278129953166767537465529050130625619528370349562774159360*z1^8*z2^-11 + (-9186781"
+        "878400295437804193970004919603740973632214738019613533976928844599892961756057011051037127121329"
+        "560866073873056285068531722647349116387066977004821038416313111722990766415455398160368823039905"
+        "495384429416865796642071609746660998626518913557009368222114838433046047125040644660897251328-57"
+        "265862472652684346236338176i)*z1^8*z2^-11 - 7247702904203217633796346867960484284585028452339607"
+        "531512254385780840767457368264628405928000014363149619552763195242622373546102229575528629053818"
+        "668907925912000251904795572171225076844855459693302473781331268863758007161714242498301559151001"
+        "60*z1^6*z2^-8"
+    )
+    code, out, err = run_cli(
+        capsys,
+        "solve", "--k", "4", "--l", "6", "--samples", "0", "--p1=0",
+        "--p2=-4.2871602806060144e-05-4.036671084278909e-05i", "--exact", "--subtract-value",
+        f"--f={f}",
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: float overflow: {AXIS_BOUND} is out of the float range\n"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's own word for the overflow
+def test_sampled_maximum_past_the_float_range_names_its_cause(capsys):
+    # fuzz seed 1270: f2 is finite, but its values at the deepest samples overflow
+    f = (
+        "92120584596059440145729465818280022706750064013189404296322211328859028357556487869823019122688*"
+        "z1^3*z2^1 + (29697972991758836167312946457429957937546088191918924016982183872882657231355864110"
+        "305412699005511635841884393054009876295302657557723706342753870909914456785233906470422508506413"
+        "1462856495515652303213297664+1056404160500189190577697378326896739188279174673876098179939050019"
+        "2518144i)*z1^0*z2^-2 + (158063153163746998665427604348202298635670187934112205117671009827596027"
+        "202645921203296818139887938422611646054291833816400791345445952438752168558757607491195282292386"
+        "435592084275048292024320-83438631495281825877430306218247672910391393870471885763318821798579116"
+        "270247156725386689667583717297607550916121409042018310165125901347239927828991226228153207683251"
+        "517325218811323776796375038645804195141147072512151019475516325461686422635864045733806080i)*z1^"
+        "6*z2^-27 + 4844743245373575164622111804543086573613922209847083062944887074164874483525599000631"
+        "961364676417816390133081214711671830228565013152382508851383538002555863079036443689949408772246"
+        "44795408281026612415762325901177104910291982171152310560324861500181184512*z1^3*z2^-11"
+    )
+    code, out, err = run_cli(
+        capsys,
+        "solve", "--k", "1", "--l", "5", "--samples", "16",
+        "--p1=1.1412196813895052e-16-4.143067062624166e-17i",
+        "--p2=0.0008812695777463689-0.0001253709029770261i", "--subtract-value", f"--f={f}",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: float overflow: f2 on the samples is out of the float range\n"
 
 
 def test_nonfinite_value_at_the_base_point_names_its_cause(capsys):

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import gleason
 from gleason import (
@@ -24,8 +25,9 @@ from gleason import (
 from gleason.domains import sample
 from gleason.scalars import VANISH_TOL_REL
 from gleason.verify import (
+    VerificationReport,
     _sample_arrays,
-    _sample_power,
+    _sample_powers,
     eval_on_arrays,
     symbolic_residual,
 )
@@ -381,9 +383,121 @@ def test_shared_powers_change_no_bit():
     rng = random.Random(31)
     polys = [rand_laurent(rng, terms=8, max_exp=4, exact=False) for _ in range(3)]
     q1, q2 = _sample_arrays(CuspDomain.hartogs(1, 1), 60, 9)
-    powers = ({}, {})
+    powers = _sample_powers(CuspDomain.hartogs(1, 1), 60, 9)
     for f in polys:
         assert np.array_equal(eval_on_arrays(f, q1, q2, powers), eval_on_arrays(f, q1, q2))
+
+
+# -- evaluation against the loop it replaced --------------------------------------
+
+
+def _reference_eval_on_arrays(f, q1, q2):
+    """The plain loop: every term is c * q1**a * q2**b, added to a zero array."""
+    q1 = np.asarray(q1, dtype=complex)
+    q2 = np.asarray(q2, dtype=complex)
+    out = np.zeros(np.broadcast(q1, q2).shape, dtype=complex)
+    pow1, pow2 = {}, {}
+    for (a, b), c in f.terms.items():
+        if a not in pow1:
+            pow1[a] = q1**a
+        if b not in pow2:
+            pow2[b] = q2**b
+        out += complex(c) * pow1[a] * pow2[b]
+    return out
+
+
+# parts with zeros of either sign; moduli keep every value of the tests finite
+_PART = st.sampled_from([0.0, -0.0]) | st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)
+_FLOAT_COEFF = st.builds(complex, _PART, _PART)
+_EXACT_COEFF = st.builds(
+    QComplex, st.fractions(-50, 50, max_denominator=60), st.fractions(-50, 50, max_denominator=60)
+)
+_EXPONENT = st.integers(-4, 4) | st.just(0)
+_COORD = st.sampled_from([0.0, -0.0]) | st.floats(0.1, 1.0) | st.floats(-1.0, -0.1)
+_POINT = st.builds(complex, _COORD, _COORD).filter(lambda z: abs(z) >= 0.1)
+
+
+def _poly(coeff):
+    return st.dictionaries(st.tuples(_EXPONENT, _EXPONENT), coeff, max_size=8).map(LaurentPolynomial)
+
+
+@settings(max_examples=300)
+@given(
+    f=_poly(_FLOAT_COEFF) | _poly(_EXACT_COEFF),
+    points=st.lists(st.tuples(_POINT, _POINT), min_size=1, max_size=12),
+)
+@example(f=LaurentPolynomial({}), points=[(0.5, 0.5j)])
+@example(f=LaurentPolynomial({(0, 0): complex(-0.0, 2.0)}), points=[(-0.0 + 0.5j, 0.5)])
+@example(f=LaurentPolynomial({(0, 3): 1.5, (-2, 0): complex(0.0, -0.0) + 1}), points=[(0.3, -0.7)])
+def test_eval_on_arrays_moduli_are_the_reference_loop_s(f, points):
+    q1 = np.array([a for a, _ in points], dtype=complex)
+    q2 = np.array([b for _, b in points], dtype=complex)
+    expected = np.abs(_reference_eval_on_arrays(f, q1, q2)).tobytes()
+    assert np.abs(eval_on_arrays(f, q1, q2)).tobytes() == expected
+    room = [64]
+    shared = verify_module._Powers(q1, room), verify_module._Powers(q2, room)
+    assert np.abs(eval_on_arrays(f, q1, q2, shared)).tobytes() == expected
+    assert np.abs(eval_on_arrays(f, q1, q2, shared)).tobytes() == expected
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_eval_on_sample_tables_is_the_reference_loop_s(seed):
+    rng = random.Random(seed)
+    domain = CuspDomain.hartogs(rng.randint(1, 3), rng.randint(1, 3))
+    q1, q2 = _sample_arrays(domain, 500, seed)
+    powers = _sample_powers(domain, 500, seed)
+    for exact in (False, True):
+        f = rand_bounded_poly(rng, domain, 10, max_exp=5, exact=exact)
+        f = LaurentPolynomial({**f.terms, (0, 0): f.coefficient(1, 1) or 1, (0, 2): 3, (2, 0): 2})
+        got = eval_on_arrays(f, q1, q2, powers)
+        assert got.shape == q1.shape
+        assert np.abs(got).tobytes() == np.abs(_reference_eval_on_arrays(f, q1, q2)).tobytes()
+
+
+def _reference_report(domain, f, f1, f2, p, samples, seed):
+    """`verify` with the sampled fields taken by the reference loop on every polynomial."""
+    report = verify(domain, f, f1, f2, p, samples=0, seed=seed)
+    pts = sample(domain, samples, seed)
+    q1 = np.array([a for a, _ in pts], dtype=complex)
+    q2 = np.array([b for _, b in pts], dtype=complex)
+    res, at1, at2 = (
+        np.abs(_reference_eval_on_arrays(g, q1, q2)) for g in (symbolic_residual(f, f1, f2, p), f1, f2)
+    )
+    top = int(np.argmax(res))
+    fields = {name: getattr(report, name) for name in VerificationReport.__match_args__}
+    fields.update(
+        residual_max=float(res[top]),
+        residual_argmax=(complex(q1[top]), complex(q2[top])),
+        sup_f1_sampled=float(np.max(at1)),
+        sup_f2_sampled=float(np.max(at2)),
+        samples_used=samples,
+    )
+    return VerificationReport(**fields)
+
+
+@pytest.mark.parametrize("case", ["empty residual and f1", "empty f1", "random", "exact"])
+def test_verify_reports_are_the_reference_path_s(case):
+    rng = random.Random(case)
+    domain = CuspDomain.hartogs(2, 1)
+    p = (0.25 + 0.05j, 0.5 - 0.1j)
+    if case == "empty residual and f1":
+        f, f1, f2 = _exact_pair_for_linear(p)
+    elif case == "empty f1":
+        f, _, f2 = _exact_pair_for_linear(p)
+        f1 = LaurentPolynomial.zero()
+        f = f + monomial(0, 2, 1e-3)
+    else:
+        exact = case == "exact"
+        f, f1, f2 = (rand_laurent(rng, terms=6, max_exp=3, exact=exact) for _ in range(3))
+        if exact:
+            p = (QComplex(Fraction(1, 4), Fraction(1, 20)), QComplex(Fraction(1, 2)))
+    report = verify(domain, f, f1, f2, p, samples=700, seed=3)
+    if case.startswith("empty"):
+        assert f1.is_zero and report.sup_f1_sampled == 0.0
+    if case == "empty residual and f1":
+        assert symbolic_residual(f, f1, f2, p).is_zero
+        assert report.residual_max == 0.0
+    assert repr(report) == repr(_reference_report(domain, f, f1, f2, p, 700, 3))
 
 
 def test_repeated_verify_reports_are_equal():
@@ -411,17 +525,17 @@ verify_module = importlib.import_module("gleason.verify")
 @pytest.fixture
 def cold_cache(monkeypatch):
     """Empty sample and power caches for one test; the shared ones are untouched."""
-    for name in ("_sample_arrays", "_sample_power"):
+    for name in ("_sample_arrays", "_sample_powers"):
         cached = getattr(verify_module, name)
         fresh = lru_cache(maxsize=cached.cache_info().maxsize)(cached.__wrapped__)
         monkeypatch.setattr(verify_module, name, fresh)
-    return verify_module._sample_power
+    return verify_module._sample_powers
 
 
 def test_sample_powers_are_read_only(cold_cache):
     for var in (0, 1):
         for e in (-3, 0, 1, 2, 5):
-            power = cold_cache(STRIP, 50, 3, var, e)
+            power = cold_cache(STRIP, 50, 3)[var][e]
             with pytest.raises(ValueError):
                 power[0] = 0
             with pytest.raises(ValueError):
@@ -434,40 +548,67 @@ def test_sample_powers_are_bit_equal_to_fresh_powers(cold_cache, domain):
     for var in (0, 1):
         fresh_q = np.array(q[var])  # a writeable copy, as a caller without the cache has
         for e in (-4, -1, 0, 1, 2, 3, 7):
-            power = cold_cache(domain, 80, 5, var, e)
+            power = cold_cache(domain, 80, 5)[var][e]
             assert power.tobytes() == (fresh_q**e).tobytes()
-            assert cold_cache(domain, 80, 5, var, e) is power
+            assert cold_cache(domain, 80, 5)[var][e] is power
+
+
+@pytest.mark.parametrize("domain", [CuspDomain.hartogs(2, 1), STRIP])
+def test_zeroth_sample_power_is_one(cold_cache, domain):
+    # eval_on_arrays skips the product by q**0 because this is exactly 1+0j
+    for var in (0, 1):
+        power = cold_cache(domain, 300, 5)[var][0]
+        assert np.array_equal(power, np.ones(300))
+        assert not np.signbit(power.real).any() and not np.signbit(power.imag).any()
 
 
 def test_power_cache_keeps_its_byte_bound(cold_cache):
-    # the bound stated in the module docstring and README: 1024 x count x 16 bytes
-    keep = _sample_power.cache_info().maxsize
-    assert keep == 1024 and keep * 2000 * 16 <= 32_800_000
+    # the bound stated in the module docstring and README: 16 keys of at most
+    # 64 powers of count x 16 bytes, the 1024 x count x 16 bytes it always was
+    keys, room = cold_cache.cache_info().maxsize, 64
+    assert keys == 16 and keys * room * 2000 * 16 <= 32_800_000
     count = 20
-    exponents = range(keep + 25)
-    for e in exponents:
-        assert cold_cache(STRIP, count, 3, e % 2, e).nbytes == count * 16
-        assert cold_cache.cache_info().currsize <= keep
-    # least recently used first out: the newest `keep` powers are the ones kept
+    tables = cold_cache(STRIP, count, 3)
+    for e in range(room + 25):
+        power = tables[e % 2][e]
+        assert power.nbytes == count * 16
+        assert len(tables[0]) + len(tables[1]) == min(e + 1, room)
+        assert power.flags.writeable == (e >= room)
+    # a power past the room is handed out, right, but not kept
+    past = tables[1][room + 23]
+    assert past is not tables[1][room + 23] and past.tobytes() == (tables[1].q ** (room + 23)).tobytes()
+    assert tables[0][room - 2] is tables[0][room - 2]
+    # least recently used key first out: the newest `keys` are the ones kept
+    seeds = range(keys + 5)
+    for seed in seeds:
+        cold_cache(STRIP, count, seed)
+        assert cold_cache.cache_info().currsize <= keys
     info = cold_cache.cache_info()
-    cold_cache(STRIP, count, 3, exponents[-keep] % 2, exponents[-keep])
+    cold_cache(STRIP, count, seeds[-keys])
     assert cold_cache.cache_info().hits == info.hits + 1
-    cold_cache(STRIP, count, 3, 0, 0)
+    cold_cache(STRIP, count, seeds[0])
     assert cold_cache.cache_info().misses == info.misses + 1
 
 
-def test_verify_on_a_cold_cache_equals_verify_on_a_warm_one(cold_cache):
+def test_verify_on_a_cold_cache_equals_verify_on_a_warm_one(cold_cache, monkeypatch):
     rng = random.Random(41)
     domain = CuspDomain.strip(2, 1, 0.5, 2.0, 1, 1, 0.0)
     p = (0.2 + 0.1j, 0.7 - 0.1j)
     f, f1, f2 = (rand_laurent(rng, terms=7, max_exp=4, exact=False) for _ in range(3))
     cold = verify(domain, f, f1, f2, p, samples=400, seed=6)
-    misses = cold_cache.cache_info().misses
-    assert misses > 0
+    assert cold_cache.cache_info().misses == 1
+    kept = [dict(table) for table in cold_cache(domain, 400, 6)]
+    assert kept[0] and kept[1]
+
+    def computed(table, exponent):
+        raise AssertionError(f"power {exponent} computed again")
+
+    monkeypatch.setattr(verify_module._Powers, "__missing__", computed)
     warm = verify(domain, f, f1, f2, p, samples=400, seed=6)
     assert repr(warm) == repr(cold)
-    # the warm call found every power it needed and computed none
-    assert cold_cache.cache_info().misses == misses
+    # the warm call found its key and every power it needed, and computed none
+    assert cold_cache.cache_info().misses == 1
+    assert [dict(table) for table in cold_cache(domain, 400, 6)] == kept
 
 
 _NUMPY_PROBE = """
