@@ -65,13 +65,13 @@ def eval_on_arrays(f: LaurentPolynomial, q1, q2, powers: tuple | None = None) ->
 
     `powers` is a pair of power tables (`_Powers`) over q1 and q2, filled as
     needed; passing the same pair to several calls on the same q1 and q2
-    shares the powers between them.  Without it no power is kept.
+    shares the powers between them.  Without it they are shared within the call.
     """
     import numpy as np
 
     q1 = np.asarray(q1, dtype=complex)
     q2 = np.asarray(q2, dtype=complex)
-    pow1, pow2 = (_Powers(q1, [0]), _Powers(q2, [0])) if powers is None else powers
+    pow1, pow2 = (_Powers(q1, [len(f)]), _Powers(q2, [len(f)])) if powers is None else powers
     out = None
     for (a, b), c in f.terms.items():
         # Keep the scalar on the left: numpy's SIMD complex multiply need not be
@@ -106,7 +106,7 @@ class _Powers(dict):
 
     def __missing__(self, exponent: int):
         power = self.q**exponent
-        if self.room[0] > 0:
+        if self.room[0] > 0 and power.ndim:  # the array scalar of a 0-d q is not kept
             self.room[0] -= 1
             power.flags.writeable = False
             self[exponent] = power

@@ -311,6 +311,14 @@ def test_eval_on_arrays_zero_polynomial():
     assert out.shape == (2,) and np.all(out == 0)
 
 
+
+def test_eval_on_arrays_takes_scalar_points():
+    # a 0-d q's powers are array scalars, which have no flags to set and are not kept
+    f = LaurentPolynomial({(1, 2): 1.5, (0, 0): 2.0, (2, 0): 1j, (2, 1): 0.5})
+    value = eval_on_arrays(f, 0.5 + 0.1j, 0.25j)
+    assert np.shape(value) == () and complex(value) == pytest.approx(f.eval(0.5 + 0.1j, 0.25j), rel=1e-14)
+
+
 def test_averaged_component_hand_value():
     f = monomial(1, 0)
     assert averaged_component(f, 2, 1, 0, 1.0, 1.0) == pytest.approx(1.0)
