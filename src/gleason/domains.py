@@ -169,19 +169,29 @@ def _strip_y_ceiling(domain: CuspDomain) -> float:
     return (k * n * r - m * math.log(domain.lower)) / (k * n + l * m)
 
 
-def _draw_logs(domain, count, seed, cusp_bias, depth):
-    """Deterministic stream of (log|z1|, log|z2|, phase1, phase2) samples.
+def sample(
+    domain: CuspDomain,
+    count: int,
+    seed: int,
+    cusp_bias: float = 0.5,
+    depth: float = 30.0,
+) -> list[tuple[complex, complex]]:
+    """Deterministic domain points, biased toward the cusp.
 
-    Per point the stream order is: band choice, y, x, then two phases.  This
-    makes sample sets for growing counts nested, so sampled suprema are
-    monotone in the sample count for a fixed seed.
+    Each point independently falls in the deep band log|z2| in [-depth, -3]
+    with probability cusp_bias, otherwise in [-3, -1e-3]; log|z1| is uniform
+    in the (truncated) section and phases are uniform.  Every returned point
+    satisfies domain.contains.  Per point the random stream order is: band
+    choice, y, x, then two phases.  This makes sample sets for growing counts
+    nested, so sampled suprema are monotone in the sample count for a fixed
+    seed.
     """
     rng = random.Random(seed)
     if domain.kind == STRIP_OMEGA2:
         ceiling = _strip_y_ceiling(domain) - 1e-9
     else:
         ceiling = math.inf
-    out = []
+    pts = []
     for _ in range(count):
         deep = rng.random() < cusp_bias
         lo, hi = (-depth, DEEP_BAND_TOP) if deep else (DEEP_BAND_TOP, SHALLOW_BAND_TOP)
@@ -201,26 +211,6 @@ def _draw_logs(domain, count, seed, cusp_bias, depth):
             x = x_lo + span * (1e-6 + 0.999998 * rng.random())
         t1 = rng.uniform(0.0, 2.0 * math.pi)
         t2 = rng.uniform(0.0, 2.0 * math.pi)
-        out.append((x, y, t1, t2))
-    return out
-
-
-def sample(
-    domain: CuspDomain,
-    count: int,
-    seed: int,
-    cusp_bias: float = 0.5,
-    depth: float = 30.0,
-) -> list[tuple[complex, complex]]:
-    """Deterministic domain points, biased toward the cusp.
-
-    Each point independently falls in the deep band log|z2| in [-depth, -3]
-    with probability cusp_bias, otherwise in [-3, -1e-3]; log|z1| is uniform
-    in the (truncated) section and phases are uniform.  Every returned point
-    satisfies domain.contains.
-    """
-    pts = []
-    for x, y, t1, t2 in _draw_logs(domain, count, seed, cusp_bias, depth):
         pts.append(
             (
                 math.exp(x) * complex(math.cos(t1), math.sin(t1)),
@@ -313,16 +303,6 @@ def slope_candidates(max_sum: int):
                 yield (m, n)
 
 
-def _merge_intervals(intervals):
-    merged = []
-    for lo, hi in sorted(intervals):
-        if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-    return merged
-
-
 def split_line(
     boundary: LogBoundary,
     cusp_slope: Fraction,
@@ -392,7 +372,7 @@ def split_line(
             bad.append((min(oa, ob), max(oa, ob)))
         gaps = []
         cursor = rho_end
-        for lo, hi in _merge_intervals(bad):
+        for lo, hi in sorted(bad):  # the sweep merges overlaps through cursor
             lo = max(lo, rho_end)
             hi = min(hi, rho_a)
             if hi <= cursor:

@@ -79,10 +79,7 @@ def _tokenize(text: str) -> list[_Token]:
                     raise PolySyntaxError("expected digits after decimal point", i)
                 while i < n and text[i].isdigit():
                     i += 1
-            lexeme = text[start:i]
-            if lexeme == ".":
-                raise PolySyntaxError("expected digits", start)
-            tokens.append(_Token("num", lexeme, start))
+            tokens.append(_Token("num", text[start:i], start))
             continue
         raise PolySyntaxError(f"unexpected character {ch!r}", i)
     tokens.append(_Token("end", "", n))

@@ -168,7 +168,10 @@ def solve(
         )
 
     bound_rhs = None
-    if mode == MODE_AXIS:
+    if f.is_zero:  # f1 = f2 = 0, before a deep p2 takes 1/p2^l past the float range
+        f1 = f2 = f
+        bound_rhs = 0.0 if mode == MODE_AXIS else None
+    elif mode == MODE_AXIS:
         f1, f2, bound_rhs = _axis_parts(f, domain.l, p2)
     else:
         f1, f2 = _pipeline_parts(f, p, domain.pair)

@@ -7,14 +7,13 @@ vanishing rule, and its values over a deterministic cusp-biased sample set
 give the numeric residual.  numpy is imported by the functions that
 evaluate on sample arrays, so exact and unsampled work never loads it.
 
-The sample set depends only on (domain, count, seed), so its (q1, q2) arrays
-are drawn once per key and kept, read-only, in a least-recently-used cache of
-32 keys: at most 32 x count x 32 bytes, 2 MB at the default 2000 samples.
-The powers q1**a and q2**b depend only on that key and the exponent, so a
-`verify` call reaches the key's pair of power tables with one lookup in a
+The sample set depends only on (domain, count, seed), and so do the powers
+q1**a and q2**b of its points, so a `verify` call reaches the key's read-only
+(q1, q2) arrays and their pair of power tables with one lookup in a
 least-recently-used cache of 16 keys.  A table computes a power on first use
-and keeps it, read-only, while its key holds fewer than 64: at most 16 x 64 x
-count x 16 bytes, 32 MB at 2000 samples, shared by the residual, f1 and f2.
+and keeps it, read-only, while its key holds fewer than 64: with the two
+arrays, at most 16 x (64 + 2) x count x 16 bytes, 33.8 MB at 2000 samples,
+shared by the residual, f1 and f2.
 """
 
 from __future__ import annotations
@@ -60,18 +59,15 @@ class VerificationReport:
         )
 
 
-def eval_on_arrays(f: LaurentPolynomial, q1, q2, powers: tuple | None = None) -> np.ndarray:
-    """Vectorized evaluation on complex arrays, with per-exponent power reuse.
+def eval_on_arrays(f: LaurentPolynomial, q1, q2, powers: tuple) -> np.ndarray:
+    """Vectorized evaluation on complex arrays q1 and q2.
 
     `powers` is a pair of power tables (`_Powers`) over q1 and q2, filled as
-    needed; passing the same pair to several calls on the same q1 and q2
-    shares the powers between them.  Without it they are shared within the call.
+    needed; passing the same pair to several calls shares the powers between them.
     """
     import numpy as np
 
-    q1 = np.asarray(q1, dtype=complex)
-    q2 = np.asarray(q2, dtype=complex)
-    pow1, pow2 = (_Powers(q1, [len(f)]), _Powers(q2, [len(f)])) if powers is None else powers
+    pow1, pow2 = powers
     out = None
     for (a, b), c in f.terms.items():
         # Keep the scalar on the left: numpy's SIMD complex multiply need not be
@@ -106,36 +102,31 @@ class _Powers(dict):
 
     def __missing__(self, exponent: int):
         power = self.q**exponent
-        if self.room[0] > 0 and power.ndim:  # the array scalar of a 0-d q is not kept
+        if self.room[0] > 0:
             self.room[0] -= 1
             power.flags.writeable = False
             self[exponent] = power
         return power
 
 
-@lru_cache(maxsize=32)
-def _sample_arrays(domain: CuspDomain, count: int, seed: int) -> tuple:
-    """Read-only (q1, q2) complex arrays of `sample(domain, count, seed)`.
+@lru_cache(maxsize=16)
+def _sample_powers(domain: CuspDomain, count: int, seed: int) -> tuple:
+    """Power tables over the (q1, q2) arrays of `sample(domain, count, seed)`.
 
     Equal keys draw equal streams (`CuspDomain` is a frozen record, equal and
-    hashed over its fields), so the arrays are kept: 32 keys of count x 32
-    bytes each.
+    hashed over its fields), so the arrays are kept read-only, and the two
+    tables keep 64 powers at most.
     """
     import numpy as np
 
     pts = sample(domain, count, seed)
-    q1 = np.array([a for a, _ in pts], dtype=complex)
-    q2 = np.array([b for _, b in pts], dtype=complex)
-    q1.flags.writeable = False
-    q2.flags.writeable = False
-    return q1, q2
-
-
-@lru_cache(maxsize=16)
-def _sample_powers(domain: CuspDomain, count: int, seed: int) -> tuple:
-    """Power tables over `_sample_arrays(domain, count, seed)`, 64 powers at most."""
     room = [64]
-    return tuple(_Powers(q, room) for q in _sample_arrays(domain, count, seed))
+    tables = []
+    for i in (0, 1):
+        q = np.array([point[i] for point in pts], dtype=complex)
+        q.flags.writeable = False
+        tables.append(_Powers(q, room))
+    return tuple(tables)
 
 
 def symbolic_residual(
@@ -184,18 +175,19 @@ def verify(
         powers = _sample_powers(domain, samples, seed)
         q1, q2 = powers[0].q, powers[1].q
         maxima = []
-        for name, g in (("the residual", residual), ("f1", f1), ("f2", f2)):
-            if not g.terms:  # the maximum of zeros: 0.0 at sample 0
-                maxima.append((0.0, 0))
-                continue
-            try:
-                moduli = np.abs(eval_on_arrays(g, q1, q2, powers))
-            except OverflowError:  # an exact coefficient past the float range
-                raise InputError(f"float overflow: the sampled check cannot read {name} as floats") from None
-            top = int(np.argmax(moduli))
-            if not math.isfinite(moduli[top]):
-                raise InputError(f"float overflow: {name} on the samples is out of the float range")
-            maxima.append((float(moduli[top]), top))
+        with np.errstate(all="ignore"):  # a non-finite maximum raises below
+            for name, g in (("the residual", residual), ("f1", f1), ("f2", f2)):
+                if not g.terms:  # the maximum of zeros: 0.0 at sample 0
+                    maxima.append((0.0, 0))
+                    continue
+                try:
+                    moduli = np.abs(eval_on_arrays(g, q1, q2, powers))
+                except OverflowError:  # an exact coefficient past the float range
+                    raise InputError(f"float overflow: the sampled check cannot read {name} as floats") from None
+                top = int(np.argmax(moduli))
+                if not math.isfinite(moduli[top]):
+                    raise InputError(f"float overflow: {name} on the samples is out of the float range")
+                maxima.append((float(moduli[top]), top))
         (residual_max, top), (sup1, _), (sup2, _) = maxima
         argmax = (complex(q1[top]), complex(q2[top]))
     else:

@@ -21,7 +21,7 @@ from gleason import CuspDomain, InputError, LaurentPolynomial, QComplex, parse_s
 from gleason.domains import sample
 from gleason.errors import InternalContractError
 from gleason.scalars import powi
-from gleason.verify import eval_on_arrays
+from gleason.verify import _Powers, eval_on_arrays
 
 # Orders whose primitive root of unity is a Gaussian rational.
 EXACT_ROOT_ORDERS = (1, 2, 4)
@@ -94,6 +94,16 @@ def averaged_component(f: LaurentPolynomial, order: int, i: int, j: int, q1, q2)
     return total / (order**2 * q1**i * q2**j)
 
 
+def eval_fresh(f: LaurentPolynomial, q1, q2) -> np.ndarray:
+    """`eval_on_arrays` on any complex arrays, through power tables made for the call.
+
+    Each table has room for every power the call takes, so the call shares them.
+    """
+    q1 = np.asarray(q1, dtype=complex)
+    q2 = np.asarray(q2, dtype=complex)
+    return eval_on_arrays(f, q1, q2, (_Powers(q1, [len(f)]), _Powers(q2, [len(f)])))
+
+
 def averaged_component_on_arrays(
     f: LaurentPolynomial, order: int, i: int, j: int, q1, q2
 ) -> np.ndarray:
@@ -106,7 +116,7 @@ def averaged_component_on_arrays(
             character = cmath.exp(-2j * math.pi * (i * s + j * t) / order)
             r1 = cmath.exp(2j * math.pi * s / order)
             r2 = cmath.exp(2j * math.pi * t / order)
-            total = total + character * eval_on_arrays(f, r1 * q1, r2 * q2)
+            total = total + character * eval_fresh(f, r1 * q1, r2 * q2)
     return total / (order**2 * q1**i * q2**j)
 
 
@@ -124,7 +134,7 @@ def sampled_sup(
     pts = sample(domain, count, seed, cusp_bias, depth)
     q1 = np.array([a for a, _ in pts], dtype=complex)
     q2 = np.array([b for _, b in pts], dtype=complex)
-    return float(np.max(np.abs(eval_on_arrays(f, q1, q2))))
+    return float(np.max(np.abs(eval_fresh(f, q1, q2))))
 
 
 def rand_fraction(rng: random.Random, span: int = 8) -> Fraction:

@@ -38,10 +38,11 @@ from gleason.division import (
 )
 from gleason.domains import poly_bounded, sample
 from gleason.scalars import powi
-from gleason.verify import eval_on_arrays, symbolic_residual
+from gleason.verify import symbolic_residual
 
 from conftest import (
     averaged_component_on_arrays,
+    eval_fresh,
     fiber_values,
     log_coordinates,
     monomial,
@@ -122,7 +123,7 @@ def test_02_axis_branch_bound():
             if sol.f1.is_zero:
                 sup = 0.0
             else:
-                sup = float(np.abs(eval_on_arrays(sol.f1, q1, q2)).max())
+                sup = float(np.abs(eval_fresh(sol.f1, q1, q2)).max())
             assert sup <= rhs * (1 + 1e-9)
     assert time.perf_counter() - t0 <= 20.0
 
@@ -175,11 +176,11 @@ def test_04_symmetrization_oracle():
             for i in range(order):
                 for j in range(order):
                     comp = system.components[(i, j)]
-                    vals = eval_on_arrays(comp, q1, q2)
+                    vals = eval_fresh(comp, q1, q2)
                     avg = averaged_component_on_arrays(f, order, i, j, q1, q2)
                     assert float(np.abs(vals - avg).max()) <= 1e-10 * scale
-                    rot1 = eval_on_arrays(comp, zeta * q1, q2)
-                    rot2 = eval_on_arrays(comp, q1, zeta * q2)
+                    rot1 = eval_fresh(comp, zeta * q1, q2)
+                    rot2 = eval_fresh(comp, q1, zeta * q2)
                     assert float(np.abs(rot1 - vals).max()) <= 1e-10 * scale
                     assert float(np.abs(rot2 - vals).max()) <= 1e-10 * scale
     assert time.perf_counter() - t0 <= 10.0

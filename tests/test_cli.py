@@ -538,7 +538,34 @@ def test_axis_bound_past_the_float_range_names_its_cause(capsys):
     assert err == f"error: float overflow: {AXIS_BOUND} is out of the float range\n"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's own word for the overflow
+@pytest.mark.parametrize("argv, axis", [
+    (["--p1", "0", "--p2", "1e-60", "--k", "1", "--l", "6"], True),
+    (["--exact", "--p1", "0", "--p2", "1e-60", "--k", "1", "--l", "6"], True),
+    (["--p1", "1e-61", "--p2", "1e-60", "--k", "6", "--l", "6"], False),
+], ids=["float axis", "exact axis", "ratio split"])
+def test_zero_f_at_a_deep_point_is_solved(capsys, argv, axis):
+    # f1 = f2 = 0 solve f = 0 without the 1/p2^l that a deep p2 takes past the float range
+    code, out, err = run_cli(capsys, "solve", *argv, "--f", "0", "--samples", "0")
+    lines = out.splitlines()
+    assert (code, err) == (0, "")
+    assert lines[:2] == ["f1 = 0", "f2 = 0"]
+    assert ("bound_rhs=0" in lines) == axis
+    assert "residual_max=0" in lines
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the one error line is all the user sees
+def test_sampled_overflow_warns_nothing(capsys):
+    # z2^-27 overflows at the deepest samples, and z1^6 underflows there
+    code, out, err = run_cli(
+        capsys,
+        "solve", "--k", "1", "--l", "5", "--p1", "0.01", "--p2", "0.5",
+        "--f", "z1^6*z2^-27", "--subtract-value",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: float overflow: f2 on the samples is out of the float range\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the one error line is all the user sees
 def test_sampled_maximum_past_the_float_range_names_its_cause(capsys):
     # fuzz seed 1270: f2 is finite, but its values at the deepest samples overflow
     f = (

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gleason import (
     CuspDomain,
@@ -376,6 +377,112 @@ def test_split_line_translation_equivariance():
         assert (shifted.m, shifted.n) == (base.m, base.n)
         assert shifted.r == pytest.approx(base.r + ty + (base.m / base.n) * tx)
         assert shifted.delta == pytest.approx(base.delta)
+
+
+def _reference_split_line(boundary, cusp_slope, base_point, max_slope_sum=64):
+    """`split_line` as it was, merging the non-strict offset intervals before its sweep."""
+    pts = boundary.points
+    flags = boundary.strict
+    px, py = float(base_point[0]), float(base_point[1])
+    slope = Fraction(cusp_slope)
+    dx, dy = float(slope.denominator), float(slope.numerator)
+
+    hits = []
+    last = len(pts) - 2
+    for i in range(len(pts) - 1):
+        ax, ay = pts[i]
+        bx, by = pts[i + 1]
+        ex, ey = bx - ax, by - ay
+        det = dx * ey - dy * ex
+        if abs(det) < 1e-15 * (1 + abs(dx * ey) + abs(dy * ex)):
+            continue
+        qx, qy = ax - px, ay - py
+        t = (qx * ey - qy * ex) / det
+        s = (qx * dy - qy * dx) / det
+        s_hi = 1.0 + 1e-12 if i == last else 1.0
+        if t > 1e-12 and -1e-12 <= s < s_hi:
+            hits.append((i, t, s))
+    if not hits:
+        raise InputError("ray from the base point misses the boundary")
+    if len(hits) > 1:
+        raise InputError("ray from the base point crosses the boundary more than once")
+    seg, t_hit, _ = hits[0]
+    ax_hit = px + t_hit * dx
+    ay_hit = py + t_hit * dy
+    if not (flags[seg] and flags[seg + 1]):
+        raise InfeasibleSplitError("ray crossing is not inside a strictly convex vertex window")
+    end = pts[0] if pts[0][1] < pts[-1][1] else pts[-1]
+
+    for m, n in slope_candidates(max_slope_sum):
+        ratio = m / n
+
+        def offset(point):
+            return point[1] + ratio * point[0]
+
+        rho_a = ay_hit + ratio * ax_hit
+        rho_end = offset(end)
+        if not rho_end < rho_a:
+            continue
+        bad = []
+        for i in range(len(pts) - 1):
+            if flags[i] and flags[i + 1]:
+                continue
+            oa, ob = offset(pts[i]), offset(pts[i + 1])
+            bad.append((min(oa, ob), max(oa, ob)))
+        merged = []
+        for lo, hi in sorted(bad):
+            if merged and lo <= merged[-1][1]:
+                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+            else:
+                merged.append((lo, hi))
+        gaps = []
+        cursor = rho_end
+        for lo, hi in merged:
+            lo = max(lo, rho_end)
+            hi = min(hi, rho_a)
+            if hi <= cursor:
+                continue
+            if lo > cursor:
+                gaps.append((cursor, min(lo, rho_a)))
+            cursor = max(cursor, hi)
+            if cursor >= rho_a:
+                break
+        if cursor < rho_a:
+            gaps.append((cursor, rho_a))
+        scale = 1e-12 * (1.0 + abs(rho_a) + abs(rho_end))
+        gaps = [(lo, hi) for lo, hi in gaps if hi - lo > scale]
+        if not gaps:
+            continue
+        lo, hi = max(gaps, key=lambda g: (g[1] - g[0], g[0]))
+        width = hi - lo
+        return SplitLine(m=m, n=n, r=lo + 0.75 * width, delta=0.5 * width)
+    raise InfeasibleSplitError(f"no separating slope with m + n <= {max_slope_sum} fits the boundary")
+
+
+def _split_outcome(split, *args):
+    try:
+        return split(*args)
+    except (InputError, InfeasibleSplitError) as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    start=st.floats(100.0, 200.0),
+    stop=st.floats(-60.0, 30.0),
+    count=st.integers(3, 60),
+    radius=st.floats(0.5, 3.0),
+    strict=st.lists(st.booleans(), min_size=60, max_size=60),
+    base=st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
+    slope=st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(2), Fraction(3, 2), Fraction(2, 5)]),
+    max_slope_sum=st.integers(1, 12),
+)
+def test_split_line_is_the_merging_reference_s(start, stop, count, radius, strict, base, slope, max_slope_sum):
+    # the gap sweep merges overlapping intervals itself, so merging them first changes nothing
+    pts = _arc(start, stop, count, radius)
+    boundary = LogBoundary(points=tuple(pts), strict=tuple(strict[:count]))
+    args = boundary, slope, base, max_slope_sum
+    assert _split_outcome(split_line, *args) == _split_outcome(_reference_split_line, *args)
 
 
 def test_slope_candidates_order_and_coprimality():

@@ -26,7 +26,6 @@ from gleason.domains import sample
 from gleason.scalars import VANISH_TOL_REL
 from gleason.verify import (
     VerificationReport,
-    _sample_arrays,
     _sample_powers,
     eval_on_arrays,
     symbolic_residual,
@@ -36,6 +35,7 @@ from conftest import (
     averaged_component,
     averaged_component_on_arrays,
     chain_multiply_add,
+    eval_fresh,
     monomial,
     rand_bounded_poly,
     rand_interior_point,
@@ -300,23 +300,15 @@ def test_eval_on_arrays_matches_eval():
     pts = sample(domain, 64, seed=20)
     q1 = np.array([q[0] for q in pts])
     q2 = np.array([q[1] for q in pts])
-    vec = eval_on_arrays(f, q1, q2)
+    vec = eval_fresh(f, q1, q2)
     for idx, (a, b) in enumerate(pts):
         assert vec[idx] == pytest.approx(f.eval(a, b), rel=1e-12, abs=1e-12)
 
 
 def test_eval_on_arrays_zero_polynomial():
     q = np.array([0.5 + 0j, 0.25 + 0j])
-    out = eval_on_arrays(LaurentPolynomial.zero(), q, q)
+    out = eval_fresh(LaurentPolynomial.zero(), q, q)
     assert out.shape == (2,) and np.all(out == 0)
-
-
-
-def test_eval_on_arrays_takes_scalar_points():
-    # a 0-d q's powers are array scalars, which have no flags to set and are not kept
-    f = LaurentPolynomial({(1, 2): 1.5, (0, 0): 2.0, (2, 0): 1j, (2, 1): 0.5})
-    value = eval_on_arrays(f, 0.5 + 0.1j, 0.25j)
-    assert np.shape(value) == () and complex(value) == pytest.approx(f.eval(0.5 + 0.1j, 0.25j), rel=1e-14)
 
 
 def test_averaged_component_hand_value():
@@ -345,6 +337,11 @@ def test_averaged_component_on_arrays_matches_scalar():
 # -- the sample cache ----------------------------------------------------------
 
 STRIP = CuspDomain.strip(1, 1, 0.5, 2.0, 1, 2, -0.25)
+
+
+def _sample_arrays(domain, count, seed):
+    """The (q1, q2) arrays the cached power tables of a sample key are over."""
+    return tuple(table.q for table in _sample_powers(domain, count, seed))
 
 
 def test_sample_arrays_are_read_only():
@@ -384,16 +381,16 @@ def test_sample_arrays_differ_between_keys(key):
 
 
 def test_sample_cache_is_bounded():
-    assert _sample_arrays.cache_info().maxsize is not None
+    assert _sample_powers.cache_info().maxsize is not None
 
 
 def test_shared_powers_change_no_bit():
     rng = random.Random(31)
     polys = [rand_laurent(rng, terms=8, max_exp=4, exact=False) for _ in range(3)]
-    q1, q2 = _sample_arrays(CuspDomain.hartogs(1, 1), 60, 9)
     powers = _sample_powers(CuspDomain.hartogs(1, 1), 60, 9)
+    q1, q2 = powers[0].q, powers[1].q
     for f in polys:
-        assert np.array_equal(eval_on_arrays(f, q1, q2, powers), eval_on_arrays(f, q1, q2))
+        assert np.array_equal(eval_on_arrays(f, q1, q2, powers), eval_fresh(f, q1, q2))
 
 
 # -- evaluation against the loop it replaced --------------------------------------
@@ -441,7 +438,7 @@ def test_eval_on_arrays_moduli_are_the_reference_loop_s(f, points):
     q1 = np.array([a for a, _ in points], dtype=complex)
     q2 = np.array([b for _, b in points], dtype=complex)
     expected = np.abs(_reference_eval_on_arrays(f, q1, q2)).tobytes()
-    assert np.abs(eval_on_arrays(f, q1, q2)).tobytes() == expected
+    assert np.abs(eval_fresh(f, q1, q2)).tobytes() == expected
     room = [64]
     shared = verify_module._Powers(q1, room), verify_module._Powers(q2, room)
     assert np.abs(eval_on_arrays(f, q1, q2, shared)).tobytes() == expected
@@ -452,8 +449,8 @@ def test_eval_on_arrays_moduli_are_the_reference_loop_s(f, points):
 def test_eval_on_sample_tables_is_the_reference_loop_s(seed):
     rng = random.Random(seed)
     domain = CuspDomain.hartogs(rng.randint(1, 3), rng.randint(1, 3))
-    q1, q2 = _sample_arrays(domain, 500, seed)
     powers = _sample_powers(domain, 500, seed)
+    q1, q2 = powers[0].q, powers[1].q
     for exact in (False, True):
         f = rand_bounded_poly(rng, domain, 10, max_exp=5, exact=exact)
         f = LaurentPolynomial({**f.terms, (0, 0): f.coefficient(1, 1) or 1, (0, 2): 3, (2, 0): 2})
@@ -520,8 +517,8 @@ def test_repeated_verify_reports_are_equal():
     q1 = np.array([a for a, _ in pts])
     q2 = np.array([b for _, b in pts])
     residual = symbolic_residual(f, f1, f2, p)
-    assert first.residual_max == float(np.max(np.abs(eval_on_arrays(residual, q1, q2))))
-    assert first.sup_f1_sampled == float(np.max(np.abs(eval_on_arrays(f1, q1, q2))))
+    assert first.residual_max == float(np.max(np.abs(eval_fresh(residual, q1, q2))))
+    assert first.sup_f1_sampled == float(np.max(np.abs(eval_fresh(f1, q1, q2))))
 
 
 # -- the power cache ------------------------------------------------------------
@@ -532,12 +529,11 @@ verify_module = importlib.import_module("gleason.verify")
 
 @pytest.fixture
 def cold_cache(monkeypatch):
-    """Empty sample and power caches for one test; the shared ones are untouched."""
-    for name in ("_sample_arrays", "_sample_powers"):
-        cached = getattr(verify_module, name)
-        fresh = lru_cache(maxsize=cached.cache_info().maxsize)(cached.__wrapped__)
-        monkeypatch.setattr(verify_module, name, fresh)
-    return verify_module._sample_powers
+    """An empty sample cache for one test; the shared one is untouched."""
+    cached = verify_module._sample_powers
+    fresh = lru_cache(maxsize=cached.cache_info().maxsize)(cached.__wrapped__)
+    monkeypatch.setattr(verify_module, "_sample_powers", fresh)
+    return fresh
 
 
 def test_sample_powers_are_read_only(cold_cache):
@@ -552,9 +548,9 @@ def test_sample_powers_are_read_only(cold_cache):
 
 @pytest.mark.parametrize("domain", [CuspDomain.hartogs(2, 1), STRIP])
 def test_sample_powers_are_bit_equal_to_fresh_powers(cold_cache, domain):
-    q = verify_module._sample_arrays(domain, 80, 5)
+    pts = sample(domain, 80, 5)
     for var in (0, 1):
-        fresh_q = np.array(q[var])  # a writeable copy, as a caller without the cache has
+        fresh_q = np.array([point[var] for point in pts], dtype=complex)  # drawn without the cache
         for e in (-4, -1, 0, 1, 2, 3, 7):
             power = cold_cache(domain, 80, 5)[var][e]
             assert power.tobytes() == (fresh_q**e).tobytes()
@@ -571,12 +567,13 @@ def test_zeroth_sample_power_is_one(cold_cache, domain):
 
 
 def test_power_cache_keeps_its_byte_bound(cold_cache):
-    # the bound stated in the module docstring and README: 16 keys of at most
-    # 64 powers of count x 16 bytes, the 1024 x count x 16 bytes it always was
+    # the bound stated in the module docstring and README: 16 keys of the two
+    # sample arrays and at most 64 powers, each count x 16 bytes
     keys, room = cold_cache.cache_info().maxsize, 64
-    assert keys == 16 and keys * room * 2000 * 16 <= 32_800_000
+    assert keys == 16 and keys * (room + 2) * 2000 * 16 <= 33_800_000
     count = 20
     tables = cold_cache(STRIP, count, 3)
+    assert tables[0].q.nbytes == tables[1].q.nbytes == count * 16
     for e in range(room + 25):
         power = tables[e % 2][e]
         assert power.nbytes == count * 16
