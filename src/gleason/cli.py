@@ -2,7 +2,7 @@
 
 Subcommands:
     solve       write f as f1*(z1-p1) + f2*(z2-p2) and verify the result
-    decompose   print the N^2 rotation-symmetric components of f
+    decompose   print the N^2 rotation-symmetric components of f, zero ones too
     verify      check a user-supplied decomposition
     info        print domain parameters and the bounded-monomial cone
     split-line  pick a separating rational-slope line on a log boundary
@@ -119,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sl = subs.add_parser("split-line", help="separating line for a log boundary CSV")
     sl.add_argument("--boundary", required=True, help="CSV file of x,y,strict rows")
     sl.add_argument("--cusp-slope", required=True, help="rational cusp direction, e.g. 2/3")
-    sl.add_argument("--base", required=True, help="ray base point, e.g. -1.5,-2.0")
+    sl.add_argument("--base", required=True, help="ray base point, e.g. --base=-1.5,-2.0")
     sl.add_argument("--max-slope-sum", type=int, default=64, help="slope search cutoff")
     return parser
 
@@ -185,9 +185,11 @@ def _cmd_solve(args) -> int:
 def _cmd_decompose(args) -> int:
     domain = _domain_from(args)
     f = _read_poly(args, "f", args.exact)
-    system = symmetric_decompose(f, domain.pair.order)
-    for i, j in sorted(system.components):
-        print(f"f[{i},{j}] = {format_poly(system.components[(i, j)])}")
+    order = domain.pair.order
+    components = symmetric_decompose(f, order).components
+    for i in range(order):
+        for j in range(order):  # an absent component is zero
+            print(f"f[{i},{j}] = {format_poly(components.get((i, j), LaurentPolynomial.zero()))}")
     return 0
 
 

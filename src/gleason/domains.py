@@ -240,6 +240,9 @@ class LogBoundary:
             raise InputError("one strict flag per boundary point is required")
         if len(pts) < 2:
             raise InputError("boundary needs at least two points")
+        for i, (x, y) in enumerate(pts):
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise InputError(f"boundary point at index {i} must be finite, got ({x!r}, {y!r})")
         scale = max(max(abs(x), abs(y)) for x, y in pts) or 1.0
         orientation = 0
         for i in range(len(pts) - 1):
@@ -321,6 +324,8 @@ def split_line(
     pts = boundary.points
     flags = boundary.strict
     px, py = float(base_point[0]), float(base_point[1])
+    if not (math.isfinite(px) and math.isfinite(py)):
+        raise InputError(f"base point must be finite, got ({px!r}, {py!r})")
     slope = Fraction(cusp_slope)
     dx, dy = float(slope.denominator), float(slope.numerator)
 

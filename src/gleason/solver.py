@@ -5,9 +5,9 @@ symmetric components' values at the base point, so every component of the
 difference vanishes there, split each component against the ratio and cut
 monomials, then recombine through the closed-form ratio and cut splits.  A
 strip runs the same pipeline with its own cut monomial (the full cusp domain
-cuts by z2).  On the z2-axis explicit slice formulas take the place of that
-pipeline.  Every branch
-stays in Gaussian-rational arithmetic on exact input, for every (k, l).
+cuts by z2).  On the z2-axis the ratio split of D(1, l) alone takes the place
+of that pipeline.  Every branch stays in Gaussian-rational arithmetic on
+exact input, for every (k, l).
 """
 
 from __future__ import annotations
@@ -73,38 +73,24 @@ class GleasonSolution:
     report: VerificationReport
 
 
-def _axis_parts(f: LaurentPolynomial, l: int, p2):
-    """Explicit split at p = (0, p2): f = f1*z1 + f2*(z2 - p2).
+def _axis_parts(f: LaurentPolynomial, l: int, p: tuple):
+    """Split at p = (0, p2) as the ratio split of D(1, l): f = f1*z1 + f2*(z2 - p2).
 
-    With f0 the z1-free slice of f, take
+    With f0 the z1-free slice of f, f - f0 = u*h for the ratio monomial
+    u = z1 z2^(-l) and h = z2^l (f - f0) / z1.  Since u(p) = 0, the ratio
+    split u = R1*z1 + R2*(z2 - p2) gives
 
-        f1 = (z2^l / p2^l) * (f - f0) / z1,
-        f2 = -(sum_{j<l} z2^j p2^(l-1-j)) * (f - f0) / p2^l + f0 / (z2 - p2).
+        f1 = R1*h,    f2 = R2*h + f0 / (z2 - p2).
 
-    The minus sign on the (f - f0) factor is what makes the identity close:
-    (z2 - p2) times the sum telescopes to z2^l - p2^l, which cancels the
-    z2^l/p2^l prefactor of f1*z1 down to exactly (f - f0).
+    R1 is the constant p2^(-l): f1 is h times it as a scalar, whose products
+    keep the sign of a zero part.
     """
-    axis_terms: dict = {}
-    rest_terms: dict = {}
-    for (a, b), c in f.terms.items():
-        (axis_terms if a == 0 else rest_terms)[(a, b)] = c
-    f0 = LaurentPolynomial(axis_terms, prune_scale=f.max_norm)
-    rest = LaurentPolynomial(rest_terms, prune_scale=f.max_norm)
-
-    power = powi(p2, l)
-    if not power:  # a float p2^l that underflowed
-        raise InputError("float overflow: 1/p2^l is out of the float range")
-    inv = 1 / power
-    f1 = LaurentPolynomial(
-        {(a - 1, b + l): c * inv for (a, b), c in rest.terms.items()},
-        prune_scale=lambda: f.max_norm() * abs(inv),
-    )
-    comb = LaurentPolynomial(
-        {(0, j): -(powi(p2, l - 1 - j) * inv) for j in range(l)}
-    )
-    f2 = comb * rest + divide_univariate(f0, p2)
-    size = abs(power)  # 0.0 for an exact p2^l below the float range
+    f0 = LaurentPolynomial({e: c for e, c in f.terms.items() if not e[0]}, prune_scale=f.max_norm)
+    h = LaurentPolynomial({(a - 1, b + l): c for (a, b), c in f.terms.items() if a}, prune_scale=f.max_norm)
+    R1, R2 = split_ratio(1, l, p)
+    f1 = h * R1.coefficient(0, 0)
+    f2 = R2 * h + divide_univariate(f0, p[1])
+    size = abs(powi(p[1], l))  # 0.0 for an exact p2^l below the float range
     bound_rhs = 2 ** (l + 1) * float(f.one_norm()) / size if size else math.inf
     if not math.isfinite(bound_rhs):
         raise InputError("float overflow: the axis bound 2^(l+1)*|f|_1/|p2|^l is out of the float range")
@@ -126,8 +112,6 @@ def _pipeline_parts(f: LaurentPolynomial, p: tuple, pair: MonomialPair):
     terms1 = []
     terms2 = []
     for (i, j), comp in system.components.items():
-        if comp.is_zero:
-            continue
         g1, g2 = split_component(i, j, comp, pair, uv)
         terms1 += [(g1, R1), (g2, V1)]
         terms2 += [(g1, R2), (g2, V2)]
@@ -154,11 +138,10 @@ def solve(
     if force_branch is not None and force_branch not in _MODES:
         raise InputError(f"unknown branch {force_branch!r}")
     problem = GleasonProblem(domain, f, p)
-    p1, p2 = p
 
     if domain.kind == STRIP_OMEGA2:
         mode = MODE_STRIP
-    elif not p1:
+    elif not p[0]:
         mode = MODE_AXIS
     else:
         mode = MODE_INTERIOR
@@ -168,11 +151,11 @@ def solve(
         )
 
     bound_rhs = None
-    if f.is_zero:  # f1 = f2 = 0, before a deep p2 takes 1/p2^l past the float range
+    if f.is_zero:  # f1 = f2 = 0, before a deep p2 overflows the ratio split
         f1 = f2 = f
         bound_rhs = 0.0 if mode == MODE_AXIS else None
     elif mode == MODE_AXIS:
-        f1, f2, bound_rhs = _axis_parts(f, domain.l, p2)
+        f1, f2, bound_rhs = _axis_parts(f, domain.l, p)
     else:
         f1, f2 = _pipeline_parts(f, p, domain.pair)
     for name, g in (("f1", f1), ("f2", f2)):

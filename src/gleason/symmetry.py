@@ -21,7 +21,7 @@ from .scalars import powi
 
 @record
 class SymmetricSystem:
-    """All N^2 symmetric components of a polynomial."""
+    """The nonzero symmetric components of a polynomial, keyed by residue class (i, j)."""
 
     order: int
     components: dict
@@ -33,20 +33,21 @@ def _check_order(order: int) -> None:
 
 
 def symmetric_decompose(f: LaurentPolynomial, order: int) -> SymmetricSystem:
-    """Split f into its N^2 root-of-unity symmetric components by exponent routing."""
+    """Split f into its root-of-unity symmetric components by exponent routing.
+
+    One bucket per residue class that f occupies, in routing order (sorted
+    (i, j)); a floating bucket is pruned at |f|, and one that prunes to
+    nothing is left out, so every absent component is zero.
+    """
     _check_order(order)
-    buckets: dict = {(i, j): {} for i in range(order) for j in range(order)}
+    buckets: dict = {}
     for (a, b), c in f.terms.items():
-        i = a % order
-        j = b % order
-        buckets[(i, j)][(a - i, b - j)] = c
-    if f.is_exact():  # routing keeps canonical terms canonical
-        components = {key: _wrap(terms) for key, terms in buckets.items()}
-    else:  # an empty bucket is the exact zero its construction would give
-        components = {
-            key: LaurentPolynomial(terms, prune_scale=f.max_norm) if terms else _wrap(terms)
-            for key, terms in buckets.items()
-        }
+        i, j = a % order, b % order
+        buckets.setdefault((i, j), {})[(a - i, b - j)] = c
+    # routing keeps exact canonical terms canonical
+    build = _wrap if f.is_exact() else lambda terms: LaurentPolynomial(terms, prune_scale=f.max_norm)
+    components = {key: build(terms) for key, terms in sorted(buckets.items())}
+    components = {key: comp for key, comp in components.items() if not comp.is_zero}
     return SymmetricSystem(order=order, components=components)
 
 

@@ -221,12 +221,17 @@ def test_bad_polynomial_is_exit_two(capsys):
     assert "offset 3" in err
 
 
-def test_split_line_command(tmp_path, capsys):
+def _arc_rows(count: int = 56) -> list:
+    """x,y,strict rows of a unit-circle arc from 170 down to 5 degrees."""
     rows = []
-    count = 56
     for i in range(count):
         t = math.radians(170.0 + (5.0 - 170.0) * i / (count - 1))
         rows.append(f"{math.cos(t)},{math.sin(t)},1")
+    return rows
+
+
+def test_split_line_command(tmp_path, capsys):
+    rows = _arc_rows()
     csv = tmp_path / "arc.csv"
     csv.write_text("\n".join(rows), encoding="utf-8")
     code, out, _ = run_cli(
@@ -246,6 +251,43 @@ def test_split_line_command(tmp_path, capsys):
     )
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "row,column,text,index",
+    [(10, 0, "nan", 10), (55, 1, "inf", 55), (3, 0, "1e400", 3)],
+    ids=["nan-x", "inf-y", "1e400-x"],
+)
+def test_split_line_rejects_a_non_finite_boundary_point(tmp_path, capsys, row, column, text, index):
+    # before, the NaN row was dropped from the answer and the infinite one moved it
+    rows = _arc_rows()
+    parts = rows[row].split(",")
+    parts[column] = text
+    rows[row] = ",".join(parts)
+    csv = tmp_path / "arc.csv"
+    csv.write_text("\n".join(rows), encoding="utf-8")
+    code, out, err = run_cli(
+        capsys,
+        "split-line", "--boundary", str(csv), "--cusp-slope", "1", "--base", "0,0",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: boundary point at index {index} must be finite, got (")
+
+
+def test_split_line_base_point_forms(tmp_path, capsys):
+    csv = tmp_path / "arc.csv"
+    csv.write_text("\n".join(_arc_rows()), encoding="utf-8")
+    argv = ("split-line", "--boundary", str(csv), "--cusp-slope", "1")
+    # a NaN base was blamed on the ray missing the boundary
+    code, out, err = run_cli(capsys, *argv, "--base=nan,0")
+    assert (code, out, err) == (2, "", "error: base point must be finite, got (nan, 0.0)\n")
+    # the help's example: a negative base needs the = form, as argparse reads
+    # "--base -1.5,-2.0" as a flag without its value
+    with pytest.raises(SystemExit):
+        main(["split-line", "--help"])
+    assert "e.g. --base=-1.5,-2.0" in capsys.readouterr().out
+    code, out, _ = run_cli(capsys, *argv, "--base=-1.5,-2.0")
+    assert code == 0 and len(out.split()) == 4
 
 
 def test_split_line_bad_flags(tmp_path, capsys):

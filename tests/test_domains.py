@@ -351,6 +351,27 @@ def test_split_line_all_flags_false_is_infeasible():
         split_line(b, Fraction(1), (0.0, 0.0))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, float("1e400")])
+@pytest.mark.parametrize("where", [(10, 0), (23, 1)])
+def test_log_boundary_rejects_a_non_finite_point(bad, where):
+    pts = [list(point) for point in _arc(count=24)]
+    index, axis = where
+    pts[index][axis] = bad
+    with pytest.raises(InputError, match=f"^boundary point at index {index} must be finite"):
+        LogBoundary(points=tuple(map(tuple, pts)), strict=(True,) * 24)
+    csv = "\n".join(f"{x!r},{y!r},1" for x, y in pts)
+    with pytest.raises(InputError, match=f"^boundary point at index {index} must be finite"):
+        LogBoundary.from_csv(csv)
+
+
+@pytest.mark.parametrize("base", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0)])
+def test_split_line_rejects_a_non_finite_base(base):
+    pts = _arc(count=24)
+    b = LogBoundary(points=tuple(pts), strict=tuple([True] * len(pts)))
+    with pytest.raises(InputError, match="^base point must be finite"):
+        split_line(b, Fraction(1), base)
+
+
 def test_split_line_ray_must_hit():
     pts = _arc(count=24)
     b = LogBoundary(points=tuple(pts), strict=tuple([True] * len(pts)))

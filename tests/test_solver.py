@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from gleason import (
     CuspDomain,
@@ -17,7 +18,7 @@ from gleason import (
 from gleason.errors import InputError, NonvanishingError, UnboundedError
 from gleason.laurent import divide_univariate, multiply_add
 from gleason.scalars import powi
-from gleason.solver import MODE_AXIS, MODE_INTERIOR, MODE_STRIP, _pipeline_parts
+from gleason.solver import MODE_AXIS, MODE_INTERIOR, MODE_STRIP, _axis_parts, _pipeline_parts
 from gleason.verify import symbolic_residual
 
 from conftest import (
@@ -144,6 +145,99 @@ def test_axis_solve_of_axis_only_function():
     assert sol.f1.is_zero
     assert sol.f2 == divide_univariate(f, p2)
     assert sol.report.passed
+
+
+def _reference_axis_parts(f, l, p2):
+    """The axis branch's slice formulas, written out without the ratio split:
+
+        f1 = (z2^l / p2^l) * (f - f0) / z1,
+        f2 = -(sum_{j<l} z2^j p2^(l-1-j)) * (f - f0) / p2^l + f0 / (z2 - p2).
+    """
+    axis_terms: dict = {}
+    rest_terms: dict = {}
+    for (a, b), c in f.terms.items():
+        (axis_terms if a == 0 else rest_terms)[(a, b)] = c
+    f0 = LaurentPolynomial(axis_terms, prune_scale=f.max_norm)
+    rest = LaurentPolynomial(rest_terms, prune_scale=f.max_norm)
+    power = powi(p2, l)
+    if not power:  # a float p2^l that underflowed
+        raise InputError("float overflow: 1/p2^l is out of the float range")
+    inv = 1 / power
+    f1 = LaurentPolynomial(
+        {(a - 1, b + l): c * inv for (a, b), c in rest.terms.items()},
+        prune_scale=lambda: f.max_norm() * abs(inv),
+    )
+    comb = LaurentPolynomial({(0, j): -(powi(p2, l - 1 - j) * inv) for j in range(l)})
+    f2 = comb * rest + divide_univariate(f0, p2)
+    size = abs(power)
+    bound_rhs = 2 ** (l + 1) * float(f.one_norm()) / size if size else math.inf
+    if not math.isfinite(bound_rhs):
+        raise InputError("float overflow: the axis bound 2^(l+1)*|f|_1/|p2|^l is out of the float range")
+    return f1, f2, bound_rhs
+
+
+def _parts_state(compute) -> tuple:
+    """Each part's terms in order with coefficient reprs and stored norm, and
+    the bound's repr; or the type and message of the error raised."""
+    try:
+        f1, f2, bound_rhs = compute()
+    except Exception as err:  # noqa: BLE001 - the error itself is compared
+        return type(err).__name__, str(err)
+    states = [([(e, repr(c)) for e, c in g.terms.items()], repr(g._norm)) for g in (f1, f2)]
+    return states, repr(bound_rhs)
+
+
+def _axis_input(terms: dict, exact: bool, p2):
+    """f from terms with z1-exponents >= 0, made to vanish at (0, p2) through
+    its constant term, with the base point; None where the float range ends."""
+    p = (QComplex(0) if exact else 0.0, p2)
+    try:
+        f = LaurentPolynomial(terms)
+        f = f - LaurentPolynomial.constant(f.eval(*p))
+    except InputError:  # an infinite f(p) sets an infinite prune scale
+        return None
+    return f, p
+
+
+_axis_exponents = st.tuples(st.integers(0, 4), st.integers(-6, 6))
+_exact_axis_inputs = st.builds(
+    _axis_input,
+    st.dictionaries(_axis_exponents, st.fractions(-4, 4, max_denominator=6), max_size=6),
+    st.just(True),
+    st.builds(
+        lambda q, e: QComplex(q / 10**e),
+        st.fractions(-1, 1, max_denominator=9).filter(bool),
+        st.integers(0, 330),
+    ),
+)
+_float_axis_inputs = st.builds(
+    _axis_input,
+    st.dictionaries(
+        _axis_exponents,
+        st.builds(lambda c, e: c * 10.0**e, st.complex_numbers(max_magnitude=1.0), st.integers(-20, 20)),
+        max_size=6,
+    ),
+    st.just(False),
+    st.builds(
+        lambda c, e: c * 10.0**e,
+        st.one_of(
+            st.floats(0.1, 1.0), st.floats(-1.0, -0.1), st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0)
+        ),
+        st.integers(-70, 0),
+    ),
+)
+
+
+@given(st.one_of(_exact_axis_inputs, _float_axis_inputs).filter(bool), st.integers(1, 6))
+@example((LaurentPolynomial({(1, 0): -1.0}), (0.0, -0.5)), 1)  # f1 = (2-0j), with its signed zero
+@example((LaurentPolynomial({(1, 0): 1.0}), (0.0, 1e-60)), 6)  # p2^6 underflows
+@example((LaurentPolynomial({(1, 0): QComplex(1)}), (QComplex(0), QComplex(Fraction(1, 10**320)))), 1)
+def test_axis_parts_are_the_slice_formulas(case, l):
+    # the ratio split at p1 = 0 builds the slice formulas' parts term for
+    # term, with their norms, and their bound, or raises their error
+    f, p = case
+    want = _parts_state(lambda: _reference_axis_parts(f, l, p[1]))
+    assert _parts_state(lambda: _axis_parts(f, l, p)) == want
 
 
 # -- randomized exactness and cone soundness ----------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -35,16 +36,18 @@ from conftest import (
 
 def test_decompose_routing_examples():
     sys2 = symmetric_decompose(monomial(1, 0), 2)
-    assert sys2.components[(1, 0)] == LaurentPolynomial.constant(1)
-    assert all(
-        sys2.components[(i, j)].is_zero for i in range(2) for j in range(2) if (i, j) != (1, 0)
-    )
+    assert sys2.components == {(1, 0): LaurentPolynomial.constant(1)}
 
     const = symmetric_decompose(LaurentPolynomial.constant(7), 5)
-    assert const.components[(0, 0)] == LaurentPolynomial.constant(7)
+    assert const.components == {(0, 0): LaurentPolynomial.constant(7)}
 
     ratio = symmetric_decompose(monomial(1, -1), 2)
-    assert ratio.components[(1, 1)] == monomial(0, -2)
+    assert ratio.components == {(1, 1): monomial(0, -2)}
+
+
+def test_decompose_builds_only_the_classes_f_occupies():
+    # a monomial at order 300 is one component, not the 90000 of the square
+    assert len(symmetric_decompose(monomial(1, 0), 300).components) == 1
 
 
 def test_decompose_order_validation():
@@ -58,8 +61,10 @@ def test_reconstruction_is_exact(order, exact):
     rng = random.Random(order * 17 + exact)
     f = rand_laurent(rng, terms=10, max_exp=7, exact=exact)
     system = symmetric_decompose(f, order)
-    assert len(system.components) == order * order
+    # one nonzero component per residue class of f's exponents, in routing order
+    assert list(system.components) == sorted({(a % order, b % order) for a, b in f.exponents()})
     for (i, j), comp in system.components.items():
+        assert not comp.is_zero
         for a, b in comp.exponents():
             assert a % order == 0 and b % order == 0
     rebuilt = recombine(system)
@@ -90,7 +95,7 @@ def test_routing_matches_numeric_averaging(order):
         system = symmetric_decompose(f, order)
         for i in range(order):
             for j in range(order):
-                direct = system.components[(i, j)].eval(q1, q2)
+                direct = system.components.get((i, j), LaurentPolynomial.zero()).eval(q1, q2)
                 averaged = averaged_component(f, order, i, j, q1, q2)
                 assert abs(direct - averaged) <= 1e-10 * scale
 
@@ -209,6 +214,18 @@ def _state(f: LaurentPolynomial) -> tuple:
     return [(e, repr(c)) for e, c in f.terms.items()], repr(f._norm)
 
 
+def _dense_decompose(f: LaurentPolynomial, order: int) -> dict:
+    """The whole N x N square of components in routing order, each bucket
+    built at |f| and an empty one the exact zero."""
+    buckets: dict = {(i, j): {} for i in range(order) for j in range(order)}
+    for (a, b), c in f.terms.items():
+        buckets[(a % order, b % order)][(a - a % order, b - b % order)] = c
+    return {
+        key: LaurentPolynomial(terms, prune_scale=f.max_norm) if terms else LaurentPolynomial.zero()
+        for key, terms in buckets.items()
+    }
+
+
 @given(bucket_polys, st.integers(1, 4))
 def test_each_component_is_its_bucket_construction(f, order):
     if f.max_norm() == math.inf:
@@ -216,21 +233,28 @@ def test_each_component_is_its_bucket_construction(f, order):
         with pytest.raises(InputError, match="float overflow"):
             symmetric_decompose(f, order)
         return
-    components = symmetric_decompose(f, order).components
-    assert list(components) == [(i, j) for i in range(order) for j in range(order)]
-    buckets = {key: {} for key in components}
+    buckets: dict = {}
     for (a, b), c in f.terms.items():
-        buckets[(a % order, b % order)][(a - a % order, b - b % order)] = c
+        buckets.setdefault((a % order, b % order), {})[(a - a % order, b - b % order)] = c
+    built = {key: LaurentPolynomial(terms, prune_scale=f.max_norm) for key, terms in sorted(buckets.items())}
+    components = symmetric_decompose(f, order).components
+    # a bucket that prunes to nothing leaves no component
+    assert list(components) == [key for key, comp in built.items() if not comp.is_zero]
     for key, comp in components.items():
-        assert _state(comp) == _state(LaurentPolynomial(buckets[key], prune_scale=f.max_norm))
-    # an empty bucket is an exact zero of its own: a norm cached on one leaves
-    # the others exact
-    empty = [comp for key, comp in components.items() if not buckets[key]]
-    assert all(comp.is_zero and comp._norm is None for comp in empty)
-    for comp in empty:
-        comp.max_norm()
-        assert sum(other._norm is None for other in empty) == len(empty) - 1
-        comp._norm = None
+        assert _state(comp) == _state(built[key])
+
+
+@given(bucket_polys, st.integers(1, 4))
+def test_components_are_the_nonzero_ones_of_the_dense_square(f, order):
+    try:
+        dense = _dense_decompose(f, order)
+    except InputError as err:
+        with pytest.raises(InputError, match=f"^{re.escape(str(err))}$"):
+            symmetric_decompose(f, order)
+        return
+    want = [(key, _state(comp)) for key, comp in dense.items() if not comp.is_zero]
+    components = symmetric_decompose(f, order).components
+    assert [(key, _state(comp)) for key, comp in components.items()] == want
 
 
 @given(
