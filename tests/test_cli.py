@@ -254,12 +254,12 @@ def test_split_line_command(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "row,column,text,index",
-    [(10, 0, "nan", 10), (55, 1, "inf", 55), (3, 0, "1e400", 3)],
+    "row,column,text",
+    [(10, 0, "nan"), (55, 1, "inf"), (3, 0, "1e400")],
     ids=["nan-x", "inf-y", "1e400-x"],
 )
-def test_split_line_rejects_a_non_finite_boundary_point(tmp_path, capsys, row, column, text, index):
-    # before, the NaN row was dropped from the answer and the infinite one moved it
+def test_split_line_rejects_a_non_finite_boundary_point(tmp_path, capsys, row, column, text):
+    # a NaN row must not drop out of the answer, nor an infinite one move it
     rows = _arc_rows()
     parts = rows[row].split(",")
     parts[column] = text
@@ -271,14 +271,14 @@ def test_split_line_rejects_a_non_finite_boundary_point(tmp_path, capsys, row, c
         "split-line", "--boundary", str(csv), "--cusp-slope", "1", "--base", "0,0",
     )
     assert (code, out) == (2, "")
-    assert err.startswith(f"error: boundary point at index {index} must be finite, got (")
+    assert err.startswith(f"error: boundary point at index {row} must be finite, got (")
 
 
 def test_split_line_base_point_forms(tmp_path, capsys):
     csv = tmp_path / "arc.csv"
     csv.write_text("\n".join(_arc_rows()), encoding="utf-8")
     argv = ("split-line", "--boundary", str(csv), "--cusp-slope", "1")
-    # a NaN base was blamed on the ray missing the boundary
+    # a NaN base is named, not blamed on the ray missing the boundary
     code, out, err = run_cli(capsys, *argv, "--base=nan,0")
     assert (code, out, err) == (2, "", "error: base point must be finite, got (nan, 0.0)\n")
     # the help's example: a negative base needs the = form, as argparse reads

@@ -351,7 +351,7 @@ def test_split_line_all_flags_false_is_infeasible():
         split_line(b, Fraction(1), (0.0, 0.0))
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, float("1e400")])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("where", [(10, 0), (23, 1)])
 def test_log_boundary_rejects_a_non_finite_point(bad, where):
     pts = [list(point) for point in _arc(count=24)]

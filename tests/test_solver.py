@@ -181,7 +181,7 @@ def _parts_state(compute) -> tuple:
     the bound's repr; or the type and message of the error raised."""
     try:
         f1, f2, bound_rhs = compute()
-    except Exception as err:  # noqa: BLE001 - the error itself is compared
+    except Exception as err:  # compared by its type and message
         return type(err).__name__, str(err)
     states = [([(e, repr(c)) for e, c in g.terms.items()], repr(g._norm)) for g in (f1, f2)]
     return states, repr(bound_rhs)
