@@ -8,13 +8,15 @@ Subcommands:
     split-line  pick a separating rational-slope line on a log boundary
 
 Exit codes: 0 solved and verified, 1 solved but verification failed (the
-report is still printed), 2 input error with a one-line diagnostic on stderr.
+report is still printed), 2 input error with a one-line diagnostic on stderr,
+141 (128 + SIGPIPE) stdout closed early, as by `| head`, with nothing on stderr.
 Complex literals use the form a+bi with no spaces, e.g. "0.5-0.25i".
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -257,7 +259,12 @@ def main(argv=None) -> int:
         # --tol bounds the sampled residual; with no samples it would accept anything
         if getattr(args, "tol", None) is not None and args.samples <= 0:
             raise InputError("--tol needs --samples > 0")
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed stdout raises here, not in the exit flush
+        return code
+    except BrokenPipeError:  # quiet the exit flush too: point fd 1 at the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (GleasonError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

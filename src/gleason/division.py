@@ -31,16 +31,13 @@ from .scalars import VANISH_TOL_REL, negligible, powi
 
 @record
 class MonomialPair:
-    """Exponent data of the ratio monomial z1^k z2^(-l) and cut monomial z1^m z2^n."""
+    """Exponent data of the ratio monomial z1^k z2^(-l) and cut monomial z1^m z2^n,
+    k, l, n >= 1 and m >= 0 as CuspDomain.pair takes them from a valid domain."""
 
     k: int
     l: int
     m: int = 0
     n: int = 1
-
-    def __post_init__(self):
-        if self.k < 1 or self.l < 1 or self.n < 1 or self.m < 0:
-            raise ValueError("need k, l, n >= 1 and m >= 0")
 
     @property
     def order(self) -> int:
@@ -57,11 +54,10 @@ def split_ratio(k: int, l: int, p: tuple) -> tuple[LaurentPolynomial, LaurentPol
     """Closed-form pair (R1, R2) with u - u(p) = R1*(z1-p1) + R2*(z2-p2).
 
     Here u = z1^k z2^(-l).  Both parts are bounded on the cusp domain: their
-    exponents sit inside the recession cone by construction.
+    exponents sit inside the recession cone by construction.  Requires
+    p2 != 0, as at every point a domain contains.
     """
     p1, p2 = p
-    if not p2:
-        raise NonvanishingError("ratio split needs p2 != 0", p)
     power = powi(p2, l)
     if not power:  # a float p2^l that underflowed
         raise InputError("float overflow: 1/p2^l is out of the float range")
@@ -127,16 +123,17 @@ def split_component(
     uv is (u(p), v(p)) = ratio_cut_point(pair, p), the ratio and cut
     monomials u, v at a base point p off the coordinate axes, so that a
     caller splitting every component at one p forms them once.  comp must be
-    symmetric of order pair.order and z1^i z2^j * comp must vanish at p.
+    a component of symmetric_decompose(h, pair.order): its exponents are
+    divisible by the order, and a floating one is pruned at |h| >= |comp|.
+    z1^i z2^j * comp must vanish at p.
     Returns (g1, g2) with
 
         z1^i z2^j comp = g1 * (u - u(p)) + g2 * (v - v(p)).
 
     One pass over comp's terms rewrites each as c u^alpha v^beta, a term of
     the (u, v) form g, files it in its cut slice and adds c u(p)^alpha to the
-    fiber projection g(u(p), v), kept as a map from beta.  A floating g is
-    comp pruned at |comp|, as a relabel is (see `laurent._relabelled`), so
-    its norm is |comp|; the projection is pruned at |g|.
+    fiber projection g(u(p), v), kept as a map from beta.  A floating g has
+    comp's norm; the projection is pruned at |g|.
     Each quotient term is written at once under its z-exponent, u^alpha
     v^beta times z1^i z2^j being z1^(alpha*k + beta*m + i)
     z2^(-alpha*l + beta*n + j); no (u, v) polynomial is built.  Dividing the
@@ -146,19 +143,12 @@ def split_component(
     u_p, v_p = uv
     k, l, m, n = pair.k, pair.l, pair.m, pair.n
     order = pair.order
-    # None when exact: g keeps every exact term; an infinite norm raises here
-    threshold = _own_threshold(comp)
-    norm = None if threshold is None else comp.max_norm()
+    # None when exact; an infinite norm raises here
+    norm = None if _own_threshold(comp) is None else comp.max_norm()
     slices: dict = {}
     fiber: dict = {}
     powers: dict = {}
     for (a, b), c in comp._terms.items():
-        if a % order or b % order:
-            raise InternalContractError(
-                f"exponent ({a}, {b}) is not divisible by the symmetry order {order}"
-            )
-        if threshold is not None and ((size := abs(c)) == 0 or size <= threshold):
-            continue
         alpha, beta = (a * n - b * m) // order, (a * l + b * k) // order
         slices.setdefault(beta, {})[alpha] = c
         if alpha:
@@ -170,7 +160,7 @@ def split_component(
                 powers[alpha] = powi(u_p, alpha)
             c = c * powers[alpha]
         fiber[beta] = fiber.get(beta, 0) + c
-    g_norm = comp.max_norm if norm is None else norm  # the prune keeps comp's largest term
+    g_norm = comp.max_norm if norm is None else norm
     fiber, fiber_norm = _canonical(fiber, g_norm)
     if fiber_norm is None:
         fiber_norm = lambda: max(map(abs, fiber.values()), default=0.0)

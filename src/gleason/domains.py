@@ -32,8 +32,11 @@ STRIP_OMEGA2 = "strip_omega2"
 # Width, in log scale, of the truncated z1-section used by the sampler; the
 # true section of hartogs_full is a half line.
 SECTION_WIDTH = 24.0
+# The sampler's bands in log|z2|, and the chance that a point is drawn deep.
+DEEP_BAND_BOTTOM = -30.0
 DEEP_BAND_TOP = -3.0
 SHALLOW_BAND_TOP = -1e-3
+CUSP_BIAS = 0.5
 
 
 def _abs2(q) -> tuple[int, int]:
@@ -169,17 +172,11 @@ def _strip_y_ceiling(domain: CuspDomain) -> float:
     return (k * n * r - m * math.log(domain.lower)) / (k * n + l * m)
 
 
-def sample(
-    domain: CuspDomain,
-    count: int,
-    seed: int,
-    cusp_bias: float = 0.5,
-    depth: float = 30.0,
-) -> list[tuple[complex, complex]]:
+def sample(domain: CuspDomain, count: int, seed: int) -> list[tuple[complex, complex]]:
     """Deterministic domain points, biased toward the cusp.
 
-    Each point independently falls in the deep band log|z2| in [-depth, -3]
-    with probability cusp_bias, otherwise in [-3, -1e-3]; log|z1| is uniform
+    Each point independently falls in the deep band log|z2| in [-30, -3]
+    with probability CUSP_BIAS, otherwise in [-3, -1e-3]; log|z1| is uniform
     in the (truncated) section and phases are uniform.  Every returned point
     satisfies domain.contains.  Per point the random stream order is: band
     choice, y, x, then two phases.  This makes sample sets for growing counts
@@ -193,11 +190,11 @@ def sample(
         ceiling = math.inf
     pts = []
     for _ in range(count):
-        deep = rng.random() < cusp_bias
-        lo, hi = (-depth, DEEP_BAND_TOP) if deep else (DEEP_BAND_TOP, SHALLOW_BAND_TOP)
+        deep = rng.random() < CUSP_BIAS
+        lo, hi = (DEEP_BAND_BOTTOM, DEEP_BAND_TOP) if deep else (DEEP_BAND_TOP, SHALLOW_BAND_TOP)
         hi = min(hi, ceiling)
         if hi <= lo:
-            lo = hi - (DEEP_BAND_TOP - (-depth) if deep else SHALLOW_BAND_TOP - DEEP_BAND_TOP)
+            lo = hi - (DEEP_BAND_TOP - DEEP_BAND_BOTTOM if deep else SHALLOW_BAND_TOP - DEEP_BAND_TOP)
         y = rng.uniform(lo, hi)
         if domain.kind == HARTOGS_FULL:
             top = y * domain.l / domain.k
@@ -327,7 +324,10 @@ def split_line(
     if not (math.isfinite(px) and math.isfinite(py)):
         raise InputError(f"base point must be finite, got ({px!r}, {py!r})")
     slope = Fraction(cusp_slope)
-    dx, dy = float(slope.denominator), float(slope.numerator)
+    try:
+        dx, dy = float(slope.denominator), float(slope.numerator)
+    except OverflowError as err:
+        raise InputError("cusp slope's numerator or denominator is out of the float range") from err
 
     hits = []
     last = len(pts) - 2

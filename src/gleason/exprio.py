@@ -42,9 +42,6 @@ class _Token:
         self.text = text
         self.pos = pos
 
-    def __repr__(self):
-        return f"_Token({self.kind}, {self.text!r}, {self.pos})"
-
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []

@@ -725,56 +725,36 @@ def _exact_quotient(coeffs: dict, root: QComplex, low: int) -> tuple:
 def divide_univariate(f: LaurentPolynomial, root) -> LaurentPolynomial:
     """Quotient f / (z2 - root) for f in z2 alone, vanishing at root.
 
-    root must be nonzero; negative exponents are handled by clearing the pole
-    first.  The remainder must pass the vanishing test scaled by the
-    coefficient sum; otherwise NotDivisibleError carries the residual f(root).
+    Requires root != 0 and f in nonnegative powers of z2 alone, as the z1-free
+    slices of P and of a bounded f on the axis are.  The remainder must pass the
+    vanishing test scaled by the coefficient sum; otherwise NotDivisibleError
+    carries the residual f(root).
     """
-    if not root:
-        raise EvaluationDomainError("division root must be nonzero")
     if f.is_zero:
         return LaurentPolynomial.zero()
-    if any(a for a, _ in f.exponents()):
-        raise ValueError("polynomial depends on z1")
-
     coeffs = {b: c for (_, b), c in f.terms.items()}
     quotient, remainder = _linear_quotient(coeffs, root)
     if not negligible(remainder, f.one_norm):
-        residual = remainder * powi(root, min(0, min(coeffs)))
         if scalar_is_exact(remainder):
-            raise NotDivisibleError("nonzero remainder in exact division", residual)
-        raise NotDivisibleError(
-            f"remainder {abs(remainder):.3e} beyond tolerance", residual
-        )
-    return LaurentPolynomial(
-        {(0, d): c for d, c in quotient.items()},
-        prune_scale=lambda: f.max_norm() * (1 + abs(root)),
-    )
+            raise NotDivisibleError("nonzero remainder in exact division", remainder)
+        raise NotDivisibleError(f"remainder {abs(remainder):.3e} beyond tolerance", remainder)
+    terms = {(0, d): c for d, c in quotient.items()}
+    return LaurentPolynomial(terms, prune_scale=lambda: f.max_norm() * (1 + abs(root)))
 
 
 def shift_divide_z1(f: LaurentPolynomial, p1) -> LaurentPolynomial:
     """Quotient (f - f|_{z1=p1}) / (z1 - p1), taken slice by slice in z2.
 
-    p1 must be nonzero.
+    Requires p1 != 0 and no negative z1-exponent in f, as for the correction
+    polynomial P off the z2-axis.
     """
-    if not p1:
-        raise EvaluationDomainError("division root must be nonzero")
     slices: dict[int, dict[int, object]] = {}
     for (a, b), c in f.terms.items():
         slices.setdefault(b, {})[a] = c
-
     out: dict = {}
     for b, sl in slices.items():
-        # Without a pole the constant term reaches only the remainder, which
-        # is discarded, so slice(p1) is needed only for a slice with a pole.
-        if min(sl) < 0:
-            value = 0
-            for a, c in sl.items():
-                value = value + c * powi(p1, a)
-            sl[0] = sl.get(0, 0) - value
-        # The remainder is (slice - slice(p1))(p1) = 0 up to roundoff; discard.
-        quotient, _remainder = _linear_quotient(sl, p1)
-        for d, c in quotient.items():
+        # the constant term reaches only the remainder, (slice - slice(p1))(p1)
+        # = 0 up to roundoff, which is discarded
+        for d, c in _linear_quotient(sl, p1)[0].items():
             out[(d, b)] = c
-    return LaurentPolynomial(
-        out, prune_scale=lambda: f.max_norm() * (1 + abs(p1))
-    )
+    return LaurentPolynomial(out, prune_scale=lambda: f.max_norm() * (1 + abs(p1)))

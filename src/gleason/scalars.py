@@ -77,10 +77,6 @@ class QComplex:
         """|self|^2 as an exact Fraction."""
         return Fraction(self._x * self._x + self._y * self._y, self._d * self._d)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._x and not self._y
-
     def __bool__(self):
         return bool(self._x or self._y)
 

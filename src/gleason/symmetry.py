@@ -27,11 +27,6 @@ class SymmetricSystem:
     components: dict
 
 
-def _check_order(order: int) -> None:
-    if order < 1:
-        raise InputError("symmetrization order must be a positive integer")
-
-
 def symmetric_decompose(f: LaurentPolynomial, order: int) -> SymmetricSystem:
     """Split f into its root-of-unity symmetric components by exponent routing.
 
@@ -39,7 +34,8 @@ def symmetric_decompose(f: LaurentPolynomial, order: int) -> SymmetricSystem:
     (i, j)); a floating bucket is pruned at |f|, and one that prunes to
     nothing is left out, so every absent component is zero.
     """
-    _check_order(order)
+    if order < 1:
+        raise InputError("symmetrization order must be a positive integer")
     buckets: dict = {}
     for (a, b), c in f.terms.items():
         i, j = a % order, b % order
@@ -60,7 +56,8 @@ def correction_polynomial(
     f_ij - f_ij(p), so every symmetric component of the difference vanishes
     at p.  Every f_ij is constant on the grid { zeta^s p1 } x { zeta^t p2 } of
     N-th roots of unity zeta, so P is also the tensor interpolant of f on that
-    grid, of degree at most N-1 in each variable.  Requires nonzero p1, p2.
+    grid, of degree at most N-1 in each variable.  Requires nonzero p1, p2
+    and order >= 1, as at a point off the z2-axis that a domain contains.
 
     Each value is the one f_ij.eval(*p) returns, but no component is built:
     each term c of f, pruned first when floating where the component's
@@ -69,9 +66,6 @@ def correction_polynomial(
     taken once per call.
     """
     p1, p2 = p
-    if not p1 or not p2:
-        raise InputError("correction polynomial requires a base point off the axes")
-    _check_order(order)
     threshold = _own_threshold(f)
     pow1: dict = {}
     pow2: dict = {}

@@ -125,13 +125,11 @@ def sampled_sup(
     domain: CuspDomain,
     count: int,
     seed: int,
-    cusp_bias: float = 0.5,
-    depth: float = 30.0,
 ) -> float:
     """Max of |f| over the deterministic sample set (a lower bound for the sup)."""
     if count <= 0:
         return 0.0
-    pts = sample(domain, count, seed, cusp_bias, depth)
+    pts = sample(domain, count, seed)
     q1 = np.array([a for a, _ in pts], dtype=complex)
     q2 = np.array([b for _, b in pts], dtype=complex)
     return float(np.max(np.abs(eval_fresh(f, q1, q2))))
@@ -144,7 +142,7 @@ def rand_fraction(rng: random.Random, span: int = 8) -> Fraction:
 def rand_qcomplex(rng: random.Random, nonzero: bool = False) -> QComplex:
     while True:
         q = QComplex(rand_fraction(rng), rand_fraction(rng))
-        if not (nonzero and q.is_zero):
+        if not (nonzero and not q):
             return q
 
 
@@ -283,7 +281,7 @@ def rand_interior_point(rng: random.Random, domain: CuspDomain, exact: bool = Fa
                 p2 = complex(r2 * math.cos(t2), r2 * math.sin(t2))
             if not domain.contains(p1, p2):
                 continue
-            if exact and (p1.is_zero or p2.is_zero):
+            if exact and (not p1 or not p2):
                 continue
             if not exact and (p1 == 0 or p2 == 0):
                 continue

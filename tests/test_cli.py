@@ -1,7 +1,11 @@
 """In-process CLI exercises for all five subcommands and the exit codes."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -303,6 +307,31 @@ def test_split_line_bad_flags(tmp_path, capsys):
         "split-line", "--boundary", str(csv), "--cusp-slope", "1", "--base", "zero",
     )
     assert code == 2 and "base" in err
+
+
+@pytest.mark.parametrize("slope", ["1e999", "1e-999"])
+def test_split_line_slope_past_the_float_range_is_exit_two(tmp_path, capsys, slope):
+    # an exact slope whose numerator or denominator no float holds is named,
+    # not an OverflowError traceback that exits 1 as a failed verification would
+    csv = tmp_path / "arc.csv"
+    csv.write_text("\n".join(_arc_rows()), encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "split-line", "--boundary", str(csv), "--cusp-slope", slope, "--base=-1.5,-2.0"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: cusp slope's numerator or denominator is out of the float range\n"
+
+
+def test_closed_stdout_exits_as_sigpipe_with_nothing_on_stderr():
+    # `gleason decompose ... | head -1`: the reader closes the pipe after one of
+    # the 90000 lines, and the command exits 128 + SIGPIPE, quietly
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-m", "gleason.cli", "decompose", "--k", "300", "--l", "1", "--f", "z1"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
+        assert child.stdout.readline() == b"f[0,0] = 0\n"
+        child.stdout.close()
+        err = child.stderr.read()
+        assert (child.wait(timeout=120), err) == (141, b"")
 
 
 def test_strip_solve_via_cli(capsys):

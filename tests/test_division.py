@@ -23,7 +23,7 @@ from gleason.division import (
     split_polynomial,
     split_ratio,
 )
-from gleason.errors import GleasonError, InternalContractError, NonvanishingError
+from gleason.errors import GleasonError, InputError, InternalContractError, NonvanishingError
 from gleason.laurent import PRUNE_REL, _linear_quotient, _relabelled
 from gleason.scalars import negligible, powi
 
@@ -51,9 +51,10 @@ def test_monomial_pair_validation_and_order():
     assert MonomialPair(2, 1).order == 2
     assert MonomialPair(2, 3, 1, 1).order == 5
     assert MonomialPair(1, 1, 0, 1).order == 1
-    for bad in [(0, 1, 0, 1), (1, 0, 0, 1), (1, 1, -1, 1), (1, 1, 0, 0)]:
-        with pytest.raises(ValueError):
-            MonomialPair(*bad)
+    # the domain whose pair it is validates the exponents
+    for k, l, m, n in [(0, 1, 0, 1), (1, 0, 0, 1), (1, 1, -1, 1), (1, 1, 0, 0)]:
+        with pytest.raises(InputError):
+            CuspDomain.strip(k, l, 0.5, 2.0, m, n, 0.0)
 
 
 def test_fiber_data_values():
@@ -277,8 +278,6 @@ def test_split_ratio_identity_and_cone(k, l):
         assert r1 * lin1 + r2 * lin2 == target
         assert poly_bounded(domain, r1).bounded
         assert poly_bounded(domain, r2).bounded
-    with pytest.raises(NonvanishingError):
-        split_ratio(k, l, (QComplex(1), QComplex(0)))
 
 
 # -- split_cut ----------------------------------------------------------------
@@ -672,9 +671,6 @@ def test_split_component_at_an_underflowed_ratio_value(exact):
         "EvaluationDomainError", "negative z1-exponent evaluated at z1 = 0")
     inside = LaurentPolynomial({(2, 0): one, (2, 2): one, (0, 0): -4 * one})  # u v + v^2 - 4
     assert isinstance(_assert_split_matches(1, 0, inside, pair, uv), list)
-    # a non-symmetric exponent raises before anything else
-    assert _assert_split_matches(0, 0, inside + LaurentPolynomial({(1, 0): one}), pair, uv)[0] == (
-        "InternalContractError")
 
 
 

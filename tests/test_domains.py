@@ -220,13 +220,11 @@ def test_sample_prefix_nesting():
     assert sample(d, 100, seed=9)[:30] == sample(d, 30, seed=9)
 
 
-def test_sample_cusp_bias_one_stays_deep():
-    d = CuspDomain.hartogs(1, 1)
-    for _, q2 in sample(d, 200, seed=1, cusp_bias=1.0):
-        assert abs(q2) <= math.exp(-3)
-    # bias zero stays shallow
-    for _, q2 in sample(d, 200, seed=1, cusp_bias=0.0):
-        assert math.exp(-3) <= abs(q2) < 1
+def test_sample_stays_in_its_bands():
+    # log|z2| in [-30, -3] with chance CUSP_BIAS = 1/2, otherwise in [-3, -1e-3]
+    ys = [math.log(abs(q2)) for _, q2 in sample(CuspDomain.hartogs(1, 1), 400, seed=1)]
+    assert all(-30 - 1e-9 <= y <= -1e-3 + 1e-9 for y in ys)
+    assert 150 <= sum(y <= -3 for y in ys) <= 250
 
 
 def test_sample_log_consistent_with_region():
@@ -246,9 +244,8 @@ def test_bounded_monomial_sampled_sup():
     d = CuspDomain.hartogs(1, 1)
     sup = max(abs(q1 / q2) for q1, q2 in sample(d, 2000, seed=12))
     assert sup <= 1 + 1e-9
-    # unbounded direction blows up once the cusp is deep enough
-    deep = sample(d, 2000, seed=12, depth=60.0)
-    assert max(1 / abs(q2) for _, q2 in deep) > 1e3
+    # the unbounded direction blows up in the deep band
+    assert max(1 / abs(q2) for _, q2 in sample(d, 2000, seed=12)) > 1e3
 
 
 def test_strip_cut_constraint():
@@ -370,6 +367,14 @@ def test_split_line_rejects_a_non_finite_base(base):
     b = LogBoundary(points=tuple(pts), strict=tuple([True] * len(pts)))
     with pytest.raises(InputError, match="^base point must be finite"):
         split_line(b, Fraction(1), base)
+
+
+@pytest.mark.parametrize("slope", [Fraction(10**400), Fraction(1, 10**400)], ids=["1e400", "1e-400"])
+def test_split_line_rejects_a_slope_past_the_float_range(slope):
+    pts = _arc(count=24)
+    b = LogBoundary(points=tuple(pts), strict=tuple([True] * len(pts)))
+    with pytest.raises(InputError, match="^cusp slope's numerator or denominator is out of the float range$"):
+        split_line(b, slope, (0.0, 0.0))
 
 
 def test_split_line_ray_must_hit():

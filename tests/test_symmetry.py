@@ -183,14 +183,6 @@ def test_components_of_corrected_function_vanish_float_order_three():
         assert abs(comp.eval(*p)) <= 1e-10 * scale
 
 
-def test_correction_requires_off_axis_point():
-    f = monomial(1, 0)
-    with pytest.raises(InputError):
-        correction_polynomial(f, (0, 0.5), 2)
-    with pytest.raises(InputError):
-        correction_polynomial(f, (0.5, 0), 2)
-
-
 # -- empty components ------------------------------------------------------------
 
 # few terms over a wide exponent range, so that most buckets are empty; moduli
