@@ -260,7 +260,8 @@ def main(argv=None) -> int:
         if getattr(args, "tol", None) is not None and args.samples <= 0:
             raise InputError("--tol needs --samples > 0")
         code = _COMMANDS[args.command](args)
-        sys.stdout.flush()  # a closed stdout raises here, not in the exit flush
+        if sys.stdout is not None:  # None when fd 1 was closed at start: nothing is printed
+            sys.stdout.flush()  # a closed pipe raises here, not in the exit flush
         return code
     except BrokenPipeError:  # quiet the exit flush too: point fd 1 at the null device
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

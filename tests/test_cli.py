@@ -334,6 +334,14 @@ def test_closed_stdout_exits_as_sigpipe_with_nothing_on_stderr():
         assert (child.wait(timeout=120), err) == (141, b"")
 
 
+def test_stdout_closed_at_start_discards_the_output():
+    # `gleason info ... >&-` starts with no sys.stdout: prints go nowhere, exit 0
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    script = 'exec "$0" -m gleason.cli info --k 1 --l 1 >&-'
+    run = subprocess.run(["sh", "-c", script, sys.executable], env=env, capture_output=True, timeout=120)
+    assert (run.returncode, run.stderr) == (0, b"")
+
+
 def test_strip_solve_via_cli(capsys):
     code, out, _ = run_cli(
         capsys,
