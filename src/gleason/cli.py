@@ -19,11 +19,10 @@ import argparse
 import os
 import sys
 from fractions import Fraction
-from types import SimpleNamespace
 
 from .domains import CuspDomain, LogBoundary, STRIP_OMEGA2, split_line
 from .errors import GleasonError, InputError, NonvanishingError
-from .exprio import emit_report, format_float, format_poly, parse_poly, parse_scalar
+from .exprio import _report_text, emit_report, format_float, format_poly, parse_poly, parse_scalar
 from .laurent import LaurentPolynomial
 from .solver import MODE_AXIS, MODE_INTERIOR, MODE_STRIP, solve
 from .symmetry import symmetric_decompose
@@ -205,12 +204,7 @@ def _cmd_verify(args) -> int:
     report = verify(
         domain, f, f1, f2, (p1, p2), samples=args.samples, seed=args.seed
     )
-    shim = SimpleNamespace(
-        report=report,
-        problem=SimpleNamespace(domain=domain, p=(p1, p2)),
-        mode="verify",
-    )
-    print(emit_report(shim, args.output))
+    print(_report_text(report, domain, (p1, p2), "verify", args.output))
     return 0 if _passed(report, args.tol) else 1
 
 

@@ -14,7 +14,7 @@ themselves in terms of (z1 - p1) and (z2 - p2).
 
 from __future__ import annotations
 
-from ._record import record
+from .domains import MonomialPair
 from .errors import EvaluationDomainError, InputError, InternalContractError, NonvanishingError
 from .laurent import (
     LaurentPolynomial,
@@ -27,21 +27,6 @@ from .laurent import (
     shift_divide_z1,
 )
 from .scalars import VANISH_TOL_REL, negligible, powi
-
-
-@record
-class MonomialPair:
-    """Exponent data of the ratio monomial z1^k z2^(-l) and cut monomial z1^m z2^n,
-    k, l, n >= 1 and m >= 0 as CuspDomain.pair takes them from a valid domain."""
-
-    k: int
-    l: int
-    m: int = 0
-    n: int = 1
-
-    @property
-    def order(self) -> int:
-        return self.k * self.n + self.l * self.m
 
 
 def ratio_cut_point(pair: MonomialPair, p: tuple) -> tuple:

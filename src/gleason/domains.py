@@ -21,7 +21,6 @@ from fractions import Fraction
 from math import gcd
 
 from ._record import record
-from .division import MonomialPair
 from .errors import InfeasibleSplitError, InputError
 from .laurent import LaurentPolynomial
 from .scalars import QComplex
@@ -56,6 +55,21 @@ def _abs2(q) -> tuple[int, int]:
     a, b = z.real.as_integer_ratio()
     c, d = z.imag.as_integer_ratio()
     return a * a * d * d + c * c * b * b, (b * d) ** 2
+
+
+@record
+class MonomialPair:
+    """Exponent data of the ratio monomial z1^k z2^(-l) and cut monomial z1^m z2^n,
+    k, l, n >= 1 and m >= 0 as CuspDomain.pair takes them from a valid domain."""
+
+    k: int
+    l: int
+    m: int = 0
+    n: int = 1
+
+    @property
+    def order(self) -> int:
+        return self.k * self.n + self.l * self.m
 
 
 @record

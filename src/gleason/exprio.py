@@ -21,7 +21,7 @@ Exponents are capped at |e| <= 10^6.
 from __future__ import annotations
 
 import math
-from decimal import Decimal
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import ExponentOverflowError, InputError, PolySyntaxError
@@ -34,13 +34,7 @@ EXPONENT_CAP = 10**6
 # tokenizer
 
 
-class _Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind: str, text: str, pos: int):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
+_Token = namedtuple("_Token", "kind text pos")
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -131,38 +125,33 @@ class _Parser:
             value /= den
         return value
 
-    def signed_number(self) -> Fraction:
-        sign = 1
+    # sign := '+' | '-', read where the grammar allows one: -1 after '-', else 1
+    def sign(self) -> int:
         if self.peek().kind in "+-":
-            sign = -1 if self.advance().kind == "-" else 1
-        return sign * self.number()
+            return -1 if self.advance().kind == "-" else 1
+        return 1
 
-    # coeff := number | '(' signed (sign number 'i')? ')'
+    # coeff := number | '(' sign? number (sign number 'i')? ')'
     def coefficient(self):
         tok = self.peek()
+        im = Fraction(0)
         if tok.kind == "num":
             re = self.number()
-            im = Fraction(0)
         elif tok.kind == "(":
             self.advance()
-            re = self.signed_number()
-            im = Fraction(0)
+            re = self.sign() * self.number()
             if self.peek().kind in "+-":
-                sign = -1 if self.advance().kind == "-" else 1
-                im = sign * self.number()
+                im = self.sign() * self.number()
                 self.expect("imag", "'i'")
             self.expect(")", "')'")
-        else:
-            raise PolySyntaxError("expected a coefficient", tok.pos)
+        else:  # a term starts with a coefficient or a factor
+            raise PolySyntaxError("expected a term", tok.pos)
         if self.exact:
             return QComplex(re, im)
         return _float_complex(re, im, self.text[tok.pos : self.peek().pos].rstrip())
 
     def exponent(self) -> int:
-        sign = 1
-        tok = self.peek()
-        if tok.kind in "+-":
-            sign = -1 if self.advance().kind == "-" else 1
+        sign = self.sign()
         tok = self.expect("num", "an integer exponent")
         if "." in tok.text:
             raise PolySyntaxError("exponent must be an integer", tok.pos)
@@ -183,13 +172,10 @@ class _Parser:
         return (e, 0) if tok.text == "z1" else (0, e)
 
     def term(self):
-        tok = self.peek()
-        if tok.kind in ("num", "("):
-            coeff = self.coefficient()
-        elif tok.kind == "var":
+        if self.peek().kind == "var":
             coeff = QComplex(1) if self.exact else complex(1.0)
         else:
-            raise PolySyntaxError("expected a term", tok.pos)
+            coeff = self.coefficient()
         a = b = 0
         while True:
             tok = self.peek()
@@ -206,19 +192,16 @@ class _Parser:
 
     def poly(self) -> LaurentPolynomial:
         acc: dict = {}
-        sign = 1
-        if self.peek().kind in "+-":
-            sign = -1 if self.advance().kind == "-" else 1
+        sign = self.sign()
         while True:
             exp, coeff = self.term()
             acc[exp] = acc.get(exp, 0) + sign * coeff
             tok = self.peek()
             if tok.kind == "end":
                 break
-            if tok.kind in "+-":
-                sign = -1 if self.advance().kind == "-" else 1
-                continue
-            raise PolySyntaxError("expected '+', '-' or end of input", tok.pos)
+            if tok.kind not in "+-":
+                raise PolySyntaxError("expected '+', '-' or end of input", tok.pos)
+            sign = self.sign()
         try:
             poly = LaurentPolynomial(acc)
             if math.isfinite(poly.max_norm()):  # past the float range: inf, or abs() raises
@@ -270,9 +253,8 @@ def format_float(x: float) -> str:
     if x == int(x) and abs(x) < 1e16:
         return str(int(x))
     s = repr(x)
-    if "e" in s or "E" in s:
-        # The exact decimal expansion of a binary float is finite.
-        s = format(Decimal(x), "f")
+    if "e" in s:  # a float is a dyadic rational: its exact decimal expansion is finite
+        s = ("-" if x < 0 else "") + _ratio_text(*abs(x).as_integer_ratio())
     return s
 
 
@@ -387,9 +369,13 @@ def emit_report(solution, fmt: str = "machine") -> str:
     Machine format is one key=value per line; plain format is a
     human-readable summary of the same fields.
     """
-    rep = solution.report
     prob = solution.problem
-    p1, p2 = prob.p
+    return _report_text(solution.report, prob.domain, prob.p, solution.mode, fmt)
+
+
+def _report_text(rep, domain, p, mode: str, fmt: str) -> str:
+    """The report of emit_report from its parts: `gleason verify` has no solution."""
+    p1, p2 = p
     if fmt == "machine":
         lines = [
             f"residual_max={format_float(rep.residual_max)}",
@@ -407,9 +393,9 @@ def emit_report(solution, fmt: str = "machine") -> str:
         if rep.bound_rhs is not None:
             lines.append(f"bound_rhs={format_float(rep.bound_rhs)}")
         lines += [
-            f"mode={solution.mode}",
-            f"k={prob.domain.k}",
-            f"l={prob.domain.l}",
+            f"mode={mode}",
+            f"k={domain.k}",
+            f"l={domain.l}",
             f"p1={format_scalar(p1)}",
             f"p2={format_scalar(p2)}",
         ]
@@ -417,8 +403,8 @@ def emit_report(solution, fmt: str = "machine") -> str:
     if fmt == "plain":
         q1, q2 = rep.residual_argmax
         lines = [
-            f"mode            : {solution.mode}",
-            f"domain          : {prob.domain.kind} k={prob.domain.k} l={prob.domain.l}",
+            f"mode            : {mode}",
+            f"domain          : {domain.kind} k={domain.k} l={domain.l}",
             f"base point      : ({format_scalar(p1)}, {format_scalar(p2)})",
             f"residual max    : {format_float(rep.residual_max)}"
             f" at ({format_scalar(q1)}, {format_scalar(q2)})",

@@ -16,15 +16,8 @@ import cmath
 import math
 
 from ._record import record
-from .division import (
-    MonomialPair,
-    ratio_cut_point,
-    split_component,
-    split_cut,
-    split_polynomial,
-    split_ratio,
-)
-from .domains import STRIP_OMEGA2, CuspDomain, poly_bounded
+from .division import ratio_cut_point, split_component, split_cut, split_polynomial, split_ratio
+from .domains import STRIP_OMEGA2, CuspDomain, MonomialPair, poly_bounded
 from .errors import InputError, NonvanishingError, UnboundedError
 from .exprio import format_scalar
 from .laurent import LaurentPolynomial, divide_univariate, multiply_add

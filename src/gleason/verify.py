@@ -34,6 +34,10 @@ if TYPE_CHECKING:
 
 @record
 class VerificationReport:
+    """What `verify` found.  sup_f_upper is |f|_1, the sum of f's coefficient
+    moduli: a bound on sup |f| over hartogs_full, where every bounded monomial
+    has supremum 1, but not over a strip, where one may exceed 1."""
+
     residual_max: float
     residual_argmax: tuple
     symbolic_residual_zero: bool

@@ -128,6 +128,56 @@ def test_verify_passes_good_pair(capsys):
     assert "residual_max=0" in out
 
 
+VERIFY_ARGV = [
+    "verify", "--k", "1", "--l", "1", "--p1", "0.25", "--p2", "0.5",
+    "--f", "z1*z2 - 0.125", "--f1", "z2", "--f2", "0.25",
+]
+# the argmax of the residual, 0, is the first of the 2000 samples at seed 42
+VERIFY_ARGMAX = (
+    "0.00001222166965545155406275452947273407744432915933430194854736328125"
+    "+0.00007192188775043473268448745994163573413970880210399627685546875i",
+    "-0.0045562478931201475-0.05347131521070195i",
+)
+
+
+def test_verify_report_byte_for_byte(capsys):
+    q1, q2 = VERIFY_ARGMAX
+    machine = (
+        f"residual_max=0\nresidual_argmax={q1},{q2}\nbounded_f1=true\nbounded_f2=true\n"
+        "cone_violations=\nsup_f_upper=1.125\nsup_f1_sampled=0.9951973665627326\n"
+        "sup_f2_sampled=0.25\nmode=verify\nk=1\nl=1\np1=0.25\np2=0.5\n"
+    )
+    plain = (
+        "mode            : verify\n"
+        "domain          : hartogs_full k=1 l=1\n"
+        "base point      : (0.25, 0.5)\n"
+        f"residual max    : 0 at ({q1}, {q2})\n"
+        "symbolic zero   : true\n"
+        "bounded f1, f2  : true, true\n"
+        "cone violations : none\n"
+        "sup bounds      : f<=1.125 f1~0.9951973665627326 f2~0.25\n"
+        "samples, seed   : 2000, 42\n"
+    )
+    assert run_cli(capsys, *VERIFY_ARGV) == (0, machine, "")
+    assert run_cli(capsys, *VERIFY_ARGV, "--output", "machine") == (0, machine, "")
+    assert run_cli(capsys, *VERIFY_ARGV, "--output", "plain") == (0, plain, "")
+
+
+def test_info_strip_without_bounds_is_exit_two(capsys):
+    code, out, err = run_cli(capsys, "info", "--k", "1", "--l", "1", "--mode", "omega2")
+    assert (code, out) == (2, "")
+    assert err == "error: omega2 mode needs --strip-lower and --strip-upper\n"
+
+
+def test_plain_report_of_the_axis_example_prints_its_bound(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "solve", "--k", "1", "--l", "1", "--p1", "0", "--p2", "0.5", "--f", "z1", "--output", "plain",
+    )
+    assert code == 0
+    assert "axis sup bound  : 8" in out.splitlines()
+
+
 def test_verify_tolerance_flag(capsys):
     argv = [
         "verify", "--k", "1", "--l", "1", "--p1", "0.25", "--p2", "0.5",

@@ -227,6 +227,15 @@ def test_sample_stays_in_its_bands():
     assert 150 <= sum(y <= -3 for y in ys) <= 250
 
 
+def test_sample_shifts_a_band_that_lies_above_the_cut():
+    # the cut y <= -40 lies below the deep band [-30, -3], so both bands are
+    # shifted down to end at the strip's ceiling
+    d = CuspDomain.strip(1, 1, 0.5, 2.0, 0, 1, -40.0)
+    pts = sample(d, 500, seed=7)
+    assert all(d.contains(q1, q2) for q1, q2 in pts)
+    assert all(math.log(abs(q2)) <= -40 for _, q2 in pts)
+
+
 def test_sample_log_consistent_with_region():
     d = CuspDomain.hartogs(2, 3)
     for x, y in zip(*log_coordinates(sample(d, 500, seed=4))):

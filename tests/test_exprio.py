@@ -46,10 +46,29 @@ def test_parse_syntax_error_position():
     assert isinstance(info.value, InputError)
 
 
-@pytest.mark.parametrize("bad", ["", "   ", "z3", "z1^^2", "2 +", "(1+2i", "z1**2"])
+# the message and offset of the errors that no command-line test runs in process
+MALFORMED_CAUSES = {
+    "1.": ("expected digits after decimal point", 2),
+    "2 @ z1": ("unexpected character '@'", 2),
+    "1/0": ("zero denominator", 2),
+    "z1^2.5": ("exponent must be an integer", 3),
+    "z1)": ("expected '+', '-' or end of input", 2),
+}
+
+
+@pytest.mark.parametrize("bad", ["", "   ", "z3", "z1^^2", "2 +", "(1+2i", "z1**2", *MALFORMED_CAUSES])
 def test_parse_rejects_malformed(bad):
-    with pytest.raises(PolySyntaxError):
+    with pytest.raises(PolySyntaxError) as info:
         parse_poly(bad)
+    if bad in MALFORMED_CAUSES:
+        message, offset = MALFORMED_CAUSES[bad]
+        assert str(info.value) == f"{message} (at offset {offset})"
+        assert info.value.position == offset
+
+
+def test_parse_scalar_rejects_a_blank_literal():
+    with pytest.raises(InputError, match="^empty complex literal$"):
+        parse_scalar("  ")
 
 
 def test_exponent_cap():

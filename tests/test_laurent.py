@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from gleason import LaurentPolynomial, QComplex, laurent
+from gleason import LaurentPolynomial, QComplex, format_poly, laurent
 from gleason.errors import EvaluationDomainError, InputError, NotDivisibleError
 from gleason.laurent import (
     PRUNE_REL,
@@ -938,3 +938,10 @@ def test_max_coeff_distance():
     g = LaurentPolynomial({(0, 0): 1.0, (2, 0): 0.5})
     assert max_coeff_distance(f, g) == pytest.approx(2.0)
     assert max_coeff_distance(f, f) == 0.0
+
+
+def test_text_and_comparison_of_a_monomial():
+    f = LaurentPolynomial({(1, 0): 1})
+    assert str(f) == "z1"
+    assert (f == 3) is False
+    assert format_poly(1 - f) == "-z1 + 1"

@@ -202,3 +202,11 @@ def test_powi_matches_fraction_reference(a, b, e):
         return
     _check(powi(x, e), _ref_pow((a, b), e))
     _check(x**e, _ref_pow((a, b), e))
+
+
+def test_float_operands_meet_a_qcomplex_as_complex():
+    q = QComplex(1, 2)
+    assert 0.5 - q == (-0.5 - 2j)
+    assert 2.0 / q == (0.4 - 0.8j)
+    with pytest.raises(TypeError):
+        q + "x"
