@@ -132,7 +132,8 @@ VERIFY_ARGV = [
     "verify", "--k", "1", "--l", "1", "--p1", "0.25", "--p2", "0.5",
     "--f", "z1*z2 - 0.125", "--f1", "z2", "--f2", "0.25",
 ]
-# the argmax of the residual, 0, is the first of the 2000 samples at seed 42
+# the residual is 0 everywhere, so its argmax is the first of the 2000 samples at
+# seed 42; the parts of its q1 are below 1e-4 and print as exact expansions
 VERIFY_ARGMAX = (
     "0.00001222166965545155406275452947273407744432915933430194854736328125"
     "+0.00007192188775043473268448745994163573413970880210399627685546875i",
