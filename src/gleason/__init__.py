@@ -23,7 +23,6 @@ from .errors import (
     InputError,
     InternalContractError,
     NonvanishingError,
-    NotDivisibleError,
     PolySyntaxError,
     UnboundedError,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "LaurentPolynomial",
     "LogBoundary",
     "NonvanishingError",
-    "NotDivisibleError",
     "PolySyntaxError",
     "QComplex",
     "SplitLine",

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Three checks give a verdict on vanishing: the input test on f(p)
+(NonvanishingError), split_component's fiber check (InternalContractError)
+and verify's certified residual, which reports rather than raises.
+"""
 
 from __future__ import annotations
 
@@ -27,16 +32,8 @@ class EvaluationDomainError(GleasonError):
     """Evaluation at a point outside the function's domain (zero to a negative power)."""
 
 
-class NotDivisibleError(GleasonError):
-    """Linear division left a remainder beyond tolerance; carries the residual value."""
-
-    def __init__(self, message: str, residual):
-        super().__init__(message)
-        self.residual = residual
-
-
 class NonvanishingError(GleasonError):
-    """The function does not vanish where the construction requires it; carries the value."""
+    """f fails the input test: f(p) does not vanish at the base point; carries the value."""
 
     def __init__(self, message: str, value):
         super().__init__(message)

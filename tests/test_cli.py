@@ -61,6 +61,27 @@ def test_solve_subtract_value_recovers(capsys):
     assert "f2 = 1" in out.splitlines()[1]
 
 
+@pytest.mark.parametrize("argv, lines", [
+    # f(p) = -1e-7 passes the input test against |f|_1 ~ 1e6; the z1-free
+    # slice z2 - 0.5000001 leaves the same -1e-7 against its own norm 1.5
+    (["--k", "1", "--l", "1", "--p1", "0", "--p2", "0.5",
+      "--f", "1000000*z1 + z2 - 0.5000001", "--samples", "0"],
+     ["f1 = 2000000z2", "f2 = -2000000z1 + 1"]),
+    # float_sampled seed 1 instance #63: f(p) ~ 2e-16 passes the input test,
+    # while the correction polynomial's value at p exceeds 1e-9 * |P|_1
+    (["--k", "2", "--l", "3", "--p1=-0.0016143179259597714-0.01594534966294673i",
+      "--p2=-0.2357228049883171-0.02624679838643026i",
+      "--f", "(1.274771666299252+0.023021480359028512i)z1^5*z2^11"],
+     []),
+], ids=["axis-slice", "interior-correction"])
+def test_value_above_a_helpers_own_scale_is_judged_by_the_residual(capsys, argv, lines):
+    code, out, err = run_cli(capsys, "solve", *argv, "--output", "plain")
+    assert (code, err) == (0, "")
+    got = out.splitlines()
+    assert got[:len(lines)] == lines
+    assert "symbolic zero   : true" in got
+
+
 def test_info_cone(capsys):
     code, out, _ = run_cli(capsys, "info", "--k", "2", "--l", "3")
     assert code == 0

@@ -2,14 +2,17 @@
 
 Several helpers on the solve path state a precondition in their docstring
 instead of checking it at run time, because the solver never hands them
-anything else: correction_polynomial, split_ratio, split_component,
-shift_divide_z1 and divide_univariate.  This test holds the solver to those
-preconditions.  It rebinds each helper in the namespace the solver calls it
-from, as perfbench/layertrace.py does, with a spy that asserts the
-precondition before the helper runs, and then solves the golden instances
-and a few hundred drawn `gleason solve` calls through the spies.  Together
-they cover exact and float mode, the axis, interior and strip branches,
-orders 1 to 6, base points deep in the cusp and strips cut by z1*z2.
+anything else: correction_polynomial, split_ratio, split_polynomial,
+split_component, shift_divide_z1 and divide_univariate.  split_polynomial
+and divide_univariate read no remainder, so in exact mode their spies also
+hold the input to vanishing exactly at the base point.  This test holds the
+solver to those preconditions.  It rebinds each helper in the namespace the
+solver calls it from, as perfbench/layertrace.py does, with a spy that
+asserts the precondition before the helper runs, and then solves the golden
+instances and a few hundred drawn `gleason solve` calls through the spies.
+Together they cover exact and float mode, the axis, interior and strip
+branches, orders 1 to 6, base points deep in the cusp and strips cut by
+z1*z2.
 """
 
 import random
@@ -38,6 +41,10 @@ def _split_ratio(k, l, p):
     assert k >= 1 and l >= 1 and p[1]
 
 
+def _split_polynomial(P, p):
+    assert not P.is_exact() or P.eval(*p) == 0, "an exact P vanishes at p"
+
+
 def _split_component(i, j, comp, pair, uv):
     k, l, m, n = pair.k, pair.l, pair.m, pair.n
     assert k >= 1 and l >= 1 and n >= 1 and m >= 0, "a pair of a valid domain"
@@ -54,11 +61,13 @@ def _shift_divide_z1(f, p1):
 
 def _divide_univariate(f, root):
     assert root and all(not a and b >= 0 for a, b in f.exponents()), "a z2 polynomial, with no pole"
+    assert not f.is_exact() or f.eval(root, root) == 0, "an exact f vanishes at root"
 
 
 SPIES = [
     (gleason.solver, "correction_polynomial", _correction_polynomial),
     (gleason.solver, "split_ratio", _split_ratio),
+    (gleason.solver, "split_polynomial", _split_polynomial),
     (gleason.solver, "split_component", _split_component),
     (gleason.solver, "divide_univariate", _divide_univariate),
     (gleason.division, "shift_divide_z1", _shift_divide_z1),

@@ -23,7 +23,7 @@ from gleason.division import (
     split_polynomial,
     split_ratio,
 )
-from gleason.errors import GleasonError, InputError, InternalContractError, NonvanishingError
+from gleason.errors import GleasonError, InputError, InternalContractError
 from gleason.laurent import PRUNE_REL, _linear_quotient, _relabelled
 from gleason.scalars import negligible, powi
 
@@ -327,13 +327,6 @@ def test_split_polynomial_examples():
 
     lin1 = LaurentPolynomial({(1, 0): QComplex(1), (0, 0): -p[0]})
     assert split_polynomial(lin1, p) == (LaurentPolynomial.constant(QComplex(1)), LaurentPolynomial.zero())
-
-
-def test_split_polynomial_requires_vanishing():
-    p = (QComplex(1), QComplex(2))
-    with pytest.raises(NonvanishingError) as info:
-        split_polynomial(LaurentPolynomial.constant(QComplex(3)), p)
-    assert info.value.value == QComplex(3)
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -524,3 +524,10 @@ def test_slope_candidates_order_and_coprimality():
     first = list(slope_candidates(4))
     assert first == [(0, 1), (1, 1), (1, 2), (2, 1), (1, 3), (3, 1)]
     assert all(math.gcd(m, n) == 1 for m, n in slope_candidates(20))
+
+
+def test_split_line_ray_must_cross_once():
+    # the horizontal ray at height 0.5 crosses both arms of the V
+    b = LogBoundary(((-1, 1), (0, 0), (1, 1)), (True,) * 3)
+    with pytest.raises(InputError, match="^ray from the base point crosses the boundary more than once$"):
+        split_line(b, Fraction(0), (-2, 0.5))

@@ -208,5 +208,6 @@ def test_float_operands_meet_a_qcomplex_as_complex():
     q = QComplex(1, 2)
     assert 0.5 - q == (-0.5 - 2j)
     assert 2.0 / q == (0.4 - 0.8j)
+    assert q / 2.0 == (0.5 + 1j)
     with pytest.raises(TypeError):
         q + "x"

@@ -408,6 +408,20 @@ def test_float_pipeline_order_three_degrades_gracefully():
     assert sol.report.residual_max <= sol.report.identity_tol
 
 
+@pytest.mark.parametrize("k,l,coeff,exp,p", [
+    (2, 3, 1.274771666299252 + 0.023021480359028512j, (5, 11),
+     (-0.0016143179259597714 - 0.01594534966294673j, -0.2357228049883171 - 0.02624679838643026j)),
+    (1, 2, 0.686099889402251 + 1.297010847326883j, (11, 1),
+     (0.0762199339545858 + 0.00929676462670597j, -0.4536352444713789 - 0.6107819475689877j)),
+], ids=["float_sampled-1-63", "float_sampled-1-354"])
+def test_monomial_whose_correction_fails_its_own_vanishing_scale_solves(k, l, coeff, exp, p):
+    # f(p) passes the input test, while the correction polynomial's value at p
+    # exceeds 1e-9 of its own much smaller norm: the certified residual decides
+    sol = solve(CuspDomain.hartogs(k, l), LaurentPolynomial({exp: coeff}), p)
+    assert sol.mode == MODE_INTERIOR
+    assert sol.report.passed
+
+
 def _no_float_modulus(self):
     raise AssertionError("float modulus taken of an exact coefficient")
 

@@ -264,3 +264,15 @@ def test_correction_skips_the_empty_components(f, order, p):
 
     # an infinite norm makes both raise the float overflow
     assert state_or_error(lambda: correction_polynomial(f, p, order)) == state_or_error(want)
+
+
+def test_correction_prunes_a_term_its_component_would_prune():
+    # f was built at scale 0, so it keeps a term 1e-15 times its own norm; the
+    # component built at |f| prunes it, and so must the correction, though
+    # p2^-2 lifts that term's value far above the correction's own prune
+    f = LaurentPolynomial({(0, 0): 1 + 0j, (0, -1): 1e-15 + 0j}, prune_scale=0.0)
+    p = (0.005 + 0j, 0.01 + 0j)
+    components = symmetric_decompose(f, 2).components
+    assert list(components) == [(0, 0)]
+    got = correction_polynomial(f, p, 2)
+    assert got.terms == {key: comp.eval(*p) for key, comp in components.items()}

@@ -1,5 +1,9 @@
 """Boundary of the vanishing policy at every site that applies it.
 
+Two sites judge a value by it here: the input test on f(p) in GleasonProblem
+and the certified residual in verify; split_component's fiber check has its
+own tests.
+
 An exact value must be zero; a float value may reach 1e-9 times the norm
 the site scales by.  Each case computes that threshold from the site's own
 norm, puts a float defect at half and at twice the threshold, and an exact
@@ -16,9 +20,7 @@ import pytest
 import importlib
 
 from gleason import CuspDomain, LaurentPolynomial, QComplex, verify
-from gleason.division import split_polynomial
-from gleason.errors import NonvanishingError, NotDivisibleError
-from gleason.laurent import divide_univariate
+from gleason.errors import NonvanishingError
 from gleason.solver import GleasonProblem
 
 REL = 1e-9
@@ -35,14 +37,6 @@ def _linear(var: int, root, defect):
 
 def _problem(f, p):
     GleasonProblem(CuspDomain.hartogs(1, 1), f, p)
-
-
-def _split(f, p):
-    split_polynomial(f, p)
-
-
-def _divide(f, p):
-    divide_univariate(f, p[1])
 
 
 class Rejected(Exception):
@@ -69,11 +63,9 @@ def _identity_norm(f):
 # (site, variable of the linear form, error class, the norm the site scales by)
 SITES = [
     (_problem, 2, NonvanishingError, _one_norm),
-    (_split, 1, NonvanishingError, _one_norm),
-    (_divide, 2, NotDivisibleError, _one_norm),
     (_verify, 2, Rejected, _identity_norm),
 ]
-SITE_IDS = ["GleasonProblem", "split_polynomial", "divide_univariate", "verify"]
+SITE_IDS = ["GleasonProblem", "verify"]
 
 
 def _float_case(var: int, factor: float, norm):
