@@ -147,6 +147,8 @@ def split_component(
     # division clears that pole first.
     ratio_terms: dict = {}
     for beta, sl in slices.items():
+        if len(sl) == 1 and 0 in sl:  # u^0 alone: the quotient is empty
+            continue
         sl[0] = sl.get(0, 0) - fiber.get(beta, 0)
         quotient, _rem = _linear_quotient(sl, u_p)
         a0, b0 = beta * m + i, beta * n + j

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from ._record import record
 from .errors import InputError
-from .laurent import LaurentPolynomial, _own_threshold, _wrap
-from .scalars import powi
+from .laurent import LaurentPolynomial, _exact_values, _own_threshold, _wrap
+from .scalars import QComplex, powi
 
 
 @record
@@ -59,14 +59,25 @@ def correction_polynomial(
     grid, of degree at most N-1 in each variable.  Requires nonzero p1, p2
     and order >= 1, as at a point off the z2-axis that a domain contains.
 
-    Each value is the one f_ij.eval(*p) returns, but no component is built:
-    each term c of f, pruned first when floating where the component's
-    construction at |f| would prune it, adds c * p1**a * p2**b to its
-    component's sum, which starts from 0 as eval's does, with the powers
-    taken once per call.
+    Each value is the one f_ij.eval(*p) returns, but no component is built.
+    When f, p1 and p2 are exact, the terms are grouped by residue class and
+    `_exact_values` sums each group over one common denominator, with one
+    pair of power tables for all of them and one reduction per group.
+    Otherwise each term c of f, pruned first when floating where the
+    component's construction at |f| would prune it, adds c * p1**a * p2**b
+    to its component's sum, which starts from 0 as eval's does, with the
+    powers taken once per call.
     """
     p1, p2 = p
     threshold = _own_threshold(f)
+    if threshold is None and type(p1) is QComplex and type(p2) is QComplex:
+        groups: dict = {}
+        for (a, b), c in f._terms.items():
+            i, j = a % order, b % order
+            groups.setdefault((i, j), []).append(((a - i, b - j), c))
+        keys = sorted(groups)  # components in routing order
+        values = _exact_values([groups[key] for key in keys], p1, p2)
+        return LaurentPolynomial(dict(zip(keys, values)))
     pow1: dict = {}
     pow2: dict = {}
     sums: dict = {}

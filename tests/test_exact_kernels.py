@@ -1,12 +1,13 @@
 """The exact kernels against references written with QComplex operators.
 
-Evaluation, the Horner walk and the symbolic residual form their exact sums
-as unreduced Gaussian-integer triples and reduce each stored or returned
-coefficient once; substitution and the correction polynomial take their
-powers from `powi`, which raises a Gaussian integer to the power and reduces
-once.  Each test here compares one of them with a plain operator loop that
-reduces after every step: values must be equal, and term maps must hold the
-same keys in the same order.
+Evaluation and the correction polynomial's values (one grouped sum over
+shared power tables), the multiply-accumulate kernel, the Horner walk and
+the symbolic residual form their exact sums as unreduced Gaussian-integer
+triples and reduce each stored or returned coefficient once; substitution
+takes its powers from `powi`, which raises a Gaussian integer to the power
+and reduces once.  Each test here compares one of them with a plain
+operator loop that reduces after every step: values must be equal, and term
+maps must hold the same keys in the same order.
 """
 
 import importlib
@@ -18,7 +19,7 @@ from hypothesis import example, given, strategies as st
 
 from gleason import LaurentPolynomial, QComplex
 from gleason.errors import EvaluationDomainError
-from gleason.laurent import _linear_quotient, multiply_add
+from gleason.laurent import _exact_values, _linear_quotient, multiply_add
 from gleason.scalars import _reduced, powi
 
 # the package re-exports the function verify under the submodule's name
@@ -130,6 +131,34 @@ def test_eval_cancels_to_an_exact_zero():
     assert value.as_ints() == (0, 0, 1)
 
 
+groups = st.lists(
+    st.dictionaries(exps, nonzero_coeffs, min_size=1, max_size=5).map(lambda d: list(d.items())),
+    max_size=4,
+)
+
+
+@given(groups, nonzero_points, nonzero_points)
+@example([], QComplex(2), QComplex(3))
+@example(
+    [[((0, 0), QComplex(1))], [((3, -2), QComplex(1, 1)), ((-1, 4), QComplex(Fraction(1, 3)))]],
+    QComplex(Fraction(1, 2), 1),
+    QComplex(Fraction(-2, 3)),
+)
+@example([[((1, 0), QComplex(2)), ((0, 1), QComplex(-1))]], QComplex(1), QComplex(2))
+def test_grouped_values_match_an_operator_loop_per_group(groups, q1, q2):
+    want = []
+    for terms in groups:
+        total = 0
+        for (a, b), c in terms:
+            total = total + c * q1**a * q2**b
+        want.append(total)
+    got = _exact_values(groups, q1, q2)
+    assert got == want
+    for value in got:
+        x, y, d = value.as_ints()
+        assert d > 0 and math.gcd(x, y, d) == 1
+
+
 @given(polys, points)
 @example(LaurentPolynomial({(1, 2): QComplex(1), (0, 2): QComplex(-2)}), QComplex(2))
 @example(LaurentPolynomial({(-1, 0): QComplex(1)}), QComplex(0))
@@ -141,6 +170,38 @@ def test_substitute_z1_matches_the_operator_loop(f, value):
         got, want = outcome
         assert [e for e, _ in got] == [e for e, _ in want]
         assert all(a == b for (_, a), (_, b) in zip(got, want))
+
+
+# -- the multiply-accumulate kernel -------------------------------------------------
+
+
+ONE = LaurentPolynomial.constant(QComplex(1))
+ZERO = LaurentPolynomial.zero()
+# constants that share an int with 1 but are not 1
+near_ones = st.sampled_from([QComplex(1, 1), QComplex(Fraction(1, 2)), QComplex(-1)]).map(LaurentPolynomial.constant)
+factors = st.one_of(polys, st.just(ONE), st.just(ZERO), near_ones)
+
+
+@given(polys, st.lists(st.tuples(factors, factors), max_size=5))
+@example(
+    LaurentPolynomial({(0, 1): QComplex(1), (0, 0): QComplex(2)}),
+    [
+        (LaurentPolynomial({(1, 0): QComplex(2)}), ZERO),
+        (ZERO, ONE),
+        (LaurentPolynomial({(0, 0): QComplex(-2), (2, 0): QComplex(0, 3)}), ONE),
+        (LaurentPolynomial({(0, 1): QComplex(Fraction(1, 3))}), LaurentPolynomial({(1, -1): QComplex(3)})),
+        (ONE, LaurentPolynomial({(0, 1): QComplex(-1)})),
+        (LaurentPolynomial({(0, 1): QComplex(2)}), LaurentPolynomial.constant(QComplex(1, 1))),
+        (LaurentPolynomial({(0, 1): QComplex(2)}), LaurentPolynomial.constant(QComplex(Fraction(1, 2)))),
+    ],
+)
+def test_multiply_add_with_zero_and_one_factors_matches_the_operator_chain(base, products):
+    want = base
+    for g, h in products:
+        want = want + g * h
+    got = multiply_add(base, products)
+    assert [e for e, _ in _items(got)] == [e for e, _ in _items(want)]
+    assert all(a == b for (_, a), (_, b) in zip(_items(got), _items(want)))
 
 
 # -- the Horner walk ----------------------------------------------------------------

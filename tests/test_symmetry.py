@@ -5,7 +5,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gleason import (
     CuspDomain,
@@ -254,6 +254,7 @@ def test_components_are_the_nonzero_ones_of_the_dense_square(f, order):
     st.integers(1, 4),
     st.sampled_from([(0.5 + 0.25j, -0.75 + 0.5j), (QComplex(1, 2), QComplex(-1, 3)), (2.0, QComplex(1))]),
 )
+@example(LaurentPolynomial.zero(), 1, (QComplex(1, 2), QComplex(-1, 3)))
 def test_correction_skips_the_empty_components(f, order, p):
     def want():
         components = symmetric_decompose(f, order).components
