@@ -5,6 +5,10 @@ Given a bounded Laurent polynomial f vanishing at a point p of the domain
 f2 with f = f1*(z1-p1) + f2*(z2-p2), certify boundedness through the
 recession cone of the logarithmic image, and verify the identity both
 symbolically and on cusp-biased samples.
+
+The package re-exports the function ``verify`` under its submodule's name, so
+``gleason.verify`` is that function; the module is
+``sys.modules["gleason.verify"]`` (or ``importlib.import_module``).
 """
 
 from .domains import (

@@ -113,7 +113,9 @@ def split_component(
     comp's norm; the projection is pruned at |g|.
     Each quotient term is written at once under its z-exponent, u^alpha
     v^beta times z1^i z2^j being z1^(alpha*k + beta*m + i)
-    z2^(-alpha*l + beta*n + j); no (u, v) polynomial is built.  Dividing the
+    z2^(-alpha*l + beta*n + j); no (u, v) polynomial is built.  The Horner
+    walk is picked by kind, comp's for the slices and the projection's for
+    the fiber, without reading their coefficients.  Dividing the
     projection by (v - v(p)) must be exact; a residue there means the
     vanishing precondition was violated and raises InternalContractError.
     """
@@ -139,7 +141,8 @@ def split_component(
         fiber[beta] = fiber.get(beta, 0) + c
     g_norm = comp.max_norm if norm is None else norm
     fiber, fiber_norm = _canonical(fiber, g_norm)
-    if fiber_norm is None:
+    exact_fiber = fiber_norm is None
+    if exact_fiber:
         fiber_norm = lambda: max(map(abs, fiber.values()), default=0.0)
 
     # Ratio direction: divide (g - g(u(p), v)) by (u - u(p)) slice by slice
@@ -150,13 +153,13 @@ def split_component(
         if len(sl) == 1 and 0 in sl:  # u^0 alone: the quotient is empty
             continue
         sl[0] = sl.get(0, 0) - fiber.get(beta, 0)
-        quotient, _rem = _linear_quotient(sl, u_p)
+        quotient, _rem = _linear_quotient(sl, u_p, norm is None)
         a0, b0 = beta * m + i, beta * n + j
         for alpha, c in quotient.items():
             ratio_terms[(alpha * k + a0, b0 - alpha * l)] = c
 
     # Cut direction: divide the fiber projection by (v - v(p)).
-    quotient, rem = _linear_quotient(fiber, v_p)
+    quotient, rem = _linear_quotient(fiber, v_p, exact_fiber)
     # |comp|_inf <= |comp|_1: a floating remainder within tolerance of the
     # carried norm passes without the one-norm loops
     if norm is None or not abs(rem) <= VANISH_TOL_REL * norm:

@@ -11,15 +11,19 @@ largest modulus kept, so a floating polynomial carries its max norm and the
 scale of the next `+` or `*` costs no rescan; an exact polynomial computes
 its norm only when asked.
 
-`multiply_add` forms ``base + sum g*h`` in one map.  When every operand is
-exact it reads each coefficient as Gaussian-integer ints (x, y, d) for
-(x + y*i)/d, keeps each exponent's sum unreduced and divides it through by
-its gcd once; exact `*` runs there too.  It skips a product by 0 and passes
-a product by the constant 1 through as the other factor's triples.
-Otherwise it reads the operands as complex and rounds and prunes term by
-term where the operator chain does, but touches only the terms a product
-hits and reads a product's moduli in one list, rebuilding the product only
-when one of its prunes drops a term.
+`multiply_add` forms ``base + sum g*h`` in one map, converting each
+distinct factor once per call.  When every operand is exact it reads each
+coefficient as Gaussian-integer ints (x, y, d) for (x + y*i)/d, keeps each
+exponent's sum unreduced and divides it through by its gcd once; exact `*`
+runs there too.  It skips a product by 0 and passes a product by the
+constant 1 through as the other factor's own terms; a reduced coefficient
+of base or of such a product that no other summand reaches passes through
+`_exact_sum` untouched.  Otherwise it reads the operands as complex and
+rounds and prunes term by term where the operator chain does, but touches
+only the terms a product hits and reads a product's moduli in one list,
+rebuilding the product only when one of its prunes drops a term.  A product
+by one term is one pass either way, since one shift keeps the exponents
+distinct.
 Either way coefficients and term order are the chain's.  A prune at an
 infinite scale would drop every term, so it raises `InputError` naming the
 float overflow.
@@ -39,10 +43,11 @@ fiber projection stay on the operator loop: their groups hold one or two
 terms, and grouping them made a prototype about 10% slower on the exact
 interior benchmark (the fiber projection's part; the substitution's was
 neutral).  The Horner walk behind the divisions forms each step from the
-reduced carry, so it too reduces once per coefficient it stores.  A
-relabelled floating polynomial keeps its map and norm when its prune would
-drop nothing.  Values, and so printed outputs, term order and carried
-norms, are those of the operator loops they replace.
+reduced carry, so it too reduces once per coefficient it stores; each
+caller picks the walk by its polynomial's kind, not by reading every
+coefficient.  A relabelled floating polynomial keeps its map and norm when
+its prune would drop nothing.  Values, and so printed outputs, term order
+and carried norms, are those of the operator loops they replace.
 """
 
 from __future__ import annotations
@@ -241,6 +246,12 @@ def _product_triples(g: dict, h: dict) -> dict:
     Exponents appear in the order the operator loop meets them; a sum that
     cancels stays in the map as a zero triple.
     """
+    if len(h) == 1:  # one shift keeps g's exponents distinct: nothing collides
+        ((a2, b2), (x2, y2, d2)), = h.items()
+        return {
+            (a1 + a2, b1 + b2): (x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, d1 * d2)
+            for (a1, b1), (x1, y1, d1) in g.items()
+        }
     acc: dict = {}
     get = acc.get
     for (a1, b1), (x1, y1, d1) in g.items():
@@ -262,7 +273,14 @@ def _product_triples(g: dict, h: dict) -> dict:
 
 
 def _term_products(g: dict, h: dict) -> dict:
-    """exponent -> unpruned sum of term products; `*` and the float kernel share it."""
+    """exponent -> unpruned sum of term products; `*` and the float kernel share it.
+
+    A product by one term is one pass; its 0 + c1*c2 gives a zero part the
+    sign that the sum from 0 gives it.
+    """
+    if len(h) == 1:
+        ((a2, b2), c2), = h.items()
+        return {(a1 + a2, b1 + b2): 0 + c1 * c2 for (a1, b1), c1 in g.items()}
     acc: dict = {}
     get = acc.get
     for (a1, b1), c1 in g.items():
@@ -440,26 +458,30 @@ class LaurentPolynomial:
 
 
 def _exact_sum(base: dict, products) -> LaurentPolynomial:
-    """The exact kernel: base triples plus the unreduced product maps.
+    """The exact kernel: the QComplex terms of base plus the product maps.
 
-    Each product map is exponent -> (x, y, d) in the order the operator loop
-    meets the exponents, as `_product_triples` and `_linear_products` build
-    it.  The sum is formed in one map of unreduced triples and each
-    coefficient is reduced once.  A product's cancelled exponents are skipped
-    and an exponent whose sum cancels is dropped, so the terms come out in
-    the order of the operator chain, which drops exact zeros after every `*`
-    and `+`.
+    A product map is exponent -> unreduced (x, y, d) in the order the
+    operator loop meets the exponents, as `_product_triples` and
+    `_linear_products` build it, or a polynomial's own QComplex terms, as
+    for a product by the constant 1.  The sum is formed in one map; an
+    entry no other summand reaches keeps its reduced QComplex as it is, and
+    one that several reach is summed as ints and reduced once.  A product's
+    cancelled exponents are skipped and an exponent whose sum cancels is
+    dropped, so the terms come out in the order of the operator chain, which
+    drops exact zeros after every `*` and `+`.
     """
     acc = dict(base)
+    get = acc.get
     for product in products:
-        for exp, (x, y, d) in product.items():
+        for exp, t in product.items():
+            x, y, d = t if type(t) is tuple else (t._x, t._y, t._d)
             if not (x or y):
                 continue
-            old = acc.get(exp)
+            old = get(exp)
             if old is None:
-                acc[exp] = (x, y, d)
+                acc[exp] = t
                 continue
-            u, v, w = old
+            u, v, w = old if type(old) is tuple else (old._x, old._y, old._d)
             if w == d:
                 u, v = u + x, v + y
             else:
@@ -468,7 +490,7 @@ def _exact_sum(base: dict, products) -> LaurentPolynomial:
                 acc[exp] = (u, v, w)
             else:
                 del acc[exp]
-    return _wrap({exp: _reduced(x, y, d) for exp, (x, y, d) in acc.items()})
+    return _wrap({exp: _reduced(*t) if type(t) is tuple else t for exp, t in acc.items()})
 
 
 def _linear_products(g: LaurentPolynomial, shift: tuple, root: QComplex) -> dict:
@@ -540,7 +562,7 @@ def subtract_linear_multiples(base: LaurentPolynomial, parts: list, tol: float) 
         products = [
             _linear_products(g, shift, r if type(r) is QComplex else QComplex(r)) for g, shift, r in parts
         ]
-        return _exact_sum(_triples(base), products)
+        return _exact_sum(base._terms, products)
     # exp -> (r_e, s_e): one lookup and one store per summand.  A new
     # coefficient starts as 0 - c or 0 + t, not -c or t, so that a zero
     # part gets the sign a sum from 0 gives it
@@ -550,15 +572,21 @@ def subtract_linear_multiples(base: LaurentPolynomial, parts: list, tol: float) 
         acc[exp] = (c, abs(c))
     get = acc.get
     for g, (i, j), root in parts:
+        terms = _as_complex(g)._terms
+        if not root:
+            for (a, b), c in terms.items():
+                exp = (a + i, b + j)
+                old = get(exp)
+                acc[exp] = (0 - c, abs(c)) if old is None else (old[0] - c, old[1] + abs(c))
+            continue
         z = complex(root)
-        for (a, b), c in _as_complex(g)._terms.items():
-            exp = (a + i, b + j)
+        for key, c in terms.items():  # g's own exponent keys the root summand
+            exp = (key[0] + i, key[1] + j)
             old = get(exp)
             acc[exp] = (0 - c, abs(c)) if old is None else (old[0] - c, old[1] + abs(c))
-            if root:
-                t, exp = z * c, (a, b)
-                old = get(exp)
-                acc[exp] = (0 + t, abs(t)) if old is None else (old[0] + t, old[1] + abs(t))
+            t = z * c
+            old = get(key)
+            acc[key] = (0 + t, abs(t)) if old is None else (old[0] + t, old[1] + abs(t))
     out = {}
     for exp, (r, mass) in acc.items():
         m, bound = abs(r), _ROUNDING_REL * mass + _UNDERFLOW
@@ -680,43 +708,59 @@ def multiply_add(base: LaurentPolynomial, products: list) -> LaurentPolynomial:
     """base + g*h + ... over the (g, h) pairs of products.
 
     The exact kernel runs when every operand is exact; otherwise the floating
-    kernel runs on the operands read as complex.  The exact kernel skips a
-    product with an empty factor and passes a product by the constant 1 in h
-    through as g's own triples, as the split by the cut z2 of `hartogs_full`
-    has V1 = 0 and V2 = 1: the exact chain prunes nothing, so values and term
-    order stay the chain's.  The floating kernel keeps every product, since
-    an empty one can still re-prune the sum.
+    kernel runs on the operands read as complex.  Either kernel converts each
+    distinct factor once per call, keyed by identity, as the solver's R1, R2,
+    V1 and V2 recur once per component.  The exact kernel skips a product
+    with an empty factor and passes a product by the constant 1 in h through
+    as g's own terms, as the split by the cut z2 of `hartogs_full` has V1 = 0
+    and V2 = 1: the exact chain prunes nothing, so values and term order stay
+    the chain's.  The floating kernel keeps an empty product, as ({}, 0.0),
+    since it can still re-prune the sum.
     """
+    seen: dict = {}  # id(factor) -> its triples or its complex copy
     if base.is_exact() and all(g.is_exact() and h.is_exact() for g, h in products):
-        pairs = (
-            _triples(g) if h._terms == _ONE_TERMS else _product_triples(_triples(g), _triples(h))
-            for g, h in products
-            if g._terms and h._terms
-        )
-        return _exact_sum(_triples(base), pairs)
+        sums = []
+        for g, h in products:
+            if not (g._terms and h._terms):
+                continue
+            if h._terms == _ONE_TERMS:
+                sums.append(g._terms)
+                continue
+            if (tg := seen.get(id(g))) is None:
+                tg = seen[id(g)] = _triples(g)
+            if (th := seen.get(id(h))) is None:
+                th = seen[id(h)] = _triples(h)
+            sums.append(_product_triples(tg, th))
+        return _exact_sum(base._terms, sums)
     pairs = []
     for g, h in products:
-        g, h = _as_complex(g), _as_complex(h)
-        prod = _term_products(g._terms, h._terms)
-        pairs.append((prod, g._norm * h._norm if prod else 0.0))
+        if not (g._terms and h._terms):
+            pairs.append(({}, 0.0))
+            continue
+        if (cg := seen.get(id(g))) is None:
+            cg = seen[id(g)] = _as_complex(g)
+        if (ch := seen.get(id(h))) is None:
+            ch = seen[id(h)] = _as_complex(h)
+        pairs.append((_term_products(cg._terms, ch._terms), cg._norm * ch._norm))
     return _float_sum(_as_complex(base), pairs)
 
 
-def _linear_quotient(coeffs: dict, root):
+def _linear_quotient(coeffs: dict, root, exact: bool):
     """Divide sum c_d t^d by (t - root) via Horner, clearing any pole first.
 
     With s = min(0, lowest exponent), t^(-s) * sum c_d t^d is a polynomial;
     the walk divides it from the top exponent down to s + 1 and keys each
     quotient coefficient at d - 1, which is the quotient multiplied back by
     t^s.  Returns (quotient map, remainder of the cleared division).  The
-    walk is dense because the quotient generally is.
+    walk is dense because the quotient generally is.  exact is the kind of
+    the caller's polynomial, which its caller knows without reading the
+    coefficients: the exact walk runs when it is exact and root is a
+    QComplex, so its coefficients are QComplex values and int zeros.
     """
     if not coeffs:
         return {}, 0
     low = min(0, min(coeffs))
-    if type(root) is QComplex and all(
-        type(c) is QComplex or (type(c) is int and not c) for c in coeffs.values()
-    ):
+    if exact and type(root) is QComplex:
         return _exact_quotient(coeffs, root, low)
     carry = 0
     quotient: dict = {}
@@ -767,7 +811,7 @@ def divide_univariate(f: LaurentPolynomial, root) -> LaurentPolynomial:
     if f.is_zero:
         return LaurentPolynomial.zero()
     coeffs = {b: c for (_, b), c in f.terms.items()}
-    terms = {(0, d): c for d, c in _linear_quotient(coeffs, root)[0].items()}
+    terms = {(0, d): c for d, c in _linear_quotient(coeffs, root, f.is_exact())[0].items()}
     return LaurentPolynomial(terms, prune_scale=lambda: f.max_norm() * (1 + abs(root)))
 
 
@@ -781,9 +825,10 @@ def shift_divide_z1(f: LaurentPolynomial, p1) -> LaurentPolynomial:
     for (a, b), c in f.terms.items():
         slices.setdefault(b, {})[a] = c
     out: dict = {}
+    exact = f.is_exact()
     for b, sl in slices.items():
         # the constant term reaches only the remainder, (slice - slice(p1))(p1)
         # = 0 up to roundoff, which is discarded
-        for d, c in _linear_quotient(sl, p1)[0].items():
+        for d, c in _linear_quotient(sl, p1, exact)[0].items():
             out[(d, b)] = c
     return LaurentPolynomial(out, prune_scale=lambda: f.max_norm() * (1 + abs(p1)))

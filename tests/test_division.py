@@ -442,11 +442,11 @@ def _chain_split_component(i, j, comp, pair, uv):
     ratio_terms: dict = {}
     for beta, sl in slices.items():
         sl[0] = sl.get(0, 0) - g_proj.coefficient(0, beta)
-        quotient, _rem = _linear_quotient(sl, u_p)
+        quotient, _rem = _linear_quotient(sl, u_p, g.is_exact())
         for alpha, c in quotient.items():
             ratio_terms[(alpha, beta)] = c
     part_ratio = LaurentPolynomial(ratio_terms, prune_scale=g.max_norm)
-    quotient, rem = _linear_quotient({beta: c for (_, beta), c in g_proj.terms.items()}, v_p)
+    quotient, rem = _linear_quotient({beta: c for (_, beta), c in g_proj.terms.items()}, v_p, g_proj.is_exact())
     if not negligible(rem, lambda: max(g_proj.one_norm(), comp.one_norm())):
         raise InternalContractError("fiber projection does not vanish at the base point")
     part_cut = LaurentPolynomial({(0, beta): c for beta, c in quotient.items()}, prune_scale=g_proj.max_norm)

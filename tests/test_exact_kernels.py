@@ -17,10 +17,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from gleason import LaurentPolynomial, QComplex
+from gleason import LaurentPolynomial, QComplex, division
+from gleason.domains import MonomialPair
 from gleason.errors import EvaluationDomainError
 from gleason.laurent import _exact_values, _linear_quotient, multiply_add
 from gleason.scalars import _reduced, powi
+
+from conftest import chain_multiply_add
 
 # the package re-exports the function verify under the submodule's name
 verify_module = importlib.import_module("gleason.verify")
@@ -204,6 +207,78 @@ def test_multiply_add_with_zero_and_one_factors_matches_the_operator_chain(base,
     assert all(a == b for (_, a), (_, b) in zip(_items(got), _items(want)))
 
 
+one_terms = st.dictionaries(exps, nonzero_coeffs, min_size=1, max_size=1).map(LaurentPolynomial)
+
+
+@given(polys, st.lists(polys, max_size=4), polys, one_terms)
+@example(
+    LaurentPolynomial({(1, 0): QComplex(Fraction(1, 2)), (0, 0): QComplex(2)}),
+    [LaurentPolynomial({(0, 0): QComplex(1, 1), (1, -1): QComplex(Fraction(1, 3))})],
+    LaurentPolynomial({(1, 0): QComplex(Fraction(1, 2)), (0, 1): QComplex(0, 2)}),
+    LaurentPolynomial({(0, 0): QComplex(Fraction(-3, 4), 1)}),
+)
+def test_multiply_add_reads_shared_and_one_term_factors_as_the_chain(base, gs, h, one):
+    # one h object in several products, a distinct h with equal terms, a
+    # one-term h, and empty factors on either side
+    twin = LaurentPolynomial(dict(h.terms))
+    products = [(g, h) for g in gs] + [(h, twin), (twin, one), (h, one), (one, h), (ZERO, h), (h, ZERO)]
+    want = chain_multiply_add(base, products)
+    got = multiply_add(base, products)
+    assert list(got.terms) == list(want)
+    assert all(got.terms[e] == c for e, c in want.items())
+
+
+def test_multiply_add_keeps_untouched_coefficients_and_reduces_touched_ones():
+    half, third = QComplex(Fraction(1, 2)), QComplex(Fraction(1, 3))
+    base = LaurentPolynomial({(0, 0): half, (5, 0): QComplex(1, 3)})
+    passed = LaurentPolynomial({(0, 0): half, (1, 0): QComplex(Fraction(2, 3)), (3, 0): QComplex(0, 7)})
+    products = [
+        (passed, ONE),  # (0, 0) becomes 2/2; (1, 0) and (3, 0) pass through
+        (LaurentPolynomial({(1, 0): third}), ONE),  # 2/3 + 1/3 = 3/3
+        (LaurentPolynomial({(2, 0): QComplex(Fraction(1, 4))}), LaurentPolynomial.constant(QComplex(2))),
+    ]
+    got = multiply_add(base, products)
+    want = chain_multiply_add(base, products)
+    assert list(got.terms) == list(want)
+    assert all(got.terms[e] == c for e, c in want.items())
+    for value in got.terms.values():
+        x, y, d = value.as_ints()
+        assert math.gcd(x, y, d) == 1
+    # a coefficient that no other summand reaches is the operand's own
+    assert got.terms[(5, 0)] is base.terms[(5, 0)]
+    assert got.terms[(3, 0)] is passed.terms[(3, 0)]
+
+
+def _scan_dispatched(coeffs, root, exact):
+    """The walk chosen by reading every coefficient, as it was chosen before
+    each caller passed its polynomial's kind."""
+    scanned = all(type(c) is QComplex or (type(c) is int and not c) for c in coeffs.values())
+    return _linear_quotient(coeffs, root, scanned)
+
+
+def _typed(poly) -> list:
+    return [(e, type(c).__name__, repr(c)) for e, c in poly.terms.items()]
+
+
+def test_split_component_walks_a_zero_u0_entry_as_the_scan_dispatch(monkeypatch):
+    # u = z1/z2, v = z2 at p = (1/2, 1/3): u(p) = 3/2, v(p) = 1/3.  The cut
+    # slice of v holds u - (2/3)u^2, whose fiber value cancels to zero, so its
+    # u^0 entry is the int 0 of 0 - 0; v^2 - 1/9 gives slices of u^0 alone
+    pair = MonomialPair(1, 1, 0, 1)
+    uv = (QComplex(Fraction(3, 2)), QComplex(Fraction(1, 3)))
+    terms = {(1, 0): 1, (2, -1): Fraction(-2, 3), (0, 2): 1, (0, 0): Fraction(-1, 9)}
+    exact = LaurentPolynomial({e: QComplex(c) for e, c in terms.items()})
+    floating = LaurentPolynomial({e: complex(c) for e, c in terms.items()})
+    for comp in (exact, floating):
+        got = [_typed(part) for part in division.split_component(1, 0, comp, pair, uv)]
+        with monkeypatch.context() as patch:
+            patch.setattr(division, "_linear_quotient", _scan_dispatched)
+            want = [_typed(part) for part in division.split_component(1, 0, comp, pair, uv)]
+        assert got == want
+    g1, g2 = division.split_component(1, 0, exact, pair, uv)
+    assert g1.is_exact() and g2.is_exact() and not g1.is_zero and not g2.is_zero
+
+
 # -- the Horner walk ----------------------------------------------------------------
 
 
@@ -217,7 +292,7 @@ horner_coeffs = st.dictionaries(
 @example({0: 0}, QComplex(3))
 @example({}, QComplex(3))
 def test_linear_quotient_matches_the_operator_loop(coeffs, root):
-    quotient, remainder = _linear_quotient(dict(coeffs), root)
+    quotient, remainder = _linear_quotient(dict(coeffs), root, True)
     want_quotient, want_remainder = ref_linear_quotient(dict(coeffs), root)
     assert list(quotient) == list(want_quotient)
     assert all(quotient[d] == want_quotient[d] for d in quotient)
@@ -230,7 +305,7 @@ def test_linear_quotient_divides_a_vanishing_slice_exactly():
     g = LaurentPolynomial({(0, 1): 1, (0, 0): -root})
     h = LaurentPolynomial({(0, 3): 1, (0, 0): 2, (0, -2): QComplex(0, 1)})
     product = {b: c for (_, b), c in (g * h).terms.items()}
-    quotient, remainder = _linear_quotient(product, root)
+    quotient, remainder = _linear_quotient(product, root, True)
     assert not remainder
     got = {d: c for d, c in quotient.items() if c}
     assert got == {b: c for (_, b), c in h.terms.items()}

@@ -629,6 +629,67 @@ def test_one_term_products_are_the_operator_chain_bit_for_bit(base, products):
 
 
 
+def _loop_chain(base, products):
+    """base + g*h + ... with each product formed by the two-loop dict product,
+    every coefficient summed from 0, and pruned at |g| * |h| as `*` prunes it."""
+    acc = base
+    for g, h in products:
+        prod: dict = {}
+        for (a1, b1), c1 in g.terms.items():
+            for (a2, b2), c2 in h.terms.items():
+                exp = (a1 + a2, b1 + b2)
+                prod[exp] = prod.get(exp, 0) + c1 * c2
+        acc = acc + LaurentPolynomial(prod, prune_scale=lambda: g.max_norm() * h.max_norm())
+    return acc
+
+
+signed_zero_parts = st.sampled_from([1.0, -1.0, 0.5j, -2j, complex(-1.0, -0.0), complex(-0.0, 3.0)])
+one_float_term = st.dictionaries(small_exps, st.one_of(wide_floats, signed_zero_parts), min_size=1, max_size=1)
+
+
+@settings(max_examples=300)
+@given(
+    wide_polys,
+    st.lists(wide_polys, max_size=3),
+    second_factors,
+    one_float_term.map(LaurentPolynomial),
+)
+# the one-term product's -0.0 imaginary part meets the base's -0.0: a product
+# summed from 0 turns it to +0.0, and the sum keeps +0.0
+@example(
+    LaurentPolynomial({(1, 0): complex(2.0, -0.0)}),
+    [LaurentPolynomial({(0, 0): complex(1.0, 0.0)})],
+    LaurentPolynomial.zero(),
+    LaurentPolynomial({(1, 0): complex(-1.0, -0.0)}),
+)
+def test_float_multiply_add_reads_shared_and_one_term_factors_as_the_chain(base, gs, h, one):
+    # one h object in several products, a distinct h with equal terms, a
+    # one-term h, and empty factors on either side, bit for bit, signed zeros
+    # too; every product has a floating factor, as the kernel reads an exact
+    # one as complex before it multiplies
+    twin = LaurentPolynomial(dict(h.terms), prune_scale=0.0)
+    products = [(g, h) for g in gs] + [(g, one) for g in gs] + [(g, twin) for g in gs[:1]]
+    products += [(twin, one), (one, h), (LaurentPolynomial.zero(), h), (h, LaurentPolynomial.zero())]
+    got = _outcome(lambda: multiply_add(base, products))
+    assert got == _outcome(lambda: _loop_chain(base, products))
+
+
+@pytest.mark.parametrize("first_root", [0.0, complex(-0.0, -0.0), 0])
+def test_float_residual_with_a_zero_and_a_nonzero_root_is_the_chain(first_root):
+    # the zero root adds no summand, not even 0 to f's -0.0 at (5, 5); the
+    # nonzero one keys its summands at g's own exponents, each after the
+    # shifted one, on parts with signed zeros
+    f = LaurentPolynomial(
+        {(1, 0): complex(-0.0, -1.0), (0, 0): complex(1.5, -0.0), (0, 1): -2j, (5, 5): complex(-0.0, 1.0)}
+    )
+    f1 = LaurentPolynomial({(0, 0): complex(-1.0, -0.0), (1, 0): 3.0, (0, 1): complex(0.25, -0.0), (5, 5): 1.0})
+    f2 = LaurentPolynomial({(0, 0): 2j, (1, -1): complex(-0.0, 1.0), (0, 1): 1e-20})
+    for tol in (0.0, 1e-9, 1.0):
+        parts = [(f1, (1, 0), first_root), (f2, (0, 1), complex(0.5, -0.25))]
+        got = _outcome(lambda: subtract_linear_multiples(f, parts, tol))
+        assert got == _outcome(lambda: _two_map_residual(f, parts, tol))
+
+
 # -- the floating kernel's carried extremes ------------------------------------------
 
 
