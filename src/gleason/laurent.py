@@ -13,17 +13,18 @@ its norm only when asked.
 
 `multiply_add` forms ``base + sum g*h`` in one map, converting each
 distinct factor once per call.  When every operand is exact it reads each
-coefficient as Gaussian-integer ints (x, y, d) for (x + y*i)/d, keeps each
-exponent's sum unreduced and divides it through by its gcd once; exact `*`
-runs there too.  It skips a product by 0 and passes a product by the
-constant 1 through as the other factor's own terms; a reduced coefficient
-of base or of such a product that no other summand reaches passes through
-`_exact_sum` untouched.  Otherwise it reads the operands as complex and
-rounds and prunes term by term where the operator chain does, but touches
-only the terms a product hits and reads a product's moduli in one list,
-rebuilding the product only when one of its prunes drops a term.  A product
-by one term is one pass either way, since one shift keeps the exponents
-distinct.
+coefficient as Gaussian-integer ints (x, y, d) for (x + y*i)/d, lists a
+product's term products in one pass and adds them straight into the sum's
+map, keeping each exponent's sum unreduced and dividing it through by its
+gcd once; exact `*` runs there too.  It skips a product by 0 and passes a
+product by the constant 1 through as the other factor's own terms; a
+reduced coefficient of base or of such a product that no other summand
+reaches passes through `_exact_sum` untouched.  Otherwise it reads the
+operands as complex and rounds and prunes term by term where the operator
+chain does, but touches only the terms a product hits and reads a
+product's moduli in one list, rebuilding the product only when one of its
+prunes drops a term; a product by one term is one pass, since one shift
+keeps the exponents distinct.
 Either way coefficients and term order are the chain's.  A prune at an
 infinite scale would drop every term, so it raises `InputError` naming the
 float overflow.
@@ -240,36 +241,14 @@ def _exact_values(groups: list, q1: QComplex, q2: QComplex) -> list:
     return values
 
 
-def _product_triples(g: dict, h: dict) -> dict:
-    """exponent -> unreduced (x, y, d) of the product of two triple maps.
-
-    Exponents appear in the order the operator loop meets them; a sum that
-    cancels stays in the map as a zero triple.
-    """
-    if len(h) == 1:  # one shift keeps g's exponents distinct: nothing collides
-        ((a2, b2), (x2, y2, d2)), = h.items()
-        return {
-            (a1 + a2, b1 + b2): (x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, d1 * d2)
-            for (a1, b1), (x1, y1, d1) in g.items()
-        }
-    acc: dict = {}
-    get = acc.get
-    for (a1, b1), (x1, y1, d1) in g.items():
-        for (a2, b2), (x2, y2, d2) in h.items():
-            exp = (a1 + a2, b1 + b2)
-            x = x1 * x2 - y1 * y2
-            y = x1 * y2 + y1 * x2
-            d = d1 * d2
-            old = get(exp)
-            if old is None:
-                acc[exp] = (x, y, d)
-            else:
-                u, v, w = old
-                if w == d:
-                    acc[exp] = (u + x, v + y, d)
-                else:
-                    acc[exp] = (u * d + x * w, v * d + y * w, w * d)
-    return acc
+def _product_triples(g: dict, h: dict) -> list:
+    """The (exponent, unreduced (x, y, d)) term products of two triple maps,
+    in the order the operator loop forms them, g's terms outer."""
+    return [
+        ((a1 + a2, b1 + b2), (x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, d1 * d2))
+        for (a1, b1), (x1, y1, d1) in g.items()
+        for (a2, b2), (x2, y2, d2) in h.items()
+    ]
 
 
 def _term_products(g: dict, h: dict) -> dict:
@@ -458,29 +437,30 @@ class LaurentPolynomial:
 
 
 def _exact_sum(base: dict, products) -> LaurentPolynomial:
-    """The exact kernel: the QComplex terms of base plus the product maps.
+    """The exact kernel: the QComplex terms of base plus the products' summands.
 
-    A product map is exponent -> unreduced (x, y, d) in the order the
-    operator loop meets the exponents, as `_product_triples` and
-    `_linear_products` build it, or a polynomial's own QComplex terms, as
-    for a product by the constant 1.  The sum is formed in one map; an
-    entry no other summand reaches keeps its reduced QComplex as it is, and
-    one that several reach is summed as ints and reduced once.  A product's
-    cancelled exponents are skipped and an exponent whose sum cancels is
-    dropped, so the terms come out in the order of the operator chain, which
-    drops exact zeros after every `*` and `+`.
+    A product is a list of (exponent, unreduced (x, y, d)) summands in the
+    order the operator loop forms them, as `_product_triples` lists them, in
+    which an exponent may recur; or the items of a map whose exponents are
+    distinct: `_linear_products`' triples, or a polynomial's own QComplex
+    terms for a product by the constant 1.  Every summand goes straight into
+    one map: an entry no other summand reaches keeps its value as it is, and
+    one that several reach is summed as ints and reduced once.  An entry that
+    cancels is dropped after its product, as the operator chain drops exact
+    zeros after every `*` and `+`, so the terms come out in the chain's
+    order: a map's entry goes at once, a list's when the list ends, since a
+    later summand may reach it again.
     """
     acc = dict(base)
     get = acc.get
     for product in products:
-        for exp, t in product.items():
-            x, y, d = t if type(t) is tuple else (t._x, t._y, t._d)
-            if not (x or y):
-                continue
+        zeros = []
+        for exp, t in product:
             old = get(exp)
             if old is None:
                 acc[exp] = t
                 continue
+            x, y, d = t if type(t) is tuple else (t._x, t._y, t._d)
             u, v, w = old if type(old) is tuple else (old._x, old._y, old._d)
             if w == d:
                 u, v = u + x, v + y
@@ -488,7 +468,13 @@ def _exact_sum(base: dict, products) -> LaurentPolynomial:
                 u, v, w = u * d + x * w, v * d + y * w, w * d
             if u or v:
                 acc[exp] = (u, v, w)
+            elif type(product) is list:
+                acc[exp] = (0, 0, w)
+                zeros.append(exp)
             else:
+                del acc[exp]
+        for exp in zeros:
+            if (t := get(exp)) is not None and not (t[0] or t[1]):
                 del acc[exp]
     return _wrap({exp: _reduced(*t) if type(t) is tuple else t for exp, t in acc.items()})
 
@@ -499,7 +485,8 @@ def _linear_products(g: LaurentPolynomial, shift: tuple, root: QComplex) -> dict
     The map is `_product_triples` of g and the negated linear polynomial,
     whose terms are -z^shift, then root when root is nonzero: the same
     exponents in the same order with the same ints, but neither the linear
-    polynomial nor the general product loop is formed.
+    polynomial nor the general product loop is formed.  An exponent meets at
+    most two summands, so one that cancels is deleted at once.
     """
     i, j = shift
     rx, ry, rd = root._x, root._y, root._d
@@ -514,9 +501,13 @@ def _linear_products(g: LaurentPolynomial, shift: tuple, root: QComplex) -> dict
         else:
             u, v, w = old
             if w == d1:
-                acc[exp] = (u - x1, v - y1, d1)
+                u, v = u - x1, v - y1
             else:
-                acc[exp] = (u * d1 - x1 * w, v * d1 - y1 * w, w * d1)
+                u, v, w = u * d1 - x1 * w, v * d1 - y1 * w, w * d1
+            if u or v:
+                acc[exp] = (u, v, w)
+            else:
+                del acc[exp]
         if not (rx or ry):
             continue
         exp = (a, b)
@@ -529,9 +520,13 @@ def _linear_products(g: LaurentPolynomial, shift: tuple, root: QComplex) -> dict
         else:
             u, v, w = old
             if w == d:
-                acc[exp] = (u + x, v + y, d)
+                u, v = u + x, v + y
             else:
-                acc[exp] = (u * d + x * w, v * d + y * w, w * d)
+                u, v, w = u * d + x * w, v * d + y * w, w * d
+            if u or v:
+                acc[exp] = (u, v, w)
+            else:
+                del acc[exp]
     return acc
 
 
@@ -562,7 +557,7 @@ def subtract_linear_multiples(base: LaurentPolynomial, parts: list, tol: float) 
         products = [
             _linear_products(g, shift, r if type(r) is QComplex else QComplex(r)) for g, shift, r in parts
         ]
-        return _exact_sum(base._terms, products)
+        return _exact_sum(base._terms, [product.items() for product in products])
     # exp -> (r_e, s_e): one lookup and one store per summand.  A new
     # coefficient starts as 0 - c or 0 + t, not -c or t, so that a zero
     # part gets the sign a sum from 0 gives it
@@ -724,7 +719,7 @@ def multiply_add(base: LaurentPolynomial, products: list) -> LaurentPolynomial:
             if not (g._terms and h._terms):
                 continue
             if h._terms == _ONE_TERMS:
-                sums.append(g._terms)
+                sums.append(g._terms.items())
                 continue
             if (tg := seen.get(id(g))) is None:
                 tg = seen[id(g)] = _triples(g)

@@ -249,6 +249,29 @@ def test_multiply_add_keeps_untouched_coefficients_and_reduces_touched_ones():
     assert got.terms[(3, 0)] is passed.terms[(3, 0)]
 
 
+def _poly(terms: dict) -> LaurentPolynomial:
+    return LaurentPolynomial({e: QComplex(c) for e, c in terms.items()})
+
+
+@pytest.mark.parametrize(
+    "base, g, h",
+    [
+        # g*h meets (0, 0) twice: the first summand cancels base there, the
+        # second brings it back, so it keeps base's place
+        ({(0, 0): 1, (3, 0): 5}, {(0, 0): 1, (1, 0): 1}, {(0, 0): -1, (-1, 0): 2}),
+        # (1 + z + z^2)(1 - z + z^2) = 1 + z^2 + z^4: (1, 0) and (3, 0) are
+        # new and cancel within the product, (2, 0) cancels base after it
+        ({(2, 0): -1, (5, 0): 1}, {(0, 0): 1, (1, 0): 1, (2, 0): 1}, {(0, 0): 1, (1, 0): -1, (2, 0): 1}),
+    ],
+)
+def test_multiply_add_drops_an_entry_only_after_the_product_that_cancels_it(base, g, h):
+    base, products = _poly(base), [(_poly(g), _poly(h)), (_poly(h), ONE)]
+    want = chain_multiply_add(base, products)
+    got = multiply_add(base, products)
+    assert list(got.terms) == list(want)
+    assert all(got.terms[e] == c for e, c in want.items())
+
+
 def _scan_dispatched(coeffs, root, exact):
     """The walk chosen by reading every coefficient, as it was chosen before
     each caller passed its polynomial's kind."""
@@ -321,6 +344,13 @@ def test_linear_quotient_divides_a_vanishing_slice_exactly():
     LaurentPolynomial.zero(),
     QComplex(1),
     QComplex(0),
+)
+@example(  # a shifted and a root summand cancel within each part
+    LaurentPolynomial({(5, 5): QComplex(1)}),
+    LaurentPolynomial({(1, 0): QComplex(1), (0, 0): QComplex(2)}),
+    LaurentPolynomial({(0, 0): QComplex(2), (0, 1): QComplex(1)}),
+    QComplex(2),
+    QComplex(2),
 )
 def test_residual_matches_multiply_add_nonzero(f, f1, f2, p1, p2):
     got = verify_module.symbolic_residual(f, f1, f2, (p1, p2))

@@ -96,6 +96,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--limit", type=int, help="keep the first K instances")
     args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
 
     trees = [Tree(args.parent), Tree(args.change)]
     if args.workload not in trees[0].corpus.WORKLOADS:
