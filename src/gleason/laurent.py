@@ -482,11 +482,11 @@ def _exact_sum(base: dict, products) -> LaurentPolynomial:
 def _linear_products(g: LaurentPolynomial, shift: tuple, root: QComplex) -> dict:
     """exponent -> unreduced (x, y, d) of -g * (z^shift - root) for exact g.
 
-    The map is `_product_triples` of g and the negated linear polynomial,
-    whose terms are -z^shift, then root when root is nonzero: the same
-    exponents in the same order with the same ints, but neither the linear
-    polynomial nor the general product loop is formed.  An exponent meets at
-    most two summands, so one that cancels is deleted at once.
+    The map sums per exponent the summands that `_product_triples` lists for
+    g and the negated linear polynomial, whose terms are -z^shift, then root
+    when root is nonzero: the same exponents in the same order with the same
+    ints, but the linear polynomial is not formed.  An exponent meets at most
+    two summands, so one that cancels is deleted at once.
     """
     i, j = shift
     rx, ry, rd = root._x, root._y, root._d
