@@ -47,8 +47,8 @@ def _abs2(q) -> tuple[int, int]:
     modulus, so it lies in no domain.
     """
     if isinstance(q, QComplex):
-        m = q.abs2()
-        return m.numerator, m.denominator
+        x, y, d = q.as_ints()
+        return x * x + y * y, d * d
     z = complex(q)
     if not cmath.isfinite(z):
         return 1, 0
@@ -163,13 +163,10 @@ def poly_bounded(domain: CuspDomain, f: LaurentPolynomial) -> BoundednessCertifi
     generator (gx, gy).  Violations are listed in ascending lexicographic
     order.
     """
-    generators = domain.recession_generators
-    outside = []
-    for a, b in f.exponents():
-        for gx, gy in generators:
-            if a * gx + b * gy > 0:
-                outside.append((a, b))
-                break
+    # one comprehension, each generator against every exponent; the set keeps
+    # an exponent outside for both generators once
+    exps = f.exponents()
+    outside = {(a, b) for gx, gy in domain.recession_generators for a, b in exps if a * gx + b * gy > 0}
     violations = tuple(sorted(outside))
     return BoundednessCertificate(bounded=not violations, violations=violations)
 

@@ -13,28 +13,31 @@ its norm only when asked.
 
 `multiply_add` forms ``base + sum g*h`` in one map, converting each
 distinct factor once per call.  When every operand is exact it reads each
-coefficient as Gaussian-integer ints (x, y, d) for (x + y*i)/d, lists a
-product's term products in one pass and adds them straight into the sum's
-map, keeping each exponent's sum unreduced and dividing it through by its
-gcd once; exact `*` runs there too.  It skips a product by 0 and passes a
-product by the constant 1 through as the other factor's own terms; a
-reduced coefficient of base or of such a product that no other summand
-reaches passes through `_exact_sum` untouched.  Otherwise it reads the
-operands as complex and rounds and prunes term by term where the operator
-chain does, but touches only the terms a product hits and reads a
-product's moduli in one list, rebuilding the product only when one of its
-prunes drops a term; a product by one term is one pass, since one shift
-keeps the exponents distinct.
+coefficient as Gaussian-integer ints (x, y, d) for (x + y*i)/d and hands
+`_exact_sum` each product as the pair of its factors' triple maps, whose
+term products that loop forms and adds straight into the sum's map,
+keeping each exponent's sum unreduced; the finished map is reduced in one
+pass, each summed entry once.  Exact `*` runs there too.  It skips a
+product by 0 and passes a product by the constant 1 through as the items
+of the other factor's own terms; a reduced coefficient of base or of such
+a product that no other summand reaches passes through `_exact_sum`
+untouched.  Otherwise it reads the operands as complex, except that it
+forms a product of two exact factors exactly, as `*` does, and rounds and
+prunes term by term where the operator chain does, but touches only the
+terms a product hits and reads a product's moduli in one list, rebuilding
+the product only when one of its prunes drops a term; a product by one
+term is one pass, since one shift keeps the exponents distinct.
 Either way coefficients and term order are the chain's.  A prune at an
 infinite scale would drop every term, so it raises `InputError` naming the
 float overflow.
 
 `subtract_linear_multiples`, the symbolic residual, shifts the factors'
 terms instead of building z - root: as unreduced triples on exact operands,
-and on floating ones in a pass that keeps each coefficient's float sum and
-the sum of its summands' moduli as one pair in one map and certifies the
-coefficient against a tolerance, recomputing it exactly when its rounding
-bound straddles it.
+handed to `_exact_sum` as map items, and on floating ones in a pass that
+keeps each coefficient's float sum and the sum of its summands' moduli as
+one pair in one map and certifies the coefficient against a tolerance,
+recomputing it exactly when its rounding bound straddles it.  The
+tolerance may be a function, read only on that floating path.
 
 `eval` on exact terms at a QComplex point, and the correction polynomial's
 values on exact f and p, sum over one common denominator in
@@ -59,7 +62,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .errors import EvaluationDomainError, InputError
-from .scalars import QComplex, _raw, _reduced, powi
+from .scalars import QComplex, _raw, _reduce_values, _reduced, powi
 from .scalars import is_exact as scalar_is_exact
 
 PRUNE_REL = 1e-14
@@ -241,16 +244,6 @@ def _exact_values(groups: list, q1: QComplex, q2: QComplex) -> list:
     return values
 
 
-def _product_triples(g: dict, h: dict) -> list:
-    """The (exponent, unreduced (x, y, d)) term products of two triple maps,
-    in the order the operator loop forms them, g's terms outer."""
-    return [
-        ((a1 + a2, b1 + b2), (x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, d1 * d2))
-        for (a1, b1), (x1, y1, d1) in g.items()
-        for (a2, b2), (x2, y2, d2) in h.items()
-    ]
-
-
 def _term_products(g: dict, h: dict) -> dict:
     """exponent -> unpruned sum of term products; `*` and the float kernel share it.
 
@@ -374,7 +367,7 @@ class LaurentPolynomial:
     def __mul__(self, other):
         if isinstance(other, LaurentPolynomial):
             if self.is_exact() and other.is_exact():
-                return _exact_sum({}, [_product_triples(_triples(self), _triples(other))])
+                return _exact_sum({}, [(_triples(self), _triples(other))])
             return LaurentPolynomial(
                 _term_products(self._terms, other._terms),
                 prune_scale=lambda: self.max_norm() * other.max_norm(),
@@ -439,54 +432,74 @@ class LaurentPolynomial:
 def _exact_sum(base: dict, products) -> LaurentPolynomial:
     """The exact kernel: the QComplex terms of base plus the products' summands.
 
-    A product is a list of (exponent, unreduced (x, y, d)) summands in the
-    order the operator loop forms them, as `_product_triples` lists them, in
-    which an exponent may recur; or the items of a map whose exponents are
-    distinct: `_linear_products`' triples, or a polynomial's own QComplex
-    terms for a product by the constant 1.  Every summand goes straight into
-    one map: an entry no other summand reaches keeps its value as it is, and
-    one that several reach is summed as ints and reduced once.  An entry that
-    cancels is dropped after its product, as the operator chain drops exact
-    zeros after every `*` and `+`, so the terms come out in the chain's
-    order: a map's entry goes at once, a list's when the list ends, since a
-    later summand may reach it again.
+    A product is a pair (g, h) of exponent -> (x, y, d) maps, whose term
+    products this loop forms in the operator loop's order, g's terms outer,
+    and in which an exponent may recur; or the items of a map whose
+    exponents are distinct: `_linear_products`' triples, or a polynomial's
+    own QComplex terms for a product by the constant 1.  Every summand goes
+    straight into one map: an entry no other summand reaches keeps its value
+    as it is, and one that several reach is summed as unreduced ints.  An
+    entry that cancels is dropped after its product, as the operator chain
+    drops exact zeros after every `*` and `+`, so the terms come out in the
+    chain's order: a map's entry goes at once, a pair's when the pair's
+    product ends, since a later summand may reach it again.  The finished
+    map is reduced in one pass, each summed entry once.
     """
     acc = dict(base)
     get = acc.get
     for product in products:
+        if type(product) is not tuple:
+            for exp, t in product:
+                old = get(exp)
+                if old is None:
+                    acc[exp] = t
+                    continue
+                x, y, d = t if type(t) is tuple else (t._x, t._y, t._d)
+                u, v, w = old if type(old) is tuple else (old._x, old._y, old._d)
+                if w == d:
+                    u, v = u + x, v + y
+                else:
+                    u, v, w = u * d + x * w, v * d + y * w, w * d
+                if u or v:
+                    acc[exp] = (u, v, w)
+                else:
+                    del acc[exp]
+            continue
+        g, h = product
+        h = h.items()
         zeros = []
-        for exp, t in product:
-            old = get(exp)
-            if old is None:
-                acc[exp] = t
-                continue
-            x, y, d = t if type(t) is tuple else (t._x, t._y, t._d)
-            u, v, w = old if type(old) is tuple else (old._x, old._y, old._d)
-            if w == d:
-                u, v = u + x, v + y
-            else:
-                u, v, w = u * d + x * w, v * d + y * w, w * d
-            if u or v:
-                acc[exp] = (u, v, w)
-            elif type(product) is list:
-                acc[exp] = (0, 0, w)
-                zeros.append(exp)
-            else:
-                del acc[exp]
+        for (a1, b1), (x1, y1, d1) in g.items():
+            for (a2, b2), (x2, y2, d2) in h:
+                exp = (a1 + a2, b1 + b2)
+                x, y, d = x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, d1 * d2
+                old = get(exp)
+                if old is None:
+                    acc[exp] = (x, y, d)
+                    continue
+                u, v, w = old if type(old) is tuple else (old._x, old._y, old._d)
+                if w == d:
+                    u, v = u + x, v + y
+                else:
+                    u, v, w = u * d + x * w, v * d + y * w, w * d
+                if u or v:
+                    acc[exp] = (u, v, w)
+                else:
+                    acc[exp] = (0, 0, w)
+                    zeros.append(exp)
         for exp in zeros:
             if (t := get(exp)) is not None and not (t[0] or t[1]):
                 del acc[exp]
-    return _wrap({exp: _reduced(*t) if type(t) is tuple else t for exp, t in acc.items()})
+    return _wrap(_reduce_values(acc))
 
 
 def _linear_products(g: LaurentPolynomial, shift: tuple, root: QComplex) -> dict:
     """exponent -> unreduced (x, y, d) of -g * (z^shift - root) for exact g.
 
-    The map sums per exponent the summands that `_product_triples` lists for
-    g and the negated linear polynomial, whose terms are -z^shift, then root
-    when root is nonzero: the same exponents in the same order with the same
-    ints, but the linear polynomial is not formed.  An exponent meets at most
-    two summands, so one that cancels is deleted at once.
+    The map sums per exponent the summands that `_exact_sum` forms for the
+    pair of g and the negated linear polynomial, whose terms are -z^shift,
+    then root when root is nonzero: the same exponents in the same order with
+    the same ints, but the linear polynomial is not formed.  An exponent
+    meets at most two summands, so one that cancels is deleted at once.
     """
     i, j = shift
     rx, ry, rd = root._x, root._y, root._d
@@ -539,13 +552,17 @@ _ROUNDING_REL = 12 * 2.0**-53
 _UNDERFLOW = 2.0**-1069
 
 
-def subtract_linear_multiples(base: LaurentPolynomial, parts: list, tol: float) -> LaurentPolynomial:
+def subtract_linear_multiples(
+    base: LaurentPolynomial, parts: list, tol: float | Callable[[], float]
+) -> LaurentPolynomial:
     """base - g*(z^shift - root) - ... over the (g, shift, root) parts, shift != (0, 0).
 
+    tol is a float or a function returning one, as `prune_scale` may be.
     Exact operands (every root an int, Fraction or QComplex) give the exact
-    residual in the operator chain's term order, and tol is not read.
-    Otherwise each coefficient r_e is summed in float, unpruned, beside the
-    sum s_e of its summands' moduli, the two kept as one pair per exponent
+    residual in the operator chain's term order, and tol is not read, so a
+    function is never called.  Otherwise tol is read once, and each
+    coefficient r_e is summed in float, unpruned, beside the sum s_e of its
+    summands' moduli, the two kept as one pair per exponent
     (an exact operand read as complex rounds relatively, as in the normal
     float range), so |r_e| lies within b_e = 12u * s_e + 2**-1069 of the
     float sum's modulus m_e.  It is dropped when
@@ -558,6 +575,8 @@ def subtract_linear_multiples(base: LaurentPolynomial, parts: list, tol: float) 
             _linear_products(g, shift, r if type(r) is QComplex else QComplex(r)) for g, shift, r in parts
         ]
         return _exact_sum(base._terms, [product.items() for product in products])
+    if callable(tol):
+        tol = tol()
     # exp -> (r_e, s_e): one lookup and one store per summand.  A new
     # coefficient starts as 0 - c or 0 + t, not -c or t, so that a zero
     # part gets the sign a sum from 0 gives it
@@ -705,12 +724,17 @@ def multiply_add(base: LaurentPolynomial, products: list) -> LaurentPolynomial:
     The exact kernel runs when every operand is exact; otherwise the floating
     kernel runs on the operands read as complex.  Either kernel converts each
     distinct factor once per call, keyed by identity, as the solver's R1, R2,
-    V1 and V2 recur once per component.  The exact kernel skips a product
+    V1 and V2 recur once per component.  The exact kernel hands `_exact_sum`
+    each product as the pair of its factors' triple maps, skips a product
     with an empty factor and passes a product by the constant 1 in h through
-    as g's own terms, as the split by the cut z2 of `hartogs_full` has V1 = 0
-    and V2 = 1: the exact chain prunes nothing, so values and term order stay
-    the chain's.  The floating kernel keeps an empty product, as ({}, 0.0),
-    since it can still re-prune the sum.
+    as the items of g's own terms, as the split by the cut z2 of
+    `hartogs_full` has V1 = 0 and V2 = 1: the exact chain prunes nothing, so
+    values and term order stay the chain's.  The floating kernel keeps an
+    empty product, as ({}, 0.0), since it can still re-prune the sum, and
+    forms a product of two exact factors exactly, unpruned, and reads its
+    coefficients as complex, as ``base + g*h`` adds an exact product; only a
+    new entry's part that underflows to -0.0 differs, as the sum from 0
+    turns it to +0.0.
     """
     seen: dict = {}  # id(factor) -> its triples or its complex copy
     if base.is_exact() and all(g.is_exact() and h.is_exact() for g, h in products):
@@ -725,7 +749,7 @@ def multiply_add(base: LaurentPolynomial, products: list) -> LaurentPolynomial:
                 tg = seen[id(g)] = _triples(g)
             if (th := seen.get(id(h))) is None:
                 th = seen[id(h)] = _triples(h)
-            sums.append(_product_triples(tg, th))
+            sums.append((tg, th))
         return _exact_sum(base._terms, sums)
     pairs = []
     for g, h in products:
@@ -736,6 +760,12 @@ def multiply_add(base: LaurentPolynomial, products: list) -> LaurentPolynomial:
             cg = seen[id(g)] = _as_complex(g)
         if (ch := seen.get(id(h))) is None:
             ch = seen[id(h)] = _as_complex(h)
+        if cg is not g and ch is not h:
+            # both exact: the chain forms g*h exactly, prunes none of it and
+            # reads each coefficient as complex as it adds it; the floor -inf
+            # keeps every term
+            pairs.append(({e: complex(c) for e, c in (g * h)._terms.items()}, -math.inf))
+            continue
         pairs.append((_term_products(cg._terms, ch._terms), cg._norm * ch._norm))
     return _float_sum(_as_complex(base), pairs)
 

@@ -11,7 +11,8 @@ arithmetic path.  The reduction is one three-argument ``math.gcd``, except
 for a power-of-two denominator, as every value lifted from floats has, whose
 gcd is the lowest set bit of x | y | d.  The polynomial kernels of
 :mod:`gleason.laurent` carry unreduced (x, y, d) triples and reduce only the
-coefficients they store or return.  ``.re`` and ``.im`` still hand out
+coefficients they store or return, a finished map in one pass
+(`_reduce_values`).  ``.re`` and ``.im`` still hand out
 ``Fraction`` values.  Scalar arithmetic between a QComplex and a float or
 complex degrades to ``complex``, as ``Fraction`` does with ``float``.
 """
@@ -229,6 +230,32 @@ def _reduced(x: int, y: int, d: int) -> QComplex:
     q = _new(QComplex)
     q._x, q._y, q._d = x, y, d
     return q
+
+
+def _reduce_values(terms: dict) -> dict:
+    """terms with every unreduced (x, y, d) value replaced, in place, by its
+    reduced QComplex, by `_reduced`'s rule; a QComplex value stays the same
+    object.  Returns terms.  One pass with the rule inlined, for a kernel's
+    finished map, costs less than one `_reduced` call per entry.
+    """
+    gcd, new = math.gcd, _new
+    for key, t in terms.items():
+        if type(t) is not tuple:
+            continue
+        x, y, d = t
+        if d & (d - 1):
+            g = gcd(d, x, y)
+            if g != 1:
+                x, y, d = x // g, y // g, d // g
+        else:
+            low = x | y | d
+            shift = (low & -low).bit_length() - 1
+            if shift:
+                x, y, d = x >> shift, y >> shift, d >> shift
+        q = new(QComplex)
+        q._x, q._y, q._d = x, y, d
+        terms[key] = q
+    return terms
 
 
 def powi(base, exponent: int):

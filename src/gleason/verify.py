@@ -145,7 +145,8 @@ def symbolic_residual(
     iff every exact one is (see `subtract_linear_multiples`).
     """
     p1, p2 = p
-    tol = VANISH_TOL_REL * (1.0 + f.one_norm())
+    # the tolerance is read only on floating operands: an exact residual never sums |f|_1
+    tol = lambda: VANISH_TOL_REL * (1.0 + f.one_norm())
     return subtract_linear_multiples(f, [(f1, (1, 0), p1), (f2, (0, 1), p2)], tol)
 
 

@@ -16,7 +16,7 @@ from gleason import (
     split_line,
 )
 from gleason.division import MonomialPair
-from gleason.domains import SplitLine, sample, slope_candidates
+from gleason.domains import SplitLine, _abs2, sample, slope_candidates
 from gleason.errors import InfeasibleSplitError, InputError
 
 from conftest import log_coordinates, monomial_bounded
@@ -29,6 +29,15 @@ def test_contains_hartogs_examples():
     assert CuspDomain.hartogs(1, 1).contains(0, 0.5)  # z2-axis is inside
     assert not CuspDomain.hartogs(1, 1).contains(0, 0)
     assert not CuspDomain.hartogs(1, 1).contains(0.5, 1.0)  # boundary is excluded
+
+
+rationals = st.fractions(min_value=-50, max_value=50, max_denominator=10**6)
+
+
+@given(st.builds(QComplex, rationals, rationals))
+def test_abs2_of_a_qcomplex_is_its_squared_modulus(q):
+    n, d = _abs2(q)
+    assert d > 0 and Fraction(n, d) == q.abs2()
 
 
 def test_contains_is_exact_for_rational_points():

@@ -20,8 +20,8 @@ from hypothesis import example, given, strategies as st
 from gleason import LaurentPolynomial, QComplex, division
 from gleason.domains import MonomialPair
 from gleason.errors import EvaluationDomainError
-from gleason.laurent import _exact_values, _linear_quotient, multiply_add
-from gleason.scalars import _reduced, powi
+from gleason.laurent import _exact_values, _linear_quotient, multiply_add, subtract_linear_multiples
+from gleason.scalars import _reduce_values, _reduced, powi
 
 from conftest import chain_multiply_add
 
@@ -272,6 +272,22 @@ def test_multiply_add_drops_an_entry_only_after_the_product_that_cancels_it(base
     assert all(got.terms[e] == c for e, c in want.items())
 
 
+@given(polys, polys)
+@example(  # (1 + z + z^2)(1 - z + z^2): (1, 0) and (3, 0) cancel within the product
+    _poly({(0, 0): 1, (1, 0): 1, (2, 0): 1}),
+    _poly({(0, 0): 1, (1, 0): -1, (2, 0): 1}),
+)
+@example(  # (1 + z - z^2)^2: (2, 0) cancels, then comes back after the new (3, 0)
+    _poly({(0, 0): 1, (1, 0): 1, (2, 0): -1}),
+    _poly({(0, 0): 1, (1, 0): 1, (2, 0): -1}),
+)
+def test_exact_product_is_the_chain(g, h):
+    got = g * h
+    want = chain_multiply_add(ZERO, [(g, h)])
+    assert list(got.terms) == list(want)
+    assert all(got.terms[e] == c for e, c in want.items())
+
+
 def _scan_dispatched(coeffs, root, exact):
     """The walk chosen by reading every coefficient, as it was chosen before
     each caller passed its polynomial's kind."""
@@ -359,6 +375,32 @@ def test_residual_matches_multiply_add_nonzero(f, f1, f2, p1, p2):
     assert all(a == b for (_, a), (_, b) in zip(_items(got), _items(want)))
 
 
+def _unread():
+    raise AssertionError("an exact residual read its tolerance")
+
+
+@given(polys, polys, polys, points, points)
+def test_exact_residual_never_reads_its_tolerance(f, f1, f2, p1, p2):
+    got = subtract_linear_multiples(f, [(f1, (1, 0), p1), (f2, (0, 1), p2)], _unread)
+    assert got == ref_residual(f, f1, f2, (p1, p2))
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 1.0])
+def test_floating_residual_reads_a_tolerance_function_once(tol):
+    f = LaurentPolynomial({(1, 0): 1.0, (0, 0): 0.5 + 1e-10})
+    parts = [(LaurentPolynomial.constant(1.0), (1, 0), 0.5), (LaurentPolynomial.constant(QComplex(1)), (0, 1), 0)]
+    calls = []
+
+    def read():
+        calls.append(tol)
+        return tol
+
+    got = subtract_linear_multiples(f, parts, read)
+    assert calls == [tol]
+    want = subtract_linear_multiples(f, parts, tol)
+    assert [(e, repr(c)) for e, c in got.terms.items()] == [(e, repr(c)) for e, c in want.terms.items()]
+
+
 @given(polys, polys, points, points)
 def test_residual_of_a_true_identity_is_zero(f1, f2, p1, p2):
     lin1 = LaurentPolynomial({(1, 0): 1, (0, 0): -p1})
@@ -392,6 +434,22 @@ def test_reduced_other_denominators_matches_gcd(x, y, d):
 def _check_reduced(x, y, d):
     g = math.gcd(x, y, d)
     assert _reduced(x, y, d).as_ints() == (x // g, y // g, d // g)
+
+
+triples = st.tuples(parts, parts, st.one_of(st.integers(0, 90).map(lambda k: 2**k), st.integers(1, 10**12)))
+
+
+@given(st.dictionaries(exps, st.one_of(triples, nonzero_coeffs), max_size=8))
+@example({(0, 0): (6, -4, 8), (1, 0): (12, 18, 6), (2, 0): QComplex(1, 2), (3, 0): (0, 5, 1)})
+def test_reduce_values_is_reduced_per_entry_in_place(terms):
+    before = dict(terms)
+    got = _reduce_values(terms)
+    assert got is terms and list(got) == list(before)
+    for exp, t in before.items():
+        if type(t) is tuple:
+            assert type(got[exp]) is QComplex and got[exp].as_ints() == _reduced(*t).as_ints()
+        else:  # a QComplex entry is left as the same object
+            assert got[exp] is t
 
 
 # -- powers -------------------------------------------------------------------------

@@ -213,21 +213,27 @@ def test_multiply_add_appends_an_exponent_that_cancels_and_comes_back():
 
 
 @given(float_polys, float_polys, float_polys)
-# an exact pair in a floating call: (5/3 i)^2 rounds differently from -25/9
+# an exact pair in a floating call is multiplied exactly, to -25/9, and read
+# as complex as it is added, as the chain does; (5/3 i)^2 in floats rounds
+# differently
 @example(
     LaurentPolynomial.constant(1.0),
     LaurentPolynomial.constant(QComplex(0, Fraction(5, 3))),
     LaurentPolynomial.constant(QComplex(0, Fraction(5, 3))),
 )
+# an exact product is not pruned at |g| * |h|: (1 + z)^28 (1 - z)^28 has the
+# ends 1 and 1 of (1 - z^2)^28, far below |g| * |h| = C(28, 14)^2 times 1e-14
+@example(
+    LaurentPolynomial.constant(1.0),
+    LaurentPolynomial({(k, 0): math.comb(28, k) for k in range(29)}),
+    LaurentPolynomial({(k, 0): (-1) ** k * math.comb(28, k) for k in range(29)}),
+)
 def test_multiply_add_on_floats_is_the_operator_chain(base, g, h):
     got = multiply_add(base, [(g, h), (h, g)])
     if not all(q.is_exact() for q in (base, g, h)):
-        # the floating kernel reads every operand as complex, also an exact
-        # base or an exact pair, which the chain would keep exact
-        base, g, h = (
-            LaurentPolynomial({e: complex(c) for e, c in q.terms.items()}, prune_scale=0.0)
-            for q in (base, g, h)
-        )
+        # the floating kernel reads an exact base as complex, which the chain
+        # keeps exact when both products are empty
+        base = LaurentPolynomial({e: complex(c) for e, c in base.terms.items()}, prune_scale=0.0)
     chained = base + g * h + h * g
     assert _typed_terms(got.terms) == _typed_terms(chained.terms)
 
@@ -644,15 +650,16 @@ def _loop_chain(base, products):
 
 
 signed_zero_parts = st.sampled_from([1.0, -1.0, 0.5j, -2j, complex(-1.0, -0.0), complex(-0.0, 3.0)])
-one_float_term = st.dictionaries(small_exps, st.one_of(wide_floats, signed_zero_parts), min_size=1, max_size=1)
+one_term_coeffs = st.one_of(wide_floats, signed_zero_parts, st.builds(QComplex, small_fracs, small_fracs).filter(bool))
+one_mixed_term = st.dictionaries(small_exps, one_term_coeffs, min_size=1, max_size=1)
 
 
 @settings(max_examples=300)
 @given(
     wide_polys,
-    st.lists(wide_polys, max_size=3),
+    st.lists(st.one_of(wide_polys, second_factors), max_size=3),
     second_factors,
-    one_float_term.map(LaurentPolynomial),
+    one_mixed_term.map(LaurentPolynomial),
 )
 # the one-term product's -0.0 imaginary part meets the base's -0.0: a product
 # summed from 0 turns it to +0.0, and the sum keeps +0.0
@@ -662,14 +669,22 @@ one_float_term = st.dictionaries(small_exps, st.one_of(wide_floats, signed_zero_
     LaurentPolynomial.zero(),
     LaurentPolynomial({(1, 0): complex(-1.0, -0.0)}),
 )
+# an exact product read as complex after it is formed: 1/5 * 1/5 is 0.04,
+# where 0.2 * 0.2 is 0.04000000000000001
+@example(
+    LaurentPolynomial({(0, 1): 1j}),
+    [],
+    LaurentPolynomial({(0, 0): QComplex(Fraction(1, 5))}),
+    LaurentPolynomial({(0, 0): 1.0}),
+)
 def test_float_multiply_add_reads_shared_and_one_term_factors_as_the_chain(base, gs, h, one):
     # one h object in several products, a distinct h with equal terms, a
     # one-term h, and empty factors on either side, bit for bit, signed zeros
-    # too; every product has a floating factor, as the kernel reads an exact
-    # one as complex before it multiplies
+    # too; a product of two exact factors is formed exactly, as the chain
+    # forms it, and read as complex only as it is added
     twin = LaurentPolynomial(dict(h.terms), prune_scale=0.0)
     products = [(g, h) for g in gs] + [(g, one) for g in gs] + [(g, twin) for g in gs[:1]]
-    products += [(twin, one), (one, h), (LaurentPolynomial.zero(), h), (h, LaurentPolynomial.zero())]
+    products += [(h, twin), (twin, one), (one, h), (LaurentPolynomial.zero(), h), (h, LaurentPolynomial.zero())]
     got = _outcome(lambda: multiply_add(base, products))
     assert got == _outcome(lambda: _loop_chain(base, products))
 
